@@ -11,7 +11,7 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,6 @@ from .autodiff import ContractError, ShapeError
 from .model import ModelConfig
 from .trainer import TrainConfig, train
 
-TRAINER_KEYS = ("batch_size", "epochs", "lr", "clip_norm", "checkpoint_every",
-                "max_batches")
-DATA_KEYS = ("min_utterances", "train_ratio", "max_vocab", "split_seed")
-DATA_DEFAULTS = {"min_utterances": 1, "train_ratio": 0.9, "max_vocab": 20000,
-                 "split_seed": 0}
 
 ABLATIONS = {
     "PAGENERATOR_NO_R1": ("PAGENERATOR", {"use_r1": False}),
@@ -59,59 +54,41 @@ def write_manifest(path, entries):
             f.write(f"{k}={entries[k]}\n")
 
 
+@dataclass
+class DataConfig:
+    min_utterances: int = 1
+    train_ratio: float = 0.9
+    max_vocab: int = 20000
+    split_seed: int = 0
+
+
 def read_flat_config(path):
-    """Flat key=value file split into model / trainer / data settings."""
-    model_kwargs, trainer_kwargs, data_kwargs = {}, dict(), dict(DATA_DEFAULTS)
-    model_fields = ModelConfig.__dataclass_fields__
+    """Flat key=value file split into model kwargs, TrainConfig and DataConfig."""
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            k, sep, v = line.partition("=")
-            k, v = k.strip(), v.strip()
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            if k in model_fields:
-                ftype = model_fields[k].type
-                if ftype in ("bool", bool):
-                    model_kwargs[k] = v == "true"
-                elif ftype in ("int", int):
-                    model_kwargs[k] = int(v)
-                elif ftype in ("float", float):
-                    model_kwargs[k] = float(v)
-                else:
-                    model_kwargs[k] = v
-            elif k in TRAINER_KEYS:
-                trainer_kwargs[k] = float(v) if k in ("lr", "clip_norm") else int(v)
-            elif k in DATA_KEYS:
-                data_kwargs[k] = float(v) if k == "train_ratio" else int(v)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown config key {k!r}")
-    return model_kwargs, trainer_kwargs, data_kwargs
+        model_kwargs, trainer_kwargs, data_kwargs = M.parse_config_lines(
+            f, path, ModelConfig, TrainConfig, DataConfig)
+    return model_kwargs, TrainConfig(**trainer_kwargs), DataConfig(**data_kwargs)
 
 
-def prepare_data(data_path, data_kwargs):
-    triples, _, _ = C.load_corpus(data_path, min_utterances=data_kwargs["min_utterances"],
-                                  max_vocab=data_kwargs["max_vocab"])
-    train_set, test_set = C.split(triples, data_kwargs["train_ratio"],
-                                  seed=data_kwargs["split_seed"])
-    vocab = C.Vocabulary.build(train_set, max_size=data_kwargs["max_vocab"])
+def prepare_data(data_path, data):
+    triples, _, _ = C.load_corpus(data_path, min_utterances=data.min_utterances,
+                                  max_vocab=data.max_vocab)
+    train_set, test_set = C.split(triples, data.train_ratio, seed=data.split_seed)
+    vocab = C.Vocabulary.build(train_set, max_size=data.max_vocab)
     users = C.UserTable.build({t.user_id for t in triples} - {C.UNSPECIFIED_USER_ID})
     return train_set, test_set, vocab, users
 
 
 def run_training(data_path, config_path, out_dir, seed, variant=None):
-    model_kwargs, trainer_kwargs, data_kwargs = read_flat_config(config_path)
+    model_kwargs, tcfg, data = read_flat_config(config_path)
     if variant:
         base, extra = ABLATIONS.get(variant, (variant, {}))
         model_kwargs["variant"] = base
         model_kwargs.update(extra)
-    train_set, test_set, vocab, users = prepare_data(data_path, data_kwargs)
+    train_set, test_set, vocab, users = prepare_data(data_path, data)
     model_kwargs["vocab_size"] = len(vocab)
     model_kwargs["num_users"] = len(users)
     config = ModelConfig(**model_kwargs)
-    tcfg = TrainConfig(**trainer_kwargs)
 
     os.makedirs(out_dir, exist_ok=True)
     C.write_corpus(os.path.join(out_dir, "train.tsv"), train_set)
@@ -204,27 +181,36 @@ def cmd_generate(args):
     model, vocab, users = load_model_dir(args.model, args.vocab, args.users_file)
     params, config = model
 
-    def one(user_id, query_tokens, seed):
-        req = G.GenRequest(query=vocab.encode(query_tokens), user_index=users.index(user_id),
+    def checked_user(user_id, where):
+        if user_id not in users.user_to_index:
+            raise ValueError(f"{where}unknown user {user_id!r}")
+        return users.user_to_index[user_id]
+
+    def one(user, query_tokens, seed):
+        req = G.GenRequest(query=vocab.encode(query_tokens), user_index=user,
                            beam_width=args.beam, max_length=args.max_length,
                            z_mode=args.mode, seed=seed)
         hyps = G.generate(req, params, config)
         return " ".join(vocab.decode(hyps[0].tokens)) if hyps and hyps[0].tokens else ""
 
     if args.input:
-        with open(args.input, encoding="utf-8") as f_in, \
-                open(args.output or args.input + ".out", "w", encoding="utf-8",
-                     newline="\n") as f_out:
+        # every user is checked before any decoding or output
+        requests = []
+        with open(args.input, encoding="utf-8") as f_in:
             for i, line in enumerate(f_in):
-                if not line.strip():
-                    continue
-                user_id, _, query = line.rstrip("\n").partition("\t")
-                f_out.write(one(user_id, query.split(), args.seed + i) + "\n")
+                if line.strip():
+                    user_id, _, query = line.rstrip("\n").partition("\t")
+                    user = checked_user(user_id, f"{args.input}:{i + 1}: ")
+                    requests.append((user, query.split(), args.seed + i))
+        with open(args.output or args.input + ".out", "w", encoding="utf-8",
+                  newline="\n") as f_out:
+            for user, query, seed in requests:
+                f_out.write(one(user, query, seed) + "\n")
         return 0
     if not args.query:
         print("error: --query or --input required", file=sys.stderr)
         return 2
-    print(one(args.user, args.query.split(), args.seed))
+    print(one(checked_user(args.user, "--user: "), args.query.split(), args.seed))
     return 0
 
 
@@ -276,16 +262,10 @@ def cmd_compare(args):
     if len(variants) < 2:
         print("error: compare needs at least 2 variants", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
-    workers = max(1, int(os.environ.get("PAGEN_THREADS", "1")))
-
-    def train_one(variant):
-        out_dir = os.path.join(args.out, variant)
-        run_training(args.data, args.config, out_dir, args.seed, variant=variant)
-        return variant, out_dir
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        run_dirs = dict(pool.map(train_one, variants))
+    run_dirs = {}
+    for variant in variants:
+        run_dirs[variant] = os.path.join(args.out, variant)
+        run_training(args.data, args.config, run_dirs[variant], args.seed, variant=variant)
 
     ref_name = args.reference if args.reference in run_dirs else variants[0]
     ref_dir = run_dirs[ref_name]

@@ -63,6 +63,7 @@ def generate(request, params, config):
     """Beam search; returns hypotheses sorted by length-normalized score."""
     if not request.query:
         raise ContractError("empty query")
+    width = request.beam_width
     with no_grad():
         enc = M.encode(request.query, params, config)
         z_vec = _draw_z(enc.final, request.user_index, params, config,
@@ -70,46 +71,43 @@ def generate(request, params, config):
         beams = [Hypothesis()]
         finished = []
         h0, c0 = M.decoder_init_state(enc.final, params, config, 1)
-        states = [(h0.data[0], c0.data[0])]
+        h, c = h0.data, c0.data
         for step in range(request.max_length):
             k = len(beams)
             enc_k = _tile_encoder(enc, k)
             prev = np.array([b.tokens[-1] if b.tokens else BOS for b in beams])
-            h = ad.constant(np.stack([s[0] for s in states]))
-            c = ad.constant(np.stack([s[1] for s in states]))
             z = ad.constant(np.repeat(z_vec[None, :], k, axis=0)) if z_vec is not None else None
             u_idx = np.full(k, request.user_index, dtype=np.int64)
             e_u = M.user_embedding(u_idx, params, config) if config.decoder_uses_user else None
-            probs, (h_new, c_new) = M.decode_step(prev, (h, c), z, e_u, enc_k, params,
-                                                  config, user_idx=u_idx)
-            logp = np.log(np.maximum(probs.data, 1e-30))
+            logp, (h_new, c_new) = M.decode_step(prev, (ad.constant(h), ad.constant(c)), z,
+                                                 e_u, enc_k, params, config, user_idx=u_idx)
+            logp = logp.data
             logp[:, [0, 1, 2]] = -np.inf  # never emit PAD/UNK/BOS
             if step == 0:
                 logp[:, EOS] = -np.inf  # no empty replies
-            cands = []
-            for i, b in enumerate(beams):
-                order = np.argsort(-logp[i])[: request.beam_width]
-                for tok in order:
-                    cands.append((b.log_prob + logp[i, tok], i, int(tok)))
-            cands.sort(key=lambda x: (-x[0], x[1], x[2]))
-            # top-W candidates; EOS retires a hypothesis, the rest carry on
-            new_beams, new_states = [], []
-            for score, i, tok in cands[: request.beam_width]:
+            scores = np.array([b.log_prob for b in beams], dtype=logp.dtype)[:, None] + logp
+            # top-W (beam, token) pairs by score; the stable sort over the
+            # row-major flattening breaks ties by beam, then by token
+            order = np.argsort(-scores, axis=None, kind="stable")[:width]
+            # EOS retires a hypothesis, the rest carry on
+            new_beams, keep = [], []
+            for i, tok in zip(*np.divmod(order, scores.shape[1])):
+                i, tok = int(i), int(tok)
                 if tok == EOS:
                     finished.append(Hypothesis(tokens=list(beams[i].tokens),
-                                               log_prob=score, finished=True))
+                                               log_prob=scores[i, tok], finished=True))
                 else:
                     new_beams.append(Hypothesis(tokens=beams[i].tokens + [tok],
-                                                log_prob=score))
-                    new_states.append((h_new.data[i].copy(), c_new.data[i].copy()))
-            beams, states = new_beams, new_states
-            if not beams or len(finished) >= request.beam_width:
+                                                log_prob=scores[i, tok]))
+                    keep.append(i)
+            beams, h, c = new_beams, h_new.data[keep], c_new.data[keep]
+            if not beams or len(finished) >= width:
                 break
         for b in beams:  # hit max length
             b.finished = True
             finished.append(b)
-        finished.sort(key=lambda h: -h.normalized())
-        return finished[: request.beam_width]
+        finished.sort(key=lambda hyp: -hyp.normalized())
+        return finished[:width]
 
 
 def score_responses(query, replies, user_index, params, config, z_mode="sample",

@@ -21,6 +21,47 @@ CHECKPOINT_MAGIC = b"PAGN"
 CHECKPOINT_VERSION = 1
 
 
+def coerce_value(ftype, text, where):
+    """Parse config text as a dataclass field of type ftype (the annotation,
+    which may be a string).  Booleans are only "true" or "false"; a bad
+    value raises ValueError prefixed with `where`."""
+    kind = getattr(ftype, "__name__", ftype)
+    try:
+        if kind == "bool":
+            if text not in ("true", "false"):
+                raise ValueError
+            return text == "true"
+        return {"int": int, "float": float}.get(kind, str)(text)
+    except ValueError:
+        expected = "true or false" if kind == "bool" else kind
+        raise ValueError(f"{where}: expected {expected}, got {text!r}") from None
+
+
+def parse_config_lines(lines, source, *schemas):
+    """Flat key=value lines -> one kwargs dict per dataclass in schemas.
+
+    Blank lines and '#' comments are skipped.  A key must be a field of one
+    of the schemas and its value must parse as that field's type; anything
+    else raises ValueError("source:lineno: ...") naming the key.
+    """
+    out = [{} for _ in schemas]
+    fields = {k: (kwargs, f.type) for kwargs, schema in zip(out, schemas)
+              for k, f in schema.__dataclass_fields__.items()}
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        k, sep, v = line.partition("=")
+        k, v, where = k.strip(), v.strip(), f"{source}:{lineno}"
+        if not sep:
+            raise ValueError(f"{where}: expected key=value")
+        if k not in fields:
+            raise ValueError(f"{where}: unknown config key {k!r}")
+        kwargs, ftype = fields[k]
+        kwargs[k] = coerce_value(ftype, v, f"{where}: {k}")
+    return out
+
+
 @dataclass
 class ModelConfig:
     variant: str = "PAGENERATOR"
@@ -83,24 +124,8 @@ class ModelConfig:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text):
-        kwargs = {}
-        fields = cls.__dataclass_fields__
-        for line in text.strip().splitlines():
-            if not line.strip():
-                continue
-            k, _, v = line.partition("=")
-            if k not in fields:
-                raise ValueError(f"unknown config key {k!r}")
-            ftype = fields[k].type
-            if ftype in ("bool", bool):
-                kwargs[k] = v == "true"
-            elif ftype in ("int", int):
-                kwargs[k] = int(v)
-            elif ftype in ("float", float):
-                kwargs[k] = float(v)
-            else:
-                kwargs[k] = v
+    def from_text(cls, text, source="<config>"):
+        (kwargs,) = parse_config_lines(text.splitlines(), source, cls)
         return cls(**kwargs)
 
     def toy(self, **overrides):
@@ -177,11 +202,6 @@ def init_params(config, seed=0, dtype=np.float32):
         data = rng.uniform(-0.08, 0.08, size=shapes[name]).astype(dtype)
         params[name] = Tensor(data, requires_grad=True, name=name)
     return params
-
-
-def cast_params(params, dtype):
-    return {k: Tensor(p.data.astype(dtype), requires_grad=p.requires_grad, name=k)
-            for k, p in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +347,10 @@ def _attention_context(h_dec, enc, params, dtype):
     return ctx
 
 
-def decode_logits(prev_idx, state, z, e_u, enc, params, config, dtype=np.float32):
-    """One decoder step; returns (logits, new_state)."""
+def decode_logits(prev_idx, state, z, e_u, enc, params, config, user_idx=None,
+                  dtype=np.float32):
+    """One decoder step; returns (logits, new_state).  FACT_BIAS adds its
+    per-user output bias here, so it needs user_idx."""
     h, c = state
     parts = [ad.embedding(params["word_emb"], np.asarray(prev_idx))]
     if config.is_latent:
@@ -344,18 +366,19 @@ def decode_logits(prev_idx, state, z, e_u, enc, params, config, dtype=np.float32
     else:
         combined = h_new
     logits = ad.add(ad.matmul(combined, params["out_W"]), params["out_b"])
+    if config.variant == "FACT_BIAS":
+        if user_idx is None:
+            raise ContractError("FACT_BIAS decode requires user_idx")
+        logits = ad.add(logits, fact_bias_logits(user_idx, params))
     return logits, (h_new, c_new)
 
 
 def decode_step(prev_idx, state, z, e_u, enc, params, config, user_idx=None,
                 dtype=np.float32):
-    """One decoder step returning a probability distribution over the vocab."""
-    logits, new_state = decode_logits(prev_idx, state, z, e_u, enc, params, config, dtype)
-    if config.variant == "FACT_BIAS":
-        if user_idx is None:
-            raise ContractError("FACT_BIAS decode requires user_idx")
-        logits = ad.add(logits, fact_bias_logits(user_idx, params))
-    return ad.softmax(logits), new_state
+    """One decoder step returning log-probabilities over the vocab."""
+    logits, new_state = decode_logits(prev_idx, state, z, e_u, enc, params, config,
+                                      user_idx=user_idx, dtype=dtype)
+    return ad.log_softmax(logits), new_state
 
 
 def user_embedding(user_idx, params, config):
@@ -378,10 +401,8 @@ def teacher_forced_log_probs(reply_idx, reply_lengths, state, z, e_u, enc, param
     prev = np.full(B, BOS, dtype=np.int64)
     total = None
     for t in range(Tr + 1):
-        logits, state = decode_logits(prev, state, z, e_u, enc, params, config, dtype)
-        if config.variant == "FACT_BIAS":
-            logits = ad.add(logits, fact_bias_logits(user_idx, params))
-        logp = ad.log_softmax(logits)
+        logp, state = decode_step(prev, state, z, e_u, enc, params, config,
+                                  user_idx=user_idx, dtype=dtype)
         if t < Tr:
             # rows past their length score EOS at position == length, else masked
             target = np.where(t < reply_lengths, reply_idx[:, t], EOS).astype(np.int64)
@@ -439,5 +460,5 @@ def load_checkpoint(path):
         data = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims).copy()
         off += 4 * n
         params[name] = Tensor(data, requires_grad=True, name=name)
-    config = ModelConfig.from_text(blob[off:].decode("utf-8"))
+    config = ModelConfig.from_text(blob[off:].decode("utf-8"), source=f"{path} config")
     return params, config

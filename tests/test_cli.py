@@ -87,6 +87,19 @@ def test_bad_config_key_exits_1(workdir, capsys):
     assert "no_such_option" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["use_r1=True", "decode_with_user=yes", "epochs=ten"])
+def test_bad_config_value_exits_1(workdir, capsys, line):
+    tmp_path, data, config = workdir
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TOY_CONFIG + line + "\n", encoding="utf-8")
+    assert cli.main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 1
+    lineno = len(TOY_CONFIG.splitlines()) + 1
+    key = line.partition("=")[0]
+    assert f"{bad}:{lineno}: {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_variant_override(workdir):
     from pagen.model import load_checkpoint
     out = _trained(workdir, variant="PAGENERATOR_NO_UE")
@@ -116,6 +129,23 @@ def test_generate_batch_mode(workdir):
                      "--beam", "3", "--max-length", "8"]) == 0
     lines = batch_out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 2
+
+
+def test_generate_rejects_unknown_users(workdir, capsys):
+    tmp_path, _, _ = workdir
+    model = str(_trained(workdir) / "model.ckpt")
+    base = ["generate", "--model", model, "--beam", "2", "--max-length", "4"]
+    assert cli.main(base + ["--user", "nobody", "--query", "topic0 q1"]) == 1
+    assert "unknown user 'nobody'" in capsys.readouterr().err
+
+    batch_in = tmp_path / "queries.tsv"
+    batch_in.write_text("user0\ttopic1 q3\nghost\ttopic2 q4\n", encoding="utf-8")
+    batch_out = tmp_path / "replies.txt"
+    assert cli.main(base + ["--input", str(batch_in), "--output", str(batch_out)]) == 1
+    assert f"{batch_in}:2: unknown user 'ghost'" in capsys.readouterr().err
+    assert not batch_out.exists()
+
+    assert cli.main(base + ["--user", C.UNSPECIFIED_USER_ID, "--query", "topic0 q1"]) == 0
 
 
 def test_generate_without_query_exits_2(workdir, capsys):
@@ -151,9 +181,8 @@ def test_report_formats_missing_metrics_as_dash(capsys):
     assert "0.5000" in table and "-" in table
 
 
-def test_compare_two_variants(workdir, capsys, monkeypatch):
+def test_compare_two_variants(workdir, capsys):
     tmp_path, data, config = workdir
-    monkeypatch.setenv("PAGEN_THREADS", "2")
     out = tmp_path / "cmp"
     assert cli.main(["compare", "--config", str(config), "--data", str(data),
                      "--variants", "S2SA,CVAE", "--reference", "S2SA",

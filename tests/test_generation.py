@@ -5,6 +5,7 @@ import pytest
 
 import np_oracle
 from conftest import toy_config
+from pagen import autodiff as ad
 from pagen import generation as G
 from pagen import model as M
 from pagen.autodiff import ContractError
@@ -39,12 +40,12 @@ def _greedy_reference(query, params, cfg, max_length):
     tokens = []
     prev = BOS
     for step in range(max_length):
-        probs, state = M.decode_step(np.array([prev]), state, None, None, enc,
-                                     params, cfg)
-        p = probs.data[0].copy()
-        p[[PAD, UNK, BOS]] = -1.0
+        logp, state = M.decode_step(np.array([prev]), state, None, None, enc,
+                                    params, cfg)
+        p = logp.data[0].copy()
+        p[[PAD, UNK, BOS]] = -np.inf
         if step == 0:
-            p[EOS] = -1.0
+            p[EOS] = -np.inf
         tok = int(np.argmax(p))
         if tok == EOS:
             break
@@ -60,6 +61,63 @@ def test_beam_width_one_is_greedy():
         req = GenRequest(query=query, beam_width=1, max_length=8)
         hyps = generate(req, params, cfg)
         assert hyps[0].tokens == _greedy_reference(query, params, cfg, 8)
+
+
+def _beam_reference(request, params, cfg):
+    """Beam search with per-beam candidate lists: each beam proposes its own
+    top-W tokens, and the pooled candidates are sorted by (-score, beam,
+    token).  generate() selects from one flat (beam, token) ordering."""
+    W = request.beam_width
+    with ad.no_grad():
+        enc = M.encode(request.query, params, cfg)
+        z_vec = G._draw_z(enc.final, request.user_index, params, cfg, request.z_mode,
+                          request.seed) if cfg.is_latent else None
+        beams, finished = [Hypothesis()], []
+        h0, c0 = M.decoder_init_state(enc.final, params, cfg, 1)
+        states = [(h0.data[0], c0.data[0])]
+        for step in range(request.max_length):
+            k = len(beams)
+            prev = np.array([b.tokens[-1] if b.tokens else BOS for b in beams])
+            h = ad.constant(np.stack([s[0] for s in states]))
+            c = ad.constant(np.stack([s[1] for s in states]))
+            z = ad.constant(np.repeat(z_vec[None, :], k, axis=0)) if z_vec is not None else None
+            u_idx = np.full(k, request.user_index, dtype=np.int64)
+            e_u = M.user_embedding(u_idx, params, cfg) if cfg.decoder_uses_user else None
+            logp, (h_new, c_new) = M.decode_step(prev, (h, c), z, e_u, G._tile_encoder(enc, k),
+                                                 params, cfg, user_idx=u_idx)
+            logp = logp.data
+            logp[:, [PAD, UNK, BOS]] = -np.inf
+            if step == 0:
+                logp[:, EOS] = -np.inf
+            cands = []
+            for i, b in enumerate(beams):
+                for tok in np.argsort(-logp[i])[:W]:
+                    cands.append((b.log_prob + logp[i, tok], i, int(tok)))
+            cands.sort(key=lambda x: (-x[0], x[1], x[2]))
+            new_beams, new_states = [], []
+            for score, i, tok in cands[:W]:
+                if tok == EOS:
+                    finished.append(Hypothesis(list(beams[i].tokens), score, True))
+                else:
+                    new_beams.append(Hypothesis(beams[i].tokens + [tok], score))
+                    new_states.append((h_new.data[i].copy(), c_new.data[i].copy()))
+            beams, states = new_beams, new_states
+            if not beams or len(finished) >= W:
+                break
+        finished += [Hypothesis(b.tokens, b.log_prob, True) for b in beams]
+        finished.sort(key=lambda hyp: -hyp.normalized())
+        return finished[:W]
+
+
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_beam_matches_per_beam_candidate_reference(variant):
+    for seed, width in enumerate((2, 5, 10)):
+        params, cfg = _model(variant=variant, seed=seed)
+        req = GenRequest(query=[5 + seed, 9, 12], user_index=1 + seed, beam_width=width,
+                         max_length=7, seed=seed)
+        got, want = generate(req, params, cfg), _beam_reference(req, params, cfg)
+        assert [h.tokens for h in got] == [h.tokens for h in want]
+        assert [h.log_prob for h in got] == [h.log_prob for h in want]
 
 
 def test_generate_deterministic():

@@ -29,6 +29,13 @@ def test_config_text_roundtrip():
         ModelConfig.from_text("bogus=1\n")
 
 
+@pytest.mark.parametrize("line", ["use_r1=True", "decode_with_user=yes", "z_dim=ten"])
+def test_config_text_rejects_bad_values(line):
+    key = line.partition("=")[0]
+    with pytest.raises(ValueError, match=f"^ckpt:2: {key}: expected"):
+        ModelConfig.from_text("variant=CVAE\n" + line + "\n", source="ckpt")
+
+
 def test_toy_profile_keeps_variant():
     cfg = ModelConfig(variant="CVAE", vocab_size=50, num_users=3).toy()
     assert cfg.variant == "CVAE"
@@ -151,10 +158,10 @@ def test_decode_step_is_distribution():
     _, q_idx, q_len, _, _ = toy_batch()
     enc = M.encode_batch(q_idx, q_len, params, cfg)
     state = M.decoder_init_state(enc.final, params, cfg, 3)
-    probs, _ = M.decode_step(np.array([2, 2, 2]), state, None, None, enc, params, cfg)
-    assert probs.shape == (3, cfg.vocab_size)
-    assert np.all(probs.data >= 0.0)
-    assert np.allclose(probs.data.sum(axis=1), 1.0)
+    logp, _ = M.decode_step(np.array([2, 2, 2]), state, None, None, enc, params, cfg)
+    assert logp.shape == (3, cfg.vocab_size)
+    assert np.all(logp.data <= 0.0)
+    assert np.allclose(np.exp(logp.data).sum(axis=1), 1.0)
 
 
 def test_teacher_forced_log_probs_negative():
@@ -186,6 +193,8 @@ def test_fact_bias_requires_user_idx():
     state = M.decoder_init_state(enc.final, params, cfg, 3)
     with pytest.raises(ContractError):
         M.decode_step(np.array([2, 2, 2]), state, None, None, enc, params, cfg)
+    with pytest.raises(ContractError):
+        M.decode_logits(np.array([2, 2, 2]), state, None, None, enc, params, cfg)
 
 
 def test_user_embedding_contract():
