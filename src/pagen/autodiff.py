@@ -68,19 +68,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
-    # convenience operators
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _result(data, parents, backward_fn):
     """Create an op output; records the closure only while grad is enabled."""
@@ -240,13 +227,6 @@ def exp(a):
     return _result(out_data, (a,), bwd)
 
 
-def log(a):
-    def bwd(g):
-        _accum(a, g / a.data)
-
-    return _result(np.log(a.data), (a,), bwd)
-
-
 def softmax(a):
     """Softmax over the last axis."""
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
@@ -309,22 +289,42 @@ def slice_cols(a, start, stop):
     return _result(a.data[idx], (a,), bwd)
 
 
-def reshape(a, shape):
-    def bwd(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return _result(a.data.reshape(shape), (a,), bwd)
-
-
-def tile_cols(a, n):
-    """(m, 1) -> (m, n); backward sums across the tiled columns."""
-    if a.data.ndim != 2 or a.data.shape[1] != 1:
-        raise ShapeError(f"tile_cols expects (m, 1), got {a.data.shape}")
+def stack(tensors, axis=0):
+    """Equal-shape tensors stacked along a new axis (per-step tensors -> one)."""
+    shape = tensors[0].data.shape
+    for t in tensors[1:]:
+        if t.data.shape != shape:
+            raise ShapeError(f"stack: {t.data.shape} vs {shape}")
 
     def bwd(g):
-        _accum(a, g.sum(axis=1, keepdims=True))
+        for i, t in enumerate(tensors):
+            _accum(t, np.take(g, i, axis=axis))
 
-    return _result(np.repeat(a.data, n, axis=1), (a,), bwd)
+    return _result(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
+
+
+def contract(spec, a, b):
+    """Two-operand einsum, e.g. contract("btd,bd->bt", states, query).
+
+    Each index occurs at most once per term and in at least two of the
+    three terms, so each gradient is an einsum of the other two terms; an
+    index summed inside one operand (or repeated in a term) is rejected.
+    """
+    ins, _, out = spec.partition("->")
+    sa, _, sb = ins.partition(",")
+    for term, others in ((sa, sb + out), (sb, sa + out), (out, sa + sb)):
+        if len(set(term)) < len(term) or set(term) - set(others):
+            raise ShapeError(f"contract {spec!r}: index repeated or summed inside one term")
+    try:
+        out_data = np.einsum(spec, a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"contract {spec!r}: {a.data.shape} with {b.data.shape}") from None
+
+    def bwd(g):
+        _accum(a, np.einsum(f"{out},{sb}->{sa}", g, b.data))
+        _accum(b, np.einsum(f"{sa},{out}->{sb}", a.data, g))
+
+    return _result(out_data, (a, b), bwd)
 
 
 def reduce_sum(a, axis=None):
@@ -350,15 +350,16 @@ def reduce_mean(a, axis=None):
 
 
 def pick(a, indices):
-    """out[i] = a[i, indices[i]] for a 2-D tensor; used for cross-entropy."""
+    """out[i] = a[i, indices[i]], or out[i, k] = a[i, indices[i, k]] for
+    (B, K) indices, from a 2-D tensor; used for cross-entropy."""
     idx = np.asarray(indices)
-    if a.data.ndim != 2 or idx.shape != (a.data.shape[0],):
+    if a.data.ndim != 2 or idx.ndim not in (1, 2) or idx.shape[0] != a.data.shape[0]:
         raise ShapeError(f"pick: {a.data.shape} with indices {idx.shape}")
-    rows = np.arange(a.data.shape[0])
+    rows = np.arange(a.data.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        full[rows, idx] = g
+        np.add.at(full, (rows, idx), g)  # a row may pick one entry twice
         _accum(a, full)
 
     return _result(a.data[rows, idx], (a,), bwd)

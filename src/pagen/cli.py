@@ -181,36 +181,36 @@ def cmd_generate(args):
     model, vocab, users = load_model_dir(args.model, args.vocab, args.users_file)
     params, config = model
 
-    def checked_user(user_id, where):
-        if user_id not in users.user_to_index:
-            raise ValueError(f"{where}unknown user {user_id!r}")
-        return users.user_to_index[user_id]
+    def request(user_id, query, seed, where):
+        """A checked request: known user, at least one in-vocabulary token."""
+        user, tokens = users.index(user_id, where), vocab.encode(query.split())
+        if all(t == C.UNK for t in tokens):
+            raise ValueError(f"{where}no in-vocabulary token in query {query!r}")
+        return G.GenRequest(query=tokens, user_index=user, beam_width=args.beam,
+                            max_length=args.max_length, z_mode=args.mode, seed=seed)
 
-    def one(user, query_tokens, seed):
-        req = G.GenRequest(query=vocab.encode(query_tokens), user_index=user,
-                           beam_width=args.beam, max_length=args.max_length,
-                           z_mode=args.mode, seed=seed)
+    def reply(req):
         hyps = G.generate(req, params, config)
         return " ".join(vocab.decode(hyps[0].tokens)) if hyps and hyps[0].tokens else ""
 
     if args.input:
-        # every user is checked before any decoding or output
+        # every line is checked before any decoding or output
         requests = []
         with open(args.input, encoding="utf-8") as f_in:
             for i, line in enumerate(f_in):
                 if line.strip():
                     user_id, _, query = line.rstrip("\n").partition("\t")
-                    user = checked_user(user_id, f"{args.input}:{i + 1}: ")
-                    requests.append((user, query.split(), args.seed + i))
+                    requests.append(request(user_id, query, args.seed + i,
+                                            f"{args.input}:{i + 1}: "))
         with open(args.output or args.input + ".out", "w", encoding="utf-8",
                   newline="\n") as f_out:
-            for user, query, seed in requests:
-                f_out.write(one(user, query, seed) + "\n")
+            for req in requests:
+                f_out.write(reply(req) + "\n")
         return 0
     if not args.query:
         print("error: --query or --input required", file=sys.stderr)
         return 2
-    print(one(checked_user(args.user, "--user: "), args.query.split(), args.seed))
+    print(reply(request(args.user, args.query, args.seed, "")))
     return 0
 
 
@@ -221,6 +221,8 @@ def cmd_evaluate(args):
                                      args.users_file or
                                      os.path.join(os.path.dirname(args.model), "users.txt"))
     test_set = C.read_triples(args.data)
+    for t in test_set:  # every user is checked before any decoding
+        users.index(t.user_id, f"{args.data}: ")
     train_set = C.read_triples(args.train_data)
     vectors = MX.load_word_vectors(args.vectors) if args.vectors else None
     metric_list = tuple(args.metrics.split(","))

@@ -83,8 +83,11 @@ class UserTable:
     def __len__(self):
         return len(self.user_to_index)
 
-    def index(self, user_id):
-        return self.user_to_index.get(user_id, UNSPECIFIED_USER)
+    def index(self, user_id, where=""):
+        """Row of a user id; an id not in the table raises CorpusError."""
+        if user_id not in self.user_to_index:
+            raise CorpusError(f"{where}unknown user {user_id!r}")
+        return self.user_to_index[user_id]
 
     @classmethod
     def build(cls, user_ids):

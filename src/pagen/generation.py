@@ -40,9 +40,8 @@ class GenRequest:
 
 
 def _tile_encoder(enc, k):
-    final = ad.constant(np.repeat(enc.final.data, k, axis=0))
-    steps = [ad.constant(np.repeat(s.data, k, axis=0)) for s in enc.step_states]
-    return M.EncoderOutput(final=final, step_states=steps,
+    return M.EncoderOutput(final=ad.constant(np.repeat(enc.final.data, k, axis=0)),
+                           states=ad.constant(np.repeat(enc.states.data, k, axis=0)),
                            mask=np.repeat(enc.mask, k, axis=0))
 
 

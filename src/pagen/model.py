@@ -145,7 +145,7 @@ class GaussianParams:
 @dataclass
 class EncoderOutput:
     final: Tensor            # (batch, 2*encoder_hidden)
-    step_states: list        # per step (batch, 2*encoder_hidden), for attention
+    states: Tensor           # (batch, T, 2*encoder_hidden), for attention
     mask: np.ndarray         # (batch, T) 0/1 validity
 
 
@@ -265,10 +265,10 @@ def encode_batch(idx, lengths, params, config, dtype=np.float32):
         bwd[t] = h
     final_bwd = h
 
-    steps = [ad.concat([fwd[t], bwd[t]], axis=1) for t in range(T)]
+    states = ad.concat([ad.stack(fwd, axis=1), ad.stack(bwd, axis=1)], axis=2)
     valid = (np.arange(T)[None, :] < lengths[:, None]).astype(dtype)
     return EncoderOutput(final=ad.concat([final_fwd, final_bwd], axis=1),
-                         step_states=steps, mask=valid)
+                         states=states, mask=valid)
 
 
 def encode(tokens, params, config, dtype=np.float32):
@@ -329,26 +329,16 @@ def fact_bias_logits(user_idx, params):
                      params["fact_proj"])
 
 
-def _attention_context(h_dec, enc, params, dtype):
-    proj = ad.matmul(h_dec, params["att_W"])
-    cols = []
-    for t, s in enumerate(enc.step_states):
-        score = ad.reduce_sum(ad.mul(proj, s), axis=1)
-        cols.append(ad.reshape(score, (score.shape[0], 1)))
-    scores = ad.concat(cols, axis=1)
-    neg = ad.constant(((1.0 - enc.mask) * -1e9).astype(dtype))
+def _attention_context(h_dec, enc, params):
+    """Luong general score s_t . (h @ W_a), masked softmax over the valid
+    steps, and the weighted sum of the encoder states."""
+    scores = ad.contract("btd,bd->bt", enc.states, ad.matmul(h_dec, params["att_W"]))
+    neg = ad.constant((1.0 - enc.mask) * -1e9)
     weights = ad.softmax(ad.add(scores, neg))
-    width = enc.step_states[0].shape[1]
-    ctx = None
-    for t, s in enumerate(enc.step_states):
-        w = ad.tile_cols(ad.slice_cols(weights, t, t + 1), width)
-        term = ad.mul(w, s)
-        ctx = term if ctx is None else ad.add(ctx, term)
-    return ctx
+    return ad.contract("bt,btd->bd", weights, enc.states)
 
 
-def decode_logits(prev_idx, state, z, e_u, enc, params, config, user_idx=None,
-                  dtype=np.float32):
+def decode_logits(prev_idx, state, z, e_u, enc, params, config, user_idx=None):
     """One decoder step; returns (logits, new_state).  FACT_BIAS adds its
     per-user output bias here, so it needs user_idx."""
     h, c = state
@@ -360,7 +350,7 @@ def decode_logits(prev_idx, state, z, e_u, enc, params, config, user_idx=None,
     x = ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
     h_new, c_new = lstm_cell(x, h, c, params["dec_W"], params["dec_b"], config.decoder_hidden)
     if config.use_attention:
-        ctx = _attention_context(h_new, enc, params, dtype)
+        ctx = _attention_context(h_new, enc, params)
         combined = ad.tanh(ad.add(ad.matmul(ad.concat([h_new, ctx], axis=1),
                                             params["att_comb_W"]), params["att_comb_b"]))
     else:
@@ -373,11 +363,10 @@ def decode_logits(prev_idx, state, z, e_u, enc, params, config, user_idx=None,
     return logits, (h_new, c_new)
 
 
-def decode_step(prev_idx, state, z, e_u, enc, params, config, user_idx=None,
-                dtype=np.float32):
+def decode_step(prev_idx, state, z, e_u, enc, params, config, user_idx=None):
     """One decoder step returning log-probabilities over the vocab."""
     logits, new_state = decode_logits(prev_idx, state, z, e_u, enc, params, config,
-                                      user_idx=user_idx, dtype=dtype)
+                                      user_idx=user_idx)
     return ad.log_softmax(logits), new_state
 
 
@@ -391,28 +380,29 @@ def user_embedding(user_idx, params, config):
 
 
 def teacher_forced_log_probs(reply_idx, reply_lengths, state, z, e_u, enc, params,
-                             config, user_idx=None, dtype=np.float32):
+                             config, user_idx=None):
     """Per-example sum of log p(token) over the reply plus EOS, teacher forced.
 
     reply_idx: (B, Tr) padded, no BOS/EOS.  Returns a (B,) tensor of
     log-probabilities (non-positive).
     """
     B, Tr = reply_idx.shape
+    # time-major (Tr + 1, B): row t is step t's target; a row scores EOS
+    # at t == its length and is masked after it
+    t = np.arange(Tr + 1)[:, None]
+    targets = np.where(t < reply_lengths, np.pad(reply_idx.T, ((0, 1), (0, 0))), EOS)
     prev = np.full(B, BOS, dtype=np.int64)
-    total = None
-    for t in range(Tr + 1):
+    picks = []
+    for target in targets.astype(np.int64):
         logp, state = decode_step(prev, state, z, e_u, enc, params, config,
-                                  user_idx=user_idx, dtype=dtype)
-        if t < Tr:
-            # rows past their length score EOS at position == length, else masked
-            target = np.where(t < reply_lengths, reply_idx[:, t], EOS).astype(np.int64)
-        else:
-            target = np.full(B, EOS, dtype=np.int64)
-        step_mask = (t <= reply_lengths).astype(dtype)
-        tok = ad.mul(ad.pick(logp, target), ad.constant(step_mask))
-        total = tok if total is None else ad.add(total, tok)
+                                  user_idx=user_idx)
+        picks.append(ad.pick(logp, target))
         prev = target
-    return total
+    # a sum over axis 0 adds the steps one by one in time order (numpy
+    # sums along the last axis pairwise, which would round differently)
+    picked = ad.stack(picks, axis=0)
+    mask = ad.constant((t <= reply_lengths).astype(picked.dtype))
+    return ad.reduce_sum(ad.mul(picked, mask), axis=0)
 
 
 # ---------------------------------------------------------------------------

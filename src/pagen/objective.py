@@ -64,13 +64,9 @@ def bow_loss(z, h_q, e_u, reply_idx, reply_lengths, params, dtype=np.float32):
     hid = ad.tanh(ad.add(ad.matmul(ad.concat([z, h_q, e_u], axis=1),
                                    params["bow_W1"]), params["bow_b1"]))
     logp = ad.log_softmax(ad.add(ad.matmul(hid, params["bow_W2"]), params["bow_b2"]))
-    B, Tr = reply_idx.shape
-    total = None
-    for t in range(Tr):
-        mask = (t < reply_lengths).astype(dtype)
-        tok = ad.mul(ad.pick(logp, reply_idx[:, t]), ad.constant(mask))
-        total = tok if total is None else ad.add(total, tok)
-    return ad.scale(total, -1.0)
+    mask = np.arange(reply_idx.shape[1]) < reply_lengths[:, None]
+    tokens = ad.mul(ad.pick(logp, reply_idx), ad.constant(mask.astype(dtype)))
+    return ad.scale(ad.reduce_sum(tokens, axis=1), -1.0)
 
 
 def r1(kl_user, kl_unk, gamma1):
@@ -145,7 +141,7 @@ def total_loss(batch, params, config, noise=None, batch_index=0, dtype=np.float3
                           config.gamma2)
 
     log_probs = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u_dec, enc_q,
-                                           params, config, user_idx=user_idx, dtype=dtype)
+                                           params, config, user_idx=user_idx)
     recon = ad.scale(log_probs, -1.0)
 
     per_example = recon

@@ -47,9 +47,6 @@ def primitive_cases(seed=0):
     cases.append(("sigmoid", lambda: ad.reduce_sum(ad.sigmoid(x)), {"x": x}))
     cases.append(("tanh", lambda: ad.reduce_sum(ad.tanh(x)), {"x": x}))
     cases.append(("exp", lambda: ad.reduce_sum(ad.exp(ad.scale(x, 0.3))), {"x": x}))
-
-    pos = Tensor(np.abs(rng.standard_normal((3, 4))) + 0.5, requires_grad=True)
-    cases.append(("log", lambda: ad.reduce_sum(ad.log(pos)), {"x": pos}))
     cases.append(("softmax", lambda: ad.reduce_sum(ad.mul(ad.softmax(x), y)),
                   {"x": x, "y": y}))
     cases.append(("log_softmax", lambda: ad.reduce_sum(ad.mul(ad.log_softmax(x), y)),
@@ -59,12 +56,14 @@ def primitive_cases(seed=0):
     cases.append(("slice", lambda: ad.reduce_sum(ad.mul(ad.slice_cols(x, 1, 3),
                                                         ad.slice_cols(y, 0, 2))),
                   {"x": x, "y": y}))
-    cases.append(("reshape", lambda: ad.reduce_sum(ad.sigmoid(ad.reshape(x, (4, 3)))),
-                  {"x": x}))
+    cases.append(("stack", lambda: ad.reduce_sum(ad.sigmoid(ad.stack([x, y], axis=1))),
+                  {"x": x, "y": y}))
 
-    col = _param(rng, 3, 1)
-    cases.append(("tile_cols", lambda: ad.reduce_sum(ad.mul(ad.tile_cols(col, 4), y)),
-                  {"col": col, "y": y}))
+    seq = _param(rng, 3, 2, 4)
+    # attention-shaped: scores over the steps, then their weighted sum
+    cases.append(("contract", lambda: ad.reduce_sum(ad.tanh(ad.contract(
+        "bt,btd->bd", ad.softmax(ad.contract("btd,bd->bt", seq, x)), seq))),
+        {"seq": seq, "x": x}))
     cases.append(("reduce_sum_axis", lambda: ad.reduce_sum(ad.tanh(ad.reduce_sum(x, axis=1))),
                   {"x": x}))
     cases.append(("reduce_mean", lambda: ad.reduce_mean(ad.mul(x, x)), {"x": x}))
@@ -73,6 +72,8 @@ def primitive_cases(seed=0):
 
     idx = np.array([0, 2, 1])
     cases.append(("pick", lambda: ad.reduce_sum(ad.exp(ad.pick(x, idx))), {"x": x}))
+    idx2 = np.array([[0, 2, 2], [1, 3, 0], [3, 3, 3]])  # rows repeat an entry
+    cases.append(("pick_2d", lambda: ad.reduce_sum(ad.exp(ad.pick(x, idx2))), {"x": x}))
     table = _param(rng, 5, 4)
     lookup = np.array([1, 4, 1])
     cases.append(("embedding", lambda: ad.reduce_sum(ad.mul(ad.embedding(table, lookup), y)),

@@ -48,16 +48,17 @@ def clip_gradients(params, max_norm):
 
 
 def adam_step(params, state):
-    """Standard bias-corrected Adam update in place, reading .grad."""
+    """Standard bias-corrected Adam update in place, reading .grad.  Every
+    gradient is checked before any parameter or moment changes."""
+    names = [name for name in sorted(params) if params[name].grad is not None]
+    for name in names:
+        if not np.isfinite(params[name].grad).all():
+            raise DivergenceError(f"non-finite gradient for parameter {name}")
     state.step += 1
     t = state.step
-    for name in sorted(params):
+    for name in names:
         p = params[name]
         g = p.grad
-        if g is None:
-            continue
-        if not np.isfinite(g).all():
-            raise DivergenceError(f"non-finite gradient for parameter {name}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -114,8 +115,8 @@ def train(triples, vocab, users, config, train_config, seed, out_dir,
           params=None, log_every=0):
     """Train one model variant; returns (checkpoint path, loss history).
 
-    On divergence the last good checkpoint is retained and a
-    DivergenceError is raised.
+    On divergence the last good parameters and the history so far are
+    written, then a DivergenceError is raised.
     """
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -125,6 +126,11 @@ def train(triples, vocab, users, config, train_config, seed, out_dir,
     indexed = encode_triples(triples, vocab, users)
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     history = []
+
+    def save():
+        M.save_checkpoint(ckpt_path, params, config)
+        write_history_csv(os.path.join(out_dir, "history.csv"), history)
+
     batch_index = 0
     done = False
     for epoch in range(train_config.epochs):
@@ -143,6 +149,7 @@ def train(triples, vocab, users, config, train_config, seed, out_dir,
                 clip_gradients(params, train_config.clip_norm)
                 adam_step(params, state)
             except (NumericError, DivergenceError) as e:
+                save()  # the failed batch changed no parameter
                 raise DivergenceError(f"aborted at batch {batch_index}: {e}") from e
             history.append(breakdown)
             batch_index += 1
@@ -154,6 +161,5 @@ def train(triples, vocab, users, config, train_config, seed, out_dir,
             if train_config.max_batches and batch_index >= train_config.max_batches:
                 done = True
                 break
-    M.save_checkpoint(ckpt_path, params, config)
-    write_history_csv(os.path.join(out_dir, "history.csv"), history)
+    save()
     return ckpt_path, history

@@ -35,12 +35,51 @@ def kl_np(mu_a, lv_a, mu_b, lv_b):
     return 0.5 * term.sum(axis=-1)
 
 
-def decoder_logprob_np(pd, config, h0, c0, z, e_u, reply_idx, reply_lengths):
+def encoder_np(pd, config, idx, lengths):
+    """Masked bi-directional LSTM encoder.
+
+    Returns (final (B, 2H), states (B, T, 2H), mask (B, T)); a padded step
+    carries the previous state forward in both directions.
+    """
+    B, T = idx.shape
+    H = config.encoder_hidden
+    dtype = pd["word_emb"].dtype
+    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(dtype)
+    emb = pd["word_emb"][idx]
+
+    def run(W, b, steps):
+        h = c = np.zeros((B, H), dtype=dtype)
+        states = np.zeros((B, T, H), dtype=dtype)
+        for t in steps:
+            h_new, c_new = lstm_step_np(emb[:, t], h, c, W, b, H)
+            m = mask[:, t:t + 1]
+            h, c = m * h_new + (1 - m) * h, m * c_new + (1 - m) * c
+            states[:, t] = h
+        return h, states
+
+    h_f, s_f = run(pd["enc_fwd_W"], pd["enc_fwd_b"], range(T))
+    h_b, s_b = run(pd["enc_bwd_W"], pd["enc_bwd_b"], reversed(range(T)))
+    return (np.concatenate([h_f, h_b], axis=1), np.concatenate([s_f, s_b], axis=2),
+            mask)
+
+
+def attention_np(pd, h, states, mask):
+    """Luong general attention: tanh(W_c [h; sum_t a_t s_t] + b_c) with
+    a = softmax_t(s_t . (h @ W_a)) over the valid encoder steps."""
+    scores = np.einsum("btd,bd->bt", states, h @ pd["att_W"])
+    weights = np.exp(log_softmax_np(np.where(mask > 0, scores, -np.inf)))
+    ctx = np.einsum("bt,btd->bd", weights, states)
+    return np.tanh(np.concatenate([h, ctx], axis=1) @ pd["att_comb_W"] + pd["att_comb_b"])
+
+
+def decoder_logprob_np(pd, config, h0, c0, z, e_u, reply_idx, reply_lengths,
+                       enc_states=None, enc_mask=None):
     """Teacher-forced log p(reply + EOS | ...) computed step by step.
 
     pd: name -> numpy array of parameter values.  h0/c0: initial decoder
-    state arrays.  z / e_u may be None depending on the variant.
-    Fact-bias variants are not supported here.
+    state arrays.  z / e_u may be None depending on the variant.  With
+    config.use_attention, enc_states (B, T, 2H) and enc_mask (B, T) come
+    from encoder_np.  Fact-bias variants are not supported here.
     """
     B, Tr = reply_idx.shape
     Hd = config.decoder_hidden
@@ -55,7 +94,8 @@ def decoder_logprob_np(pd, config, h0, c0, z, e_u, reply_idx, reply_lengths):
             parts.append(e_u)
         x = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
         h, c = lstm_step_np(x, h, c, pd["dec_W"], pd["dec_b"], Hd)
-        logp = log_softmax_np(h @ pd["out_W"] + pd["out_b"])
+        out = attention_np(pd, h, enc_states, enc_mask) if config.use_attention else h
+        logp = log_softmax_np(out @ pd["out_W"] + pd["out_b"])
         if t < Tr:
             target = np.where(t < reply_lengths, reply_idx[:, t], EOS).astype(np.int64)
         else:

@@ -54,8 +54,12 @@ def test_shape_errors_name_the_op():
         ad.matmul(a, Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError, match="pick"):
         ad.pick(a, np.array([0, 1, 2]))
-    with pytest.raises(ShapeError, match="tile_cols"):
-        ad.tile_cols(a, 4)
+    with pytest.raises(ShapeError, match="stack"):
+        ad.stack([a, b])
+    with pytest.raises(ShapeError, match="contract"):
+        ad.contract("ij,jk->ik", a, a)
+    with pytest.raises(ShapeError, match="contract"):
+        ad.contract("ij,j->j", a, Tensor(np.ones(3)))  # i summed inside one operand
 
 
 def test_embedding_index_contract():

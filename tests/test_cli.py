@@ -148,6 +148,24 @@ def test_generate_rejects_unknown_users(workdir, capsys):
     assert cli.main(base + ["--user", C.UNSPECIFIED_USER_ID, "--query", "topic0 q1"]) == 0
 
 
+def test_generate_rejects_all_oov_queries(workdir, capsys):
+    tmp_path, _, _ = workdir
+    model = str(_trained(workdir) / "model.ckpt")
+    base = ["generate", "--model", model, "--beam", "2", "--max-length", "4"]
+    assert cli.main(base + ["--user", "user0", "--query", "zzz qqq"]) == 1
+    assert "no in-vocabulary token in query 'zzz qqq'" in capsys.readouterr().err
+
+    batch_in = tmp_path / "queries.tsv"
+    batch_in.write_text("user0\ttopic1 q3\nuser1\tzzz\n", encoding="utf-8")
+    batch_out = tmp_path / "replies.txt"
+    assert cli.main(base + ["--input", str(batch_in), "--output", str(batch_out)]) == 1
+    assert f"{batch_in}:2: no in-vocabulary token" in capsys.readouterr().err
+    assert not batch_out.exists()
+
+    # one known token among unknown ones is enough
+    assert cli.main(base + ["--user", "user0", "--query", "zzz topic0"]) == 0
+
+
 def test_generate_without_query_exits_2(workdir, capsys):
     out = _trained(workdir)
     assert cli.main(["generate", "--model", str(out / "model.ckpt")]) == 2
@@ -173,6 +191,24 @@ def test_evaluate_and_report(workdir, capsys):
     table = capsys.readouterr().out
     for col in cli.REPORT_COLUMNS:
         assert col in table
+
+
+def test_evaluate_rejects_unknown_users(workdir, capsys, monkeypatch):
+    tmp_path, _, _ = workdir
+    out = _trained(workdir)
+    lines = (out / "test.tsv").read_text(encoding="utf-8").splitlines()
+    lines[-1] = "ghost\t" + lines[-1].partition("\t")[2]
+    bad = tmp_path / "bad_test.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    decoded = []
+    monkeypatch.setattr(cli.G, "generate", lambda *a, **k: decoded.append(a))
+    assert cli.main(["evaluate", "--model", str(out / "model.ckpt"),
+                     "--ref-model", str(out / "model.ckpt"), "--data", str(bad),
+                     "--train-data", str(out / "train.tsv"), "--metrics", "bleu1",
+                     "--out", str(tmp_path / "eval")]) == 1
+    assert f"{bad}: unknown user 'ghost'" in capsys.readouterr().err
+    assert not decoded  # rejected before any decoding
+    assert not (tmp_path / "eval").exists()
 
 
 def test_report_formats_missing_metrics_as_dash(capsys):

@@ -99,7 +99,8 @@ def test_user_table():
     assert u.index(UNSPECIFIED_USER_ID) == UNSPECIFIED_USER
     assert u.index("amy") == 1
     assert u.index("zed") == 2
-    assert u.index("nobody") == UNSPECIFIED_USER
+    with pytest.raises(CorpusError, match="test.tsv: unknown user 'nobody'"):
+        u.index("nobody", "test.tsv: ")
 
 
 def test_vocab_and_users_file_roundtrip(tmp_path, tiny_triples):

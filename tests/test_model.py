@@ -4,6 +4,7 @@ checkpoint format."""
 import numpy as np
 import pytest
 
+import np_oracle
 from conftest import toy_batch, toy_config
 from pagen import autodiff as ad
 from pagen import model as M
@@ -85,7 +86,7 @@ def test_encode_shapes_and_mask():
     enc = M.encode_batch(q_idx, q_len, params, cfg)
     B, T = q_idx.shape
     assert enc.final.shape == (B, 2 * cfg.encoder_hidden)
-    assert len(enc.step_states) == T
+    assert enc.states.shape == (B, T, 2 * cfg.encoder_hidden)
     assert np.array_equal(enc.mask, (np.arange(T)[None, :] < q_len[:, None]))
 
 
@@ -174,6 +175,39 @@ def test_teacher_forced_log_probs_negative():
     lp = M.teacher_forced_log_probs(r_idx, r_len, state, None, None, enc, params, cfg)
     assert lp.shape == (3,)
     assert np.all(lp.data < 0.0)
+
+
+@pytest.mark.parametrize("variant", ["S2SA", "PAGENERATOR"])
+def test_attention_log_probs_match_numpy_oracle(variant):
+    cfg = toy_config(variant=variant, use_attention=True)
+    params = M.init_params(cfg, seed=11, dtype=np.float64)
+    for p in params.values():
+        p.data *= 5.0  # sharp attention weights, so a wrong score shows
+    user_idx, q_idx, q_len, r_idx, r_len = toy_batch(seed=12, q_max=6)
+    q_len[0] = 1  # one query of a single valid step among padding
+    rng = np.random.default_rng(13)
+    z = rng.standard_normal((3, cfg.z_dim)) if cfg.is_latent else None
+    e_u = params["user_emb"].data[user_idx] if cfg.decoder_uses_user else None
+
+    enc = M.encode_batch(q_idx, q_len, params, cfg, dtype=np.float64)
+    state = M.decoder_init_state(enc.final, params, cfg, 3, dtype=np.float64)
+    got = M.teacher_forced_log_probs(
+        r_idx, r_len, state, None if z is None else ad.constant(z),
+        None if e_u is None else ad.constant(e_u), enc, params, cfg, user_idx=user_idx).data
+
+    pd = {k: p.data for k, p in params.items()}
+    final, states, mask = np_oracle.encoder_np(pd, cfg, q_idx, q_len)
+    assert np.allclose(enc.final.data, final, atol=1e-12)
+    assert np.allclose(enc.states.data, states, atol=1e-12)
+    assert np.array_equal(enc.mask, mask)
+    h0 = np.tanh(final @ pd["dec_init_W"] + pd["dec_init_b"])
+    expect = np_oracle.decoder_logprob_np(pd, cfg, h0, np.zeros_like(h0), z, e_u,
+                                          r_idx, r_len, enc_states=states, enc_mask=mask)
+    assert np.allclose(got, expect, atol=1e-10)
+    # the oracle without attention disagrees, so the comparison has teeth
+    plain = np_oracle.decoder_logprob_np(pd, toy_config(variant=variant), h0,
+                                         np.zeros_like(h0), z, e_u, r_idx, r_len)
+    assert not np.allclose(got, plain, atol=1e-3)
 
 
 def test_fact_bias_rank_and_zero_case():

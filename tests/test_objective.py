@@ -9,7 +9,7 @@ import np_oracle
 from conftest import toy_batch, toy_config
 from pagen import autodiff as ad
 from pagen import model as M
-from pagen.autodiff import ShapeError, Tensor, backward
+from pagen.autodiff import ShapeError, Tensor, backward, grad_check
 from pagen.corpus import UNSPECIFIED_USER
 from pagen.model import GaussianParams
 from pagen.objective import (LossBreakdown, NumericError, anneal_weight, bow_loss,
@@ -236,3 +236,24 @@ def test_total_loss_matches_straight_line_oracle():
     assert bd.reconstruction == pytest.approx(recon.mean(), abs=1e-9)
     assert bd.kl_user == pytest.approx(kl_user.mean(), abs=1e-9)
     assert bd.bow == pytest.approx(bow.mean(), abs=1e-9)
+
+
+@pytest.mark.parametrize("use_attention", [False, True])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_total_loss_gradients_match_finite_differences(variant, use_attention):
+    cfg = toy_config(variant=variant, use_attention=use_attention)
+    params = M.init_params(cfg, seed=21, dtype=np.float64)
+    # At the +-0.08 init many coordinates barely move the loss, and central
+    # differences of such a coordinate lose most digits to round-off.
+    for p in params.values():
+        p.data *= 5.0
+    batch = toy_batch(seed=22)
+    noise = np.random.default_rng(23).standard_normal((3, cfg.z_dim))
+
+    def loss_fn():
+        return total_loss(batch, params, cfg, noise=noise, batch_index=7,
+                          dtype=np.float64)[0]
+
+    report = grad_check(loss_fn, params, h=1e-4, tol=1e-4, max_coords=6,
+                        rng=np.random.default_rng(24))
+    assert report.passed, report.summary()

@@ -1,6 +1,7 @@
 """Unit tests for the optimizer, batching, and the training loop."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import toy_config
 from pagen import corpus as C
 from pagen import model as M
+from pagen import trainer as T
 from pagen.autodiff import Tensor
 from pagen.trainer import (AdamState, DivergenceError, TrainConfig, adam_step,
                            batch_arrays, clip_gradients, encode_triples,
@@ -50,6 +52,30 @@ def test_adam_rejects_nonfinite_gradient():
     p.grad = np.array([np.nan])
     with pytest.raises(DivergenceError, match="w"):
         adam_step({"w": p}, AdamState())
+
+
+def test_adam_checks_every_gradient_before_updating():
+    # a NaN on the last name in sorted order must stop the step before
+    # the earlier names move
+    rng = np.random.default_rng(0)
+    params = {name: Tensor(rng.standard_normal(3), requires_grad=True)
+              for name in ("a_first", "m_middle", "z_last")}
+    state = AdamState(lr=0.1)
+    for p in params.values():
+        p.grad = rng.standard_normal(3)
+    adam_step(params, state)
+    before = {k: p.data.copy() for k, p in params.items()}
+    moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in params}
+    for p in params.values():
+        p.grad = rng.standard_normal(3)
+    params["z_last"].grad[1] = np.nan
+    with pytest.raises(DivergenceError, match="z_last"):
+        adam_step(params, state)
+    assert state.step == 1
+    for k, p in params.items():
+        assert np.array_equal(p.data, before[k])
+        assert np.array_equal(state.m[k], moments[k][0])
+        assert np.array_equal(state.v[k], moments[k][1])
 
 
 def test_clip_gradients():
@@ -138,6 +164,31 @@ def test_train_writes_history_and_checkpoint(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0][:2] == ["batch", "reconstruction"]
     assert len(rows) == 4
+
+
+def test_divergence_writes_last_good_state(tmp_path, monkeypatch):
+    triples, vocab, users = _tiny_setup()
+    cfg = toy_config(vocab_size=len(vocab), num_users=len(users))
+    tcfg = TrainConfig(batch_size=16, epochs=2)
+    good, _ = train(triples, vocab, users, cfg, replace(tcfg, max_batches=2), seed=3,
+                    out_dir=tmp_path / "good")
+
+    params = M.init_params(cfg, seed=3)
+    real_backward, calls = T.backward, []
+
+    def poisoned_backward(loss):
+        real_backward(loss)
+        calls.append(loss)
+        if len(calls) == 3:  # the third batch gets a NaN gradient
+            params["word_emb"].grad[4, 0] = np.nan
+
+    monkeypatch.setattr(T, "backward", poisoned_backward)
+    with pytest.raises(DivergenceError, match="aborted at batch 2"):
+        train(triples, vocab, users, cfg, tcfg, seed=3, out_dir=tmp_path / "bad",
+              params=params)
+    # the written state is that of the last good batch
+    for name in ("model.ckpt", "history.csv"):
+        assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "good" / name).read_bytes()
 
 
 def test_annealing_starts_near_zero(tmp_path):
