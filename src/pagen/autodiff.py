@@ -2,9 +2,10 @@
 
 Dynamic graph: every op records its parents and a backward closure on the
 produced tensor, and backward() walks the graph in reverse topological
-order.  Shapes must match exactly except for the documented bias-add
-broadcast (matrix + row vector); everything else raises a ShapeError
-naming the op.  Training runs in float32, gradient checking in float64.
+order.  Leading axes are rows: matmul, pick and the trailing-axes
+broadcast of add treat an array of shape (..., n) as rows of n entries.
+Other shapes must match exactly; a mismatch raises a ShapeError naming
+the op.  Training runs in float32, gradient checking in float64.
 """
 
 from __future__ import annotations
@@ -129,21 +130,15 @@ def constant(data, name=None):
 
 
 def add(a, b):
-    """Elementwise add; also supports (n, d) + (d,) bias broadcast."""
-    if a.data.shape != b.data.shape:
-        if not (a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]):
-            raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
-        out_data = a.data + b.data
-
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, g.sum(axis=0))
-
-        return _result(out_data, (a, b), bwd)
+    """Elementwise add; b may also match the trailing axes of a (a bias
+    row, or one (B, .) array added at every step of a (T, B, .) one)."""
+    lead = a.data.ndim - b.data.ndim
+    if lead < 0 or a.data.shape[lead:] != b.data.shape:
+        raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
 
     def bwd(g):
         _accum(a, g)
-        _accum(b, g)
+        _accum(b, g.sum(axis=tuple(range(lead))) if lead else g)
 
     return _result(a.data + b.data, (a, b), bwd)
 
@@ -190,14 +185,18 @@ def add_const(a, c):
 
 
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """(..., k) @ (k, n): the leading axes of a are rows of one 2-D product."""
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
+    rows = a.data.reshape(-1, b.data.shape[0])
 
     def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        g = g.reshape(-1, b.data.shape[1])
+        _accum(a, (g @ b.data.T).reshape(a.data.shape))
+        _accum(b, rows.T @ g)
 
-    return _result(a.data @ b.data, (a, b), bwd)
+    return _result((rows @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:]),
+                   (a, b), bwd)
 
 
 def sigmoid(a):
@@ -350,19 +349,23 @@ def reduce_mean(a, axis=None):
 
 
 def pick(a, indices):
-    """out[i] = a[i, indices[i]], or out[i, k] = a[i, indices[i, k]] for
-    (B, K) indices, from a 2-D tensor; used for cross-entropy."""
+    """Entries of a along its last axis, for cross-entropy.  indices has
+    a's leading axes (one entry per row), or one more axis (K entries per
+    row): out[..., k] = a[..., indices[..., k]]."""
     idx = np.asarray(indices)
-    if a.data.ndim != 2 or idx.ndim not in (1, 2) or idx.shape[0] != a.data.shape[0]:
+    lead = a.data.shape[:-1]
+    if not lead or idx.shape[:len(lead)] != lead or idx.ndim > len(lead) + 1:
         raise ShapeError(f"pick: {a.data.shape} with indices {idx.shape}")
-    rows = np.arange(a.data.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
+    flat = a.data.reshape(-1, a.data.shape[-1])
+    rows = np.arange(flat.shape[0])[:, None]
+    cols = idx.reshape(flat.shape[0], -1)
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (rows, idx), g)  # a row may pick one entry twice
-        _accum(a, full)
+        full = np.zeros_like(flat)
+        np.add.at(full, (rows, cols), g.reshape(cols.shape))  # a row may pick one entry twice
+        _accum(a, full.reshape(a.data.shape))
 
-    return _result(a.data[rows, idx], (a,), bwd)
+    return _result(flat[rows, cols].reshape(idx.shape), (a,), bwd)
 
 
 def embedding(table, indices):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import os
 import sys
 from dataclasses import dataclass
@@ -34,18 +35,10 @@ ABLATIONS = {
 }
 
 
-def fnv1a64(data):
-    """64-bit FNV-1a content hash (provenance, not security)."""
-    h = 0xCBF29CE484222325
-    for b in data:
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
 def file_hash(path):
+    """16 hex digits of BLAKE2b (provenance for the manifest)."""
     with open(path, "rb") as f:
-        return f"{fnv1a64(f.read()):016x}"
+        return hashlib.blake2b(f.read(), digest_size=8).hexdigest()
 
 
 def write_manifest(path, entries):

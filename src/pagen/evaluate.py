@@ -37,6 +37,7 @@ def evaluate_model(model, reference, train_triples, test_triples, vocab, users,
     results = {}
     rows = []
     responses = None
+    indexed = encode_triples(test_triples, vocab, users)
     evaluated_users = sorted({t.user_id for t in test_triples
                               if t.user_id != UNSPECIFIED_USER_ID})
 
@@ -78,10 +79,8 @@ def evaluate_model(model, reference, train_triples, test_triples, vocab, users,
             rows.append((u, "uppl", v))
 
     if "urank" in metrics:
-        indexed = encode_triples(test_triples, vocab, users)
-        raw = [(u, q, r) for u, q, r in indexed]
         if distractors is None:
-            distractors = MX.make_distractors(raw, reference, cfg, cfg.n_distractors)
+            distractors = MX.make_distractors(indexed, reference, cfg, cfg.n_distractors)
         report = MX.urank(distractors, model, reference, cfg, seed=seed)
         results["urank"] = report.value
         results["urank_spread"] = report.spread
@@ -90,15 +89,8 @@ def evaluate_model(model, reference, train_triples, test_triples, vocab, users,
             rows.append((i, "urank_round", v))
 
     if "udistinct" in metrics:
-        indexed = encode_triples(test_triples, vocab, users)
-        seen, queries = set(), []
-        for _, q, _ in indexed:
-            key = tuple(q)
-            if key not in seen:
-                seen.add(key)
-                queries.append(q)
-            if len(queries) >= udistinct_queries:
-                break
+        # distinct queries, in the order they first occur
+        queries = list({tuple(q): q for _, q, _ in indexed}.values())[:udistinct_queries]
         user_indices = [users.index(u) for u in evaluated_users]
         d1, d2, skipped = MX.udistinct(queries, user_indices, model, seed=seed,
                                        max_length=cfg.max_length)

@@ -64,7 +64,7 @@ def generate(request, params, config):
         raise ContractError("empty query")
     width = request.beam_width
     with no_grad():
-        enc = M.encode(request.query, params, config)
+        enc = M.encode_batch(*M.pad_batch([request.query]), params, config)
         z_vec = _draw_z(enc.final, request.user_index, params, config,
                         request.z_mode, request.seed) if config.is_latent else None
         beams = [Hypothesis()]
@@ -118,7 +118,7 @@ def score_responses(query, replies, user_index, params, config, z_mode="sample",
         raise ContractError("replies must be nonempty")
     n = len(replies)
     with no_grad():
-        enc = M.encode(query, params, config)
+        enc = M.encode_batch(*M.pad_batch([query]), params, config)
         enc_n = _tile_encoder(enc, n)
         z = None
         if config.is_latent:
@@ -131,8 +131,3 @@ def score_responses(query, replies, user_index, params, config, z_mode="sample",
         lp = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc_n, params,
                                         config, user_idx=u_idx)
         return lp.data.astype(np.float64)
-
-
-def score_response(query, reply, user_index, params, config, z_mode="sample", seed=0):
-    return float(score_responses(query, [reply], user_index, params, config,
-                                 z_mode=z_mode, seed=seed)[0])

@@ -17,7 +17,6 @@ class MetricConfig:
     n_distractors: int = 10
     m_users: int = 2
     rounds: int = 10
-    min_user_utterances: int = 1
     beam_width: int = 10
     max_length: int = 30
 
@@ -144,25 +143,26 @@ def urank(eval_items, model, reference, config, seed=0):
     lists).  model / reference: (params, ModelConfig) pairs.  Rank is the
     number of distractors scored strictly above the ground truth; uRank is
     1 when the evaluated model ranks the truth strictly better than the
-    reference does.  Latent models are averaged over config.rounds z seeds.
+    reference does.  Latent models are averaged over config.rounds z seeds;
+    a non-latent model ignores the seed, so it is scored once per item.
     """
-    m_params, m_config = model
-    s_params, s_config = reference
-    rounds = config.rounds if m_config.is_latent or s_config.is_latent else 1
+    rounds = config.rounds if model[1].is_latent or reference[1].is_latent else 1
     usable = [(u, q, r, d) for u, q, r, d in eval_items if len(d) >= config.n_distractors]
     skipped = len(eval_items) - len(usable)
+
+    def ranks(params, cfg, rnd):
+        return [rank_count(G.score_responses(q, [r] + list(d[: config.n_distractors]), u,
+                                             params, cfg, seed=seed * 1000 + rnd))
+                for u, q, r, d in usable]
+
+    def ranks_per_round(params, cfg):
+        if not cfg.is_latent:
+            return [ranks(params, cfg, 0)] * rounds
+        return [ranks(params, cfg, rnd) for rnd in range(rounds)]
+
     per_round = []
-    for rnd in range(rounds):
-        hits = 0
-        for u, q, r, dists in usable:
-            replies = [r] + list(dists[: config.n_distractors])
-            m_scores = G.score_responses(q, replies, u, m_params, m_config,
-                                         z_mode="sample", seed=seed * 1000 + rnd)
-            s_scores = G.score_responses(q, replies, u, s_params, s_config,
-                                         z_mode="sample", seed=seed * 1000 + rnd)
-            rank_m = rank_count(m_scores)
-            rank_s = rank_count(s_scores)
-            hits += 1 if rank_m < rank_s else 0
+    for rank_m, rank_s in zip(ranks_per_round(*model), ranks_per_round(*reference)):
+        hits = sum(a < b for a, b in zip(rank_m, rank_s))
         per_round.append(hits / len(usable) if usable else 0.0)
     value = float(np.mean(per_round))
     spread = float(np.max(per_round) - np.min(per_round)) if len(per_round) > 1 else 0.0

@@ -234,7 +234,7 @@ def pad_batch(token_lists):
     return out, lengths
 
 
-def encode_batch(idx, lengths, params, config, dtype=np.float32):
+def encode_batch(idx, lengths, params, config):
     """Masked bi-directional LSTM over a padded batch of token indices.
 
     The backward pass runs t = T-1 .. 0 with the same validity mask, so
@@ -245,6 +245,7 @@ def encode_batch(idx, lengths, params, config, dtype=np.float32):
     H = config.encoder_hidden
     if (lengths <= 0).any():
         raise ContractError("encode: empty input sequence")
+    dtype = params["word_emb"].dtype
     emb = [ad.embedding(params["word_emb"], idx[:, t]) for t in range(T)]
     masks = [np.repeat((t < lengths).astype(dtype)[:, None], H, axis=1) for t in range(T)]
 
@@ -269,14 +270,6 @@ def encode_batch(idx, lengths, params, config, dtype=np.float32):
     valid = (np.arange(T)[None, :] < lengths[:, None]).astype(dtype)
     return EncoderOutput(final=ad.concat([final_fwd, final_bwd], axis=1),
                          states=states, mask=valid)
-
-
-def encode(tokens, params, config, dtype=np.float32):
-    """Single-sequence convenience wrapper around encode_batch."""
-    if not tokens:
-        raise ContractError("encode: empty token list")
-    idx, lengths = pad_batch([tokens])
-    return encode_batch(idx, lengths, params, config, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +310,9 @@ def prior_user_index(user_idx, config):
 # ---------------------------------------------------------------------------
 # decoder
 
-def decoder_init_state(h_q, params, config, batch, dtype=np.float32):
+def decoder_init_state(h_q, params, config, batch):
     h0 = ad.tanh(ad.add(ad.matmul(h_q, params["dec_init_W"]), params["dec_init_b"]))
-    c0 = ad.constant(np.zeros((batch, config.decoder_hidden), dtype=dtype))
+    c0 = ad.constant(np.zeros((batch, config.decoder_hidden), dtype=h0.dtype))
     return h0, c0
 
 
@@ -330,17 +323,20 @@ def fact_bias_logits(user_idx, params):
 
 
 def _attention_context(h_dec, enc, params):
-    """Luong general score s_t . (h @ W_a), masked softmax over the valid
-    steps, and the weighted sum of the encoder states."""
-    scores = ad.contract("btd,bd->bt", enc.states, ad.matmul(h_dec, params["att_W"]))
+    """Luong general score s . (h @ W_a), masked softmax over the valid
+    encoder steps s, and the weighted sum of the encoder states; h_dec is
+    one step (B, Hd) or every step (T, B, Hd)."""
+    q = "bd" if h_dec.data.ndim == 2 else "tbd"
+    w = q[:-1] + "s"
+    scores = ad.contract(f"bsd,{q}->{w}", enc.states, ad.matmul(h_dec, params["att_W"]))
     neg = ad.constant((1.0 - enc.mask) * -1e9)
     weights = ad.softmax(ad.add(scores, neg))
-    return ad.contract("bt,btd->bd", weights, enc.states)
+    return ad.contract(f"{w},bsd->{q}", weights, enc.states)
 
 
-def decode_logits(prev_idx, state, z, e_u, enc, params, config, user_idx=None):
-    """One decoder step; returns (logits, new_state).  FACT_BIAS adds its
-    per-user output bias here, so it needs user_idx."""
+def decoder_cell(prev_idx, state, z, e_u, params, config):
+    """The decoder's recurrence: one LSTM step on [embedding of prev; z;
+    e_u].  Only (h, c) carries from one step to the next."""
     h, c = state
     parts = [ad.embedding(params["word_emb"], np.asarray(prev_idx))]
     if config.is_latent:
@@ -348,19 +344,29 @@ def decode_logits(prev_idx, state, z, e_u, enc, params, config, user_idx=None):
     if config.decoder_uses_user:
         parts.append(e_u)
     x = ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
-    h_new, c_new = lstm_cell(x, h, c, params["dec_W"], params["dec_b"], config.decoder_hidden)
+    return lstm_cell(x, h, c, params["dec_W"], params["dec_b"], config.decoder_hidden)
+
+
+def output_logits(h, enc, params, config, user_idx=None):
+    """Vocabulary logits from decoder states h, one step (B, Hd) or every
+    step (T, B, Hd): attention, the output projection and FACT_BIAS's
+    per-user bias (which needs user_idx).  Nothing here feeds back."""
     if config.use_attention:
-        ctx = _attention_context(h_new, enc, params)
-        combined = ad.tanh(ad.add(ad.matmul(ad.concat([h_new, ctx], axis=1),
-                                            params["att_comb_W"]), params["att_comb_b"]))
-    else:
-        combined = h_new
-    logits = ad.add(ad.matmul(combined, params["out_W"]), params["out_b"])
+        ctx = _attention_context(h, enc, params)
+        h = ad.tanh(ad.add(ad.matmul(ad.concat([h, ctx], axis=-1), params["att_comb_W"]),
+                           params["att_comb_b"]))
+    logits = ad.add(ad.matmul(h, params["out_W"]), params["out_b"])
     if config.variant == "FACT_BIAS":
         if user_idx is None:
             raise ContractError("FACT_BIAS decode requires user_idx")
         logits = ad.add(logits, fact_bias_logits(user_idx, params))
-    return logits, (h_new, c_new)
+    return logits
+
+
+def decode_logits(prev_idx, state, z, e_u, enc, params, config, user_idx=None):
+    """One decoder step; returns (logits, new_state)."""
+    h, c = decoder_cell(prev_idx, state, z, e_u, params, config)
+    return output_logits(h, enc, params, config, user_idx=user_idx), (h, c)
 
 
 def decode_step(prev_idx, state, z, e_u, enc, params, config, user_idx=None):
@@ -384,24 +390,25 @@ def teacher_forced_log_probs(reply_idx, reply_lengths, state, z, e_u, enc, param
     """Per-example sum of log p(token) over the reply plus EOS, teacher forced.
 
     reply_idx: (B, Tr) padded, no BOS/EOS.  Returns a (B,) tensor of
-    log-probabilities (non-positive).
+    log-probabilities (non-positive).  Only the LSTM steps one at a time;
+    the output layer then runs once over all (Tr + 1, B) decoder states.
     """
     B, Tr = reply_idx.shape
     # time-major (Tr + 1, B): row t is step t's target; a row scores EOS
     # at t == its length and is masked after it
     t = np.arange(Tr + 1)[:, None]
     targets = np.where(t < reply_lengths, np.pad(reply_idx.T, ((0, 1), (0, 0))), EOS)
-    prev = np.full(B, BOS, dtype=np.int64)
-    picks = []
-    for target in targets.astype(np.int64):
-        logp, state = decode_step(prev, state, z, e_u, enc, params, config,
-                                  user_idx=user_idx)
-        picks.append(ad.pick(logp, target))
-        prev = target
+    inputs = np.concatenate([np.full((1, B), BOS), targets[:-1]])
+    hs = []
+    for prev in inputs:
+        state = decoder_cell(prev, state, z, e_u, params, config)
+        hs.append(state[0])
+    logp = ad.log_softmax(output_logits(ad.stack(hs, axis=0), enc, params, config,
+                                        user_idx=user_idx))
+    picked = ad.pick(logp, targets)
+    mask = ad.constant((t <= reply_lengths).astype(picked.dtype))
     # a sum over axis 0 adds the steps one by one in time order (numpy
     # sums along the last axis pairwise, which would round differently)
-    picked = ad.stack(picks, axis=0)
-    mask = ad.constant((t <= reply_lengths).astype(picked.dtype))
     return ad.reduce_sum(ad.mul(picked, mask), axis=0)
 
 

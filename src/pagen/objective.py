@@ -58,14 +58,14 @@ def gaussian_kl(a, b):
     return ad.scale(ad.reduce_sum(term, axis=term.data.ndim - 1), 0.5)
 
 
-def bow_loss(z, h_q, e_u, reply_idx, reply_lengths, params, dtype=np.float32):
+def bow_loss(z, h_q, e_u, reply_idx, reply_lengths, params):
     """Negative log-likelihood of the reply's bag of words (duplicates
     counted, position-independent) under an MLP on [z; h_q; e_u]."""
     hid = ad.tanh(ad.add(ad.matmul(ad.concat([z, h_q, e_u], axis=1),
                                    params["bow_W1"]), params["bow_b1"]))
     logp = ad.log_softmax(ad.add(ad.matmul(hid, params["bow_W2"]), params["bow_b2"]))
     mask = np.arange(reply_idx.shape[1]) < reply_lengths[:, None]
-    tokens = ad.mul(ad.pick(logp, reply_idx), ad.constant(mask.astype(dtype)))
+    tokens = ad.mul(ad.pick(logp, reply_idx), ad.constant(mask.astype(logp.dtype)))
     return ad.scale(ad.reduce_sum(tokens, axis=1), -1.0)
 
 
@@ -98,7 +98,7 @@ def anneal_weight(batch_index, anneal_batches):
     return min(1.0, batch_index / anneal_batches)
 
 
-def total_loss(batch, params, config, noise=None, batch_index=0, dtype=np.float32):
+def total_loss(batch, params, config, noise=None, batch_index=0):
     """Full forward pass and combined loss for one padded batch.
 
     batch: (user_idx, q_idx, q_len, r_idx, r_len) numpy arrays.
@@ -109,8 +109,8 @@ def total_loss(batch, params, config, noise=None, batch_index=0, dtype=np.float3
     """
     user_idx, q_idx, q_len, r_idx, r_len = batch
     B = len(user_idx)
-    enc_q = M.encode_batch(q_idx, q_len, params, config, dtype=dtype)
-    state = M.decoder_init_state(enc_q.final, params, config, B, dtype=dtype)
+    enc_q = M.encode_batch(q_idx, q_len, params, config)
+    state = M.decoder_init_state(enc_q.final, params, config, B)
 
     w = anneal_weight(batch_index, config.anneal_batches) if config.is_latent else 0.0
     z = None
@@ -118,17 +118,17 @@ def total_loss(batch, params, config, noise=None, batch_index=0, dtype=np.float3
     kl_user_t = kl_unk_t = bow_t = r1_t = r2_t = None
 
     if config.is_latent:
-        enc_r = M.encode_batch(r_idx, r_len, params, config, dtype=dtype)
+        enc_r = M.encode_batch(r_idx, r_len, params, config)
         posterior = M.posterior_net(enc_q.final, enc_r.final, params, config)
         prior_idx = M.prior_user_index(user_idx, config)
         e_u_prior = M.user_embedding(prior_idx, params, config)
         prior_user = M.prior_net(enc_q.final, e_u_prior, params, config)
         if noise is None:
-            noise = np.zeros((B, config.z_dim), dtype=dtype)
+            noise = np.zeros((B, config.z_dim))  # sample_z casts to the model dtype
         z = M.sample_z(posterior, noise)
         kl_user_t = gaussian_kl(posterior, prior_user)
         e_u_bow = M.user_embedding(prior_idx, params, config)
-        bow_t = bow_loss(z, enc_q.final, e_u_bow, r_idx, r_len, params, dtype=dtype)
+        bow_t = bow_loss(z, enc_q.final, e_u_bow, r_idx, r_len, params)
         if config.variant == "PAGENERATOR" and (config.use_r1 or config.use_r2):
             unk_idx = np.full(B, UNSPECIFIED_USER, dtype=np.int64)
             prior_unk = M.prior_net(enc_q.final, M.user_embedding(unk_idx, params, config),

@@ -84,6 +84,16 @@ def primitive_cases(seed=0):
     cases.append(("hinge_floor", lambda: ad.reduce_sum(ad.hinge_floor(far, 0.0)),
                   {"x": far}))
     cases.append(("scale", lambda: ad.reduce_sum(ad.scale(x, -1.7)), {"x": x}))
+
+    # leading axes are rows: (T, B, .) operands as in teacher forcing
+    steps = _param(rng, 2, 3, 4)
+    cases.append(("matmul_3d", lambda: ad.reduce_sum(ad.sigmoid(ad.matmul(steps, w))),
+                  {"steps": steps, "w": w}))
+    cases.append(("add_trailing", lambda: ad.reduce_sum(ad.tanh(ad.add(steps, y))),
+                  {"steps": steps, "y": y}))
+    idx3 = np.array([[0, 2, 1], [3, 3, 0]])
+    cases.append(("pick_3d", lambda: ad.reduce_sum(ad.exp(ad.pick(steps, idx3))),
+                  {"steps": steps}))
     return cases
 
 
@@ -124,8 +134,7 @@ def check_end_to_end(seed=0, h=1e-4, tol=1e-4, max_coords=4, variant="PAGENERATO
     batch = (user_idx, q_idx, q_len, r_idx, r_len)
 
     def loss_fn():
-        loss, _ = total_loss(batch, params, config, noise=noise, batch_index=7,
-                             dtype=np.float64)
+        loss, _ = total_loss(batch, params, config, noise=noise, batch_index=7)
         return loss
 
     return grad_check(loss_fn, params, h=h, tol=tol, max_coords=max_coords,

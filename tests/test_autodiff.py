@@ -54,6 +54,11 @@ def test_shape_errors_name_the_op():
         ad.matmul(a, Tensor(np.ones((2, 2))))
     with pytest.raises(ShapeError, match="pick"):
         ad.pick(a, np.array([0, 1, 2]))
+    # a trailing-axes operand must match a's trailing axes exactly
+    with pytest.raises(ShapeError, match="add"):
+        ad.add(Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match="pick"):
+        ad.pick(Tensor(np.ones((2, 3, 4))), np.zeros((2, 4), dtype=np.int64))
     with pytest.raises(ShapeError, match="stack"):
         ad.stack([a, b])
     with pytest.raises(ShapeError, match="contract"):

@@ -43,10 +43,12 @@ def _trained(workdir, seed=0, variant=None):
     return out
 
 
-def test_fnv1a64_reference_values():
-    # published FNV-1a test vectors
-    assert cli.fnv1a64(b"") == 0xCBF29CE484222325
-    assert cli.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+def test_file_hash_is_blake2b_64(tmp_path):
+    # BLAKE2b with an 8-byte digest: 16 hex digits in the manifest
+    path = tmp_path / "blob"
+    for data, expect in ((b"", "e4a6a0577479b2b4"), (b"a", "40f89e395b66422f")):
+        path.write_bytes(data)
+        assert cli.file_hash(path) == expect
 
 
 def test_gen_corpus(tmp_path, capsys):

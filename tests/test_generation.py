@@ -10,7 +10,7 @@ from pagen import generation as G
 from pagen import model as M
 from pagen.autodiff import ContractError
 from pagen.corpus import BOS, EOS, PAD, UNK
-from pagen.generation import GenRequest, Hypothesis, generate, score_response, score_responses
+from pagen.generation import GenRequest, Hypothesis, generate, score_responses
 
 
 def _model(variant="S2SA", seed=0, **overrides):
@@ -35,7 +35,7 @@ def test_hypothesis_normalization():
 def _greedy_reference(query, params, cfg, max_length):
     """Independent greedy loop: argmax step by step with the same
     forbidden-token rules as the beam (no PAD/UNK/BOS, no EOS first)."""
-    enc = M.encode(query, params, cfg)
+    enc = M.encode_batch(*M.pad_batch([query]), params, cfg)
     state = M.decoder_init_state(enc.final, params, cfg, 1)
     tokens = []
     prev = BOS
@@ -69,7 +69,7 @@ def _beam_reference(request, params, cfg):
     token).  generate() selects from one flat (beam, token) ordering."""
     W = request.beam_width
     with ad.no_grad():
-        enc = M.encode(request.query, params, cfg)
+        enc = M.encode_batch(*M.pad_batch([request.query]), params, cfg)
         z_vec = G._draw_z(enc.final, request.user_index, params, cfg, request.z_mode,
                           request.seed) if cfg.is_latent else None
         beams, finished = [Hypothesis()], []
@@ -174,7 +174,7 @@ def test_scores_are_negative_and_ranked_consistently():
                              seed=3)
     assert scores.shape == (3,)
     assert np.all(scores < 0.0)
-    single = score_response([5, 6, 7], [8, 9], 1, params, cfg, seed=3)
+    single = score_responses([5, 6, 7], [[8, 9]], 1, params, cfg, seed=3)[0]
     assert single == pytest.approx(scores[0])
 
 
@@ -185,7 +185,7 @@ def test_score_matches_manual_cross_entropy():
     got = score_responses(query, replies, 0, params, cfg)
 
     pd = {k: p.data.astype(np.float64) for k, p in params.items()}
-    enc = M.encode(query, params, cfg)
+    enc = M.encode_batch(*M.pad_batch([query]), params, cfg)
     h_q = np.repeat(enc.final.data.astype(np.float64), 3, axis=0)
     h0 = np.tanh(h_q @ pd["dec_init_W"] + pd["dec_init_b"])
     c0 = np.zeros((3, cfg.decoder_hidden))

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import toy_config
 from pagen import metrics as MX
+from pagen import model as M
 from pagen import selfcheck as SC
 from pagen.metrics import (BigramLM, MetricConfig, bleu1, build_user_lms,
                            distinct_n, embedding_metrics, load_word_vectors,
@@ -70,6 +72,38 @@ def test_urank_skips_items_without_enough_distractors(monkeypatch):
                    MetricConfig(n_distractors=1, rounds=2), seed=0)
     assert report.skipped == 1
     assert len(report.per_round) == 1  # non-latent pair scores once
+
+
+def test_urank_scores_a_non_latent_reference_once_per_item(monkeypatch):
+    """The S2SA reference ignores the seed, so it is scored once per item;
+    the report equals scoring both models in every round."""
+    cfg_m, cfg_s = toy_config(), toy_config(variant="S2SA")
+    model, reference = (M.init_params(cfg_m, seed=1), cfg_m), (M.init_params(cfg_s, seed=2), cfg_s)
+    rng = np.random.default_rng(3)
+    items = [(int(rng.integers(1, 4)), list(rng.integers(4, 30, 3)), list(rng.integers(4, 30, 4)),
+              [list(rng.integers(4, 30, n)) for n in rng.integers(1, 5, 3)])
+             for _ in range(6)]
+    expect = []
+    for rnd in range(3):
+        hits = 0
+        for u, q, r, d in items:
+            m, s = (rank_count(MX.G.score_responses(q, [r] + d, u, *pair, seed=7000 + rnd))
+                    for pair in (model, reference))
+            hits += m < s
+        expect.append(hits / len(items))
+
+    calls = {}
+    score = MX.G.score_responses
+
+    def counted(query, replies, user, params, config, **kwargs):
+        calls[config.variant] = calls.get(config.variant, 0) + 1
+        return score(query, replies, user, params, config, **kwargs)
+
+    monkeypatch.setattr(MX.G, "score_responses", counted)
+    report = urank(items, model, reference, MetricConfig(n_distractors=3, rounds=3), seed=7)
+    assert report.per_round == expect
+    assert report.value == float(np.mean(expect))
+    assert calls == {"PAGENERATOR": 3 * len(items), "S2SA": len(items)}
 
 
 # ---------------------------------------------------------------------------

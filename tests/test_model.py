@@ -9,7 +9,7 @@ from conftest import toy_batch, toy_config
 from pagen import autodiff as ad
 from pagen import model as M
 from pagen.autodiff import ContractError, Tensor, backward
-from pagen.corpus import UNSPECIFIED_USER
+from pagen.corpus import BOS, EOS, UNSPECIFIED_USER
 from pagen.model import GaussianParams, ModelConfig
 from pagen.objective import total_loss
 
@@ -106,7 +106,7 @@ def test_encode_empty_errors():
     cfg = toy_config()
     params = M.init_params(cfg)
     with pytest.raises(ContractError):
-        M.encode([], params, cfg)
+        M.encode_batch(*M.pad_batch([[]]), params, cfg)
     with pytest.raises(ContractError):
         M.encode_batch(np.array([[5]]), np.array([0]), params, cfg)
 
@@ -189,8 +189,8 @@ def test_attention_log_probs_match_numpy_oracle(variant):
     z = rng.standard_normal((3, cfg.z_dim)) if cfg.is_latent else None
     e_u = params["user_emb"].data[user_idx] if cfg.decoder_uses_user else None
 
-    enc = M.encode_batch(q_idx, q_len, params, cfg, dtype=np.float64)
-    state = M.decoder_init_state(enc.final, params, cfg, 3, dtype=np.float64)
+    enc = M.encode_batch(q_idx, q_len, params, cfg)
+    state = M.decoder_init_state(enc.final, params, cfg, 3)
     got = M.teacher_forced_log_probs(
         r_idx, r_len, state, None if z is None else ad.constant(z),
         None if e_u is None else ad.constant(e_u), enc, params, cfg, user_idx=user_idx).data
@@ -208,6 +208,37 @@ def test_attention_log_probs_match_numpy_oracle(variant):
     plain = np_oracle.decoder_logprob_np(pd, toy_config(variant=variant), h0,
                                          np.zeros_like(h0), z, e_u, r_idx, r_len)
     assert not np.allclose(got, plain, atol=1e-3)
+
+
+@pytest.mark.parametrize("use_attention", [False, True])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_teacher_forcing_matches_decode_step_loop(variant, use_attention):
+    """Teacher forcing equals feeding the targets through decode_step one
+    step at a time (FACT_BIAS included, which np_oracle does not cover)."""
+    cfg = toy_config(variant=variant, use_attention=use_attention)
+    params = M.init_params(cfg, seed=14, dtype=np.float64)
+    for p in params.values():
+        p.data *= 5.0
+    user_idx, q_idx, q_len, r_idx, r_len = toy_batch(seed=15, q_max=6)
+    rng = np.random.default_rng(16)
+    z = ad.constant(rng.standard_normal((3, cfg.z_dim))) if cfg.is_latent else None
+    e_u = M.user_embedding(user_idx, params, cfg) if cfg.decoder_uses_user else None
+    enc = M.encode_batch(q_idx, q_len, params, cfg)
+    state = M.decoder_init_state(enc.final, params, cfg, 3)
+    got = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc, params, cfg,
+                                     user_idx=user_idx).data
+
+    Tr = r_idx.shape[1]
+    expect = np.zeros(3)
+    prev = np.full(3, BOS)
+    for t in range(Tr + 1):
+        target = np.where(t < r_len, r_idx[:, min(t, Tr - 1)], EOS)
+        logp, state = M.decode_step(prev, state, z, e_u, enc, params, cfg,
+                                    user_idx=user_idx)
+        expect += logp.data[np.arange(3), target] * (t <= r_len)
+        prev = target
+    assert got.dtype == np.float64
+    assert np.allclose(got, expect, rtol=0.0, atol=1e-10)
 
 
 def test_fact_bias_rank_and_zero_case():

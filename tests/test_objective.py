@@ -111,9 +111,9 @@ def test_bow_loss_is_order_invariant():
     cfg, params, z, h_q, e_u = _bow_inputs()
     r_idx = np.array([[5, 9, 7], [4, 6, 0]])
     r_len = np.array([3, 2])
-    a = float(bow_loss(z, h_q, e_u, r_idx, r_len, params, dtype=np.float64).data.sum())
+    a = float(bow_loss(z, h_q, e_u, r_idx, r_len, params).data.sum())
     shuffled = np.array([[7, 5, 9], [6, 4, 0]])
-    b = float(bow_loss(z, h_q, e_u, shuffled, r_len, params, dtype=np.float64).data.sum())
+    b = float(bow_loss(z, h_q, e_u, shuffled, r_len, params).data.sum())
     assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -123,7 +123,7 @@ def test_bow_loss_uniform_with_zero_output_weights():
     params["bow_b2"].data[:] = 0.0
     r_idx = np.array([[5, 9, 7], [4, 6, 0]])
     r_len = np.array([3, 2])
-    out = bow_loss(z, h_q, e_u, r_idx, r_len, params, dtype=np.float64).data
+    out = bow_loss(z, h_q, e_u, r_idx, r_len, params).data
     assert np.allclose(out, r_len * math.log(cfg.vocab_size), atol=1e-9)
 
 
@@ -133,7 +133,7 @@ def test_bow_loss_decreases_after_gradient_step():
     r_len = np.array([3, 3])
 
     def value():
-        return bow_loss(z, h_q, e_u, r_idx, r_len, params, dtype=np.float64)
+        return bow_loss(z, h_q, e_u, r_idx, r_len, params)
 
     before = float(value().data.sum())
     loss = ad.reduce_sum(value())
@@ -201,12 +201,11 @@ def test_total_loss_matches_straight_line_oracle():
     batch = toy_batch(seed=31)
     user_idx, q_idx, q_len, r_idx, r_len = batch
     noise = np.random.default_rng(32).standard_normal((3, cfg.z_dim))
-    loss, bd = total_loss(batch, params, cfg, noise=noise, batch_index=4,
-                          dtype=np.float64)
+    loss, bd = total_loss(batch, params, cfg, noise=noise, batch_index=4)
 
     pd = {k: p.data for k, p in params.items()}
-    enc_q = M.encode_batch(q_idx, q_len, params, cfg, dtype=np.float64)
-    enc_r = M.encode_batch(r_idx, r_len, params, cfg, dtype=np.float64)
+    enc_q = M.encode_batch(q_idx, q_len, params, cfg)
+    enc_r = M.encode_batch(r_idx, r_len, params, cfg)
     h_q, h_r = enc_q.final.data, enc_r.final.data
     e_u = pd["user_emb"][user_idx]
     e_unk = pd["user_emb"][np.full(3, UNSPECIFIED_USER)]
@@ -251,8 +250,7 @@ def test_total_loss_gradients_match_finite_differences(variant, use_attention):
     noise = np.random.default_rng(23).standard_normal((3, cfg.z_dim))
 
     def loss_fn():
-        return total_loss(batch, params, cfg, noise=noise, batch_index=7,
-                          dtype=np.float64)[0]
+        return total_loss(batch, params, cfg, noise=noise, batch_index=7)[0]
 
     report = grad_check(loss_fn, params, h=1e-4, tol=1e-4, max_coords=6,
                         rng=np.random.default_rng(24))
