@@ -11,6 +11,7 @@ the op.  Training runs in float32, gradient checking in float64.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,23 +25,23 @@ class ContractError(RuntimeError):
     """An op precondition was violated."""
 
 
-_grad_enabled = True
+# per thread (and per asyncio task): no_grad in one thread does not stop
+# another thread from recording its graph
+_grad_enabled = contextvars.ContextVar("pagen_grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording (evaluation / decoding fast path)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 def grad_enabled():
-    return _grad_enabled
+    return _grad_enabled.get()
 
 
 class Tensor:
@@ -72,7 +73,7 @@ class Tensor:
 
 def _result(data, parents, backward_fn):
     """Create an op output; records the closure only while grad is enabled."""
-    needs = _grad_enabled and any(p.requires_grad for p in parents)
+    needs = _grad_enabled.get() and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=needs)
     if needs:
         out._parents = tuple(parents)
@@ -87,6 +88,13 @@ def _accum(t, g):
         t.grad = g.copy()
     else:
         t.grad += g
+
+
+def _grad_buffer(t):
+    """t.grad, created as zeros if no gradient has reached t yet."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    return t.grad
 
 
 def backward(root):
@@ -288,18 +296,120 @@ def slice_cols(a, start, stop):
     return _result(a.data[idx], (a,), bwd)
 
 
-def stack(tensors, axis=0):
-    """Equal-shape tensors stacked along a new axis (per-step tensors -> one)."""
-    shape = tensors[0].data.shape
-    for t in tensors[1:]:
-        if t.data.shape != shape:
-            raise ShapeError(f"stack: {t.data.shape} vs {shape}")
+def lstm(x, W, b, h0, c0, static=None, mask=None, reverse=False):
+    """One LSTM layer over a whole sequence, with a hand-written BPTT backward.
 
-    def bwd(g):
-        for i, t in enumerate(tensors):
-            _accum(t, np.take(g, i, axis=axis))
+    x: (T, B, n_in) step inputs; static: an optional (B, n_s) input fed at
+    every step; h0, c0: the (B, H) initial state.  W is (n_in + n_s + H, 4H)
+    with its rows in the order [x; static; h], b is (4H,), and the gate
+    columns are [i, f, o, g].  mask: an optional (T, B) 0/1 validity array;
+    at an invalid step a row keeps its state unchanged.  reverse runs the
+    steps t = T-1 .. 0.
 
-    return _result(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
+    The input projection x @ W_x + static @ W_s + b runs once for all T*B
+    rows; only h @ W_h runs per step, and the backward forms dW, db and dx
+    as matmuls over all steps at once.  Returns (hs, (h, c)): the (T, B, H)
+    state after each step, and the final state.
+    """
+    if x.data.ndim != 3 or h0.data.ndim != 2:
+        raise ShapeError(f"lstm: inputs {x.data.shape} with state {h0.data.shape}")
+    T, B, n_in = x.data.shape
+    H = h0.data.shape[1]
+    n_s = 0 if static is None else static.data.shape[-1]
+    if (W.data.shape != (n_in + n_s + H, 4 * H) or b.data.shape != (4 * H,)
+            or h0.data.shape != (B, H) or c0.data.shape != (B, H)
+            or (static is not None and static.data.shape != (B, n_s))
+            or (mask is not None and np.shape(mask) != (T, B))):
+        raise ShapeError(f"lstm: x {x.data.shape}, W {W.data.shape}, b {b.data.shape}, h0/c0 "
+                         f"{h0.data.shape}/{c0.data.shape}, static {getattr(static, 'shape', None)}"
+                         f", mask {None if mask is None else np.shape(mask)}")
+    Wx, Ws, Wh = W.data[:n_in], W.data[n_in:n_in + n_s], W.data[n_in + n_s:]
+    parents = (x, W, b, h0, c0) + (() if static is None else (static,))
+    record = _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+    # pre holds every step's gate pre-activations, and each step turns its
+    # own row into the activations [i, f, o, g] in place.  The sigmoid
+    # columns are halved first (exactly, a power of two): sigmoid(z) =
+    # 0.5 * tanh(z / 2) + 0.5, so one tanh serves all four gates.
+    half = np.where(np.arange(4 * H) < 3 * H, 0.5, 1.0).astype(Wh.dtype)
+    shift = 1.0 - half
+    pre = (x.data.reshape(T * B, n_in) @ Wx).reshape(T, B, 4 * H) + b.data
+    if static is not None:
+        pre += static.data @ Ws
+    pre *= half
+    Wh_half = Wh * half
+    keep = None if mask is None else np.asarray(mask, dtype=bool)[:, :, None]
+    # only a step where some row is invalid needs the carry-over
+    ragged = [False] * T if keep is None else (~keep.all(axis=(1, 2))).tolist()
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    hs = np.empty((T, B, H), dtype=pre.dtype)
+    if record:  # the state entering each step, and tanh of each new cell
+        h_in, c_in, tanh_c = (np.empty_like(hs) for _ in range(3))
+    h, c = h0.data, c0.data
+    for t in steps:
+        z = pre[t]
+        z += h @ Wh_half
+        np.tanh(z, out=z)
+        z *= half
+        z += shift
+        c_new = z[:, H:2 * H] * c
+        c_new += z[:, :H] * z[:, 3 * H:]
+        tc = np.tanh(c_new, out=tanh_c[t] if record else None)
+        h_new = z[:, 2 * H:3 * H] * tc
+        if record:
+            h_in[t], c_in[t] = h, c
+        if ragged[t]:
+            h_new, c_new = np.where(keep[t], h_new, h), np.where(keep[t], c_new, c)
+        h, c = h_new, c_new
+        hs[t] = h
+    final_dc = [None]  # the final cell's gradient, left here by its node
+
+    def bwd(g_hs):
+        dZ = np.empty_like(pre)  # gradient of every step's gate pre-activations
+        dh = np.zeros_like(h0.data)
+        dc = np.zeros_like(c0.data) if final_dc[0] is None else final_dc[0]
+        final_dc[0] = None
+        for t in reversed(steps):
+            a, tc = pre[t], tanh_c[t]
+            i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+            dh += g_hs[t]
+            dh_new, dc_new = (dh * keep[t], dc * keep[t]) if ragged[t] else (dh, dc)
+            dc_new = dc_new + dh_new * o * (1.0 - tc * tc)
+            dz = dZ[t]
+            np.multiply(dc_new, g, out=dz[:, :H])
+            np.multiply(dc_new, c_in[t], out=dz[:, H:2 * H])
+            np.multiply(dh_new, tc, out=dz[:, 2 * H:3 * H])
+            np.multiply(dc_new, i, out=dz[:, 3 * H:])
+            dact = a * (1.0 - a)  # sigmoid' on i, f, o
+            dact[:, 3 * H:] = 1.0 - g * g  # tanh' on g
+            dz *= dact
+            dh_in, dc_in = dz @ Wh.T, dc_new * f
+            if ragged[t]:  # a masked row passes its gradients on unchanged
+                dh_in, dc_in = np.where(keep[t], dh_in, dh), np.where(keep[t], dc_in, dc)
+            dh, dc = dh_in, dc_in
+        rows = dZ.reshape(T * B, 4 * H)
+        dW = [x.data.reshape(T * B, n_in).T @ rows]
+        if static is not None:
+            dZ_seq = dZ.sum(axis=0)
+            dW.append(static.data.T @ dZ_seq)
+            _accum(static, dZ_seq @ Ws.T)
+        dW.append(h_in.reshape(T * B, H).T @ rows)
+        _accum(W, np.concatenate(dW))
+        _accum(b, rows.sum(axis=0))
+        _accum(x, (rows @ Wx.T).reshape(x.data.shape))
+        _accum(h0, dh)
+        _accum(c0, dc)
+
+    def h_bwd(g):
+        _grad_buffer(out)[last] += g
+
+    def c_bwd(g):
+        final_dc[0] = g
+        _grad_buffer(out)  # so that the BPTT pass runs even if hs is unused
+
+    out = _result(hs, parents, bwd)
+    last = steps[-1]
+    return out, (_result(hs[last], (out,), h_bwd), _result(c, (out,), c_bwd))
 
 
 def contract(spec, a, b):

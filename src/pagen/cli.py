@@ -56,11 +56,12 @@ class DataConfig:
 
 
 def read_flat_config(path):
-    """Flat key=value file split into model kwargs, TrainConfig and DataConfig."""
+    """Flat key=value file split into model kwargs, TrainConfig and
+    DataConfig, plus the "file:line" of each key read."""
     with open(path, encoding="utf-8") as f:
-        model_kwargs, trainer_kwargs, data_kwargs = M.parse_config_lines(
+        (model_kwargs, trainer_kwargs, data_kwargs), where = M.parse_config_lines(
             f, path, ModelConfig, TrainConfig, DataConfig)
-    return model_kwargs, TrainConfig(**trainer_kwargs), DataConfig(**data_kwargs)
+    return model_kwargs, TrainConfig(**trainer_kwargs), DataConfig(**data_kwargs), where
 
 
 def prepare_data(data_path, data):
@@ -73,15 +74,16 @@ def prepare_data(data_path, data):
 
 
 def run_training(data_path, config_path, out_dir, seed, variant=None):
-    model_kwargs, tcfg, data = read_flat_config(config_path)
+    model_kwargs, tcfg, data, where = read_flat_config(config_path)
     if variant:
         base, extra = ABLATIONS.get(variant, (variant, {}))
         model_kwargs["variant"] = base
         model_kwargs.update(extra)
+        where.update(dict.fromkeys(["variant", *extra], f"--variant {variant}"))
     train_set, test_set, vocab, users = prepare_data(data_path, data)
     model_kwargs["vocab_size"] = len(vocab)
     model_kwargs["num_users"] = len(users)
-    config = ModelConfig(**model_kwargs)
+    config = ModelConfig.checked(model_kwargs, where)
 
     os.makedirs(out_dir, exist_ok=True)
     C.write_corpus(os.path.join(out_dir, "train.tsv"), train_set)

@@ -41,7 +41,7 @@ class GenRequest:
 
 def _tile_encoder(enc, k):
     return M.EncoderOutput(final=ad.constant(np.repeat(enc.final.data, k, axis=0)),
-                           states=ad.constant(np.repeat(enc.states.data, k, axis=0)),
+                           states=ad.constant(np.repeat(enc.states.data, k, axis=1)),
                            mask=np.repeat(enc.mask, k, axis=0))
 
 

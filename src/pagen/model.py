@@ -38,13 +38,15 @@ def coerce_value(ftype, text, where):
 
 
 def parse_config_lines(lines, source, *schemas):
-    """Flat key=value lines -> one kwargs dict per dataclass in schemas.
+    """Flat key=value lines -> (one kwargs dict per dataclass in schemas,
+    where), where maps each key read to its "source:lineno".
 
     Blank lines and '#' comments are skipped.  A key must be a field of one
     of the schemas and its value must parse as that field's type; anything
     else raises ValueError("source:lineno: ...") naming the key.
     """
     out = [{} for _ in schemas]
+    where = {}
     fields = {k: (kwargs, f.type) for kwargs, schema in zip(out, schemas)
               for k, f in schema.__dataclass_fields__.items()}
     for lineno, line in enumerate(lines, 1):
@@ -52,14 +54,23 @@ def parse_config_lines(lines, source, *schemas):
         if not line or line.startswith("#"):
             continue
         k, sep, v = line.partition("=")
-        k, v, where = k.strip(), v.strip(), f"{source}:{lineno}"
+        k, v = k.strip(), v.strip()
+        where[k] = loc = f"{source}:{lineno}"
         if not sep:
-            raise ValueError(f"{where}: expected key=value")
+            raise ValueError(f"{loc}: expected key=value")
         if k not in fields:
-            raise ValueError(f"{where}: unknown config key {k!r}")
+            raise ValueError(f"{loc}: unknown config key {k!r}")
         kwargs, ftype = fields[k]
-        kwargs[k] = coerce_value(ftype, v, f"{where}: {k}")
-    return out
+        kwargs[k] = coerce_value(ftype, v, f"{loc}: {k}")
+    return out, where
+
+
+class ConfigError(ValueError):
+    """A config value out of range; key names the field at fault."""
+
+    def __init__(self, key, message):
+        super().__init__(f"{key}: {message}")
+        self.key = key
 
 
 @dataclass
@@ -84,16 +95,27 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ConfigError("variant", f"unknown variant {self.variant!r} "
+                                         f"(expected one of {', '.join(VARIANTS)})")
         for f in ("vocab_size", "num_users", "word_embed_dim", "user_embed_dim",
                   "encoder_hidden", "decoder_hidden", "z_dim", "bow_hidden", "fact_rank"):
             if getattr(self, f) <= 0:
-                raise ValueError(f"{f} must be positive")
+                raise ConfigError(f, f"must be positive, got {getattr(self, f)}")
         if self.variant == "PAGENERATOR":
-            if self.use_r1 and self.gamma1 <= 0:
-                raise ValueError("gamma1 must be > 0")
-            if self.use_r2 and self.gamma2 <= 0:
-                raise ValueError("gamma2 must be > 0")
+            for f, used in (("gamma1", self.use_r1), ("gamma2", self.use_r2)):
+                if used and getattr(self, f) <= 0:
+                    raise ConfigError(f, f"must be > 0, got {getattr(self, f)}")
+
+    @classmethod
+    def checked(cls, kwargs, where):
+        """cls(**kwargs); a range error names where[key], the place the
+        value at fault came from (e.g. "file:line")."""
+        try:
+            return cls(**kwargs)
+        except ConfigError as e:
+            if e.key not in where:
+                raise
+            raise ValueError(f"{where[e.key]}: {e}") from None
 
     @property
     def is_latent(self):
@@ -125,8 +147,8 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text, source="<config>"):
-        (kwargs,) = parse_config_lines(text.splitlines(), source, cls)
-        return cls(**kwargs)
+        (kwargs,), where = parse_config_lines(text.splitlines(), source, cls)
+        return cls.checked(kwargs, where)
 
     def toy(self, **overrides):
         """Desk-scale profile; the full-scale sizes stay the defaults."""
@@ -145,16 +167,15 @@ class GaussianParams:
 @dataclass
 class EncoderOutput:
     final: Tensor            # (batch, 2*encoder_hidden)
-    states: Tensor           # (batch, T, 2*encoder_hidden), for attention
+    states: Tensor           # (T, batch, 2*encoder_hidden), for attention
     mask: np.ndarray         # (batch, T) 0/1 validity
 
 
 # ---------------------------------------------------------------------------
 # parameters
 
-def init_params(config, seed=0, dtype=np.float32):
-    """Uniform(-0.08, 0.08) init for every trainable tensor."""
-    rng = np.random.default_rng(seed)
+def param_shapes(config):
+    """Name -> shape of every trainable tensor of a config's model."""
     H, Hd = config.encoder_hidden, config.decoder_hidden
     we, ue, zd = config.word_embed_dim, config.user_embed_dim, config.z_dim
     V, U = config.vocab_size, config.num_users
@@ -196,7 +217,13 @@ def init_params(config, seed=0, dtype=np.float32):
         shapes["att_W"] = (Hd, 2 * H)
         shapes["att_comb_W"] = (Hd + 2 * H, Hd)
         shapes["att_comb_b"] = (Hd,)
+    return shapes
 
+
+def init_params(config, seed=0, dtype=np.float32):
+    """Uniform(-0.08, 0.08) init for every trainable tensor."""
+    rng = np.random.default_rng(seed)
+    shapes = param_shapes(config)
     params = {}
     for name in sorted(shapes):
         data = rng.uniform(-0.08, 0.08, size=shapes[name]).astype(dtype)
@@ -205,24 +232,7 @@ def init_params(config, seed=0, dtype=np.float32):
 
 
 # ---------------------------------------------------------------------------
-# recurrent cells
-
-def lstm_cell(x, h, c, W, b, hidden):
-    z = ad.add(ad.matmul(ad.concat([x, h], axis=1), W), b)
-    i = ad.sigmoid(ad.slice_cols(z, 0, hidden))
-    f = ad.sigmoid(ad.slice_cols(z, hidden, 2 * hidden))
-    o = ad.sigmoid(ad.slice_cols(z, 2 * hidden, 3 * hidden))
-    g = ad.tanh(ad.slice_cols(z, 3 * hidden, 4 * hidden))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
-
-
-def _masked(new, old, mask_full):
-    keep = ad.constant(mask_full)
-    drop = ad.constant(1.0 - mask_full)
-    return ad.add(ad.mul(keep, new), ad.mul(drop, old))
-
+# encoder
 
 def pad_batch(token_lists):
     """Index lists -> (padded (B, T) int array, lengths (B,))."""
@@ -237,39 +247,24 @@ def pad_batch(token_lists):
 def encode_batch(idx, lengths, params, config):
     """Masked bi-directional LSTM over a padded batch of token indices.
 
-    The backward pass runs t = T-1 .. 0 with the same validity mask, so
-    its state at step t summarizes tokens t..len-1 of each row and its
+    The backward direction runs t = T-1 .. 0 with the same validity mask,
+    so its state at step t summarizes tokens t..len-1 of each row and its
     final state is the full backward encoding.
     """
     B, T = idx.shape
     H = config.encoder_hidden
     if (lengths <= 0).any():
         raise ContractError("encode: empty input sequence")
-    dtype = params["word_emb"].dtype
-    emb = [ad.embedding(params["word_emb"], idx[:, t]) for t in range(T)]
-    masks = [np.repeat((t < lengths).astype(dtype)[:, None], H, axis=1) for t in range(T)]
-
-    zeros = ad.constant(np.zeros((B, H), dtype=dtype))
-    h, c = zeros, zeros
-    fwd = []
-    for t in range(T):
-        h_new, c_new = lstm_cell(emb[t], h, c, params["enc_fwd_W"], params["enc_fwd_b"], H)
-        h, c = _masked(h_new, h, masks[t]), _masked(c_new, c, masks[t])
-        fwd.append(h)
-    final_fwd = h
-
-    h, c = zeros, zeros
-    bwd = [None] * T
-    for t in reversed(range(T)):
-        h_new, c_new = lstm_cell(emb[t], h, c, params["enc_bwd_W"], params["enc_bwd_b"], H)
-        h, c = _masked(h_new, h, masks[t]), _masked(c_new, c, masks[t])
-        bwd[t] = h
-    final_bwd = h
-
-    states = ad.concat([ad.stack(fwd, axis=1), ad.stack(bwd, axis=1)], axis=2)
+    emb = ad.embedding(params["word_emb"], idx.T)
+    dtype = emb.dtype
     valid = (np.arange(T)[None, :] < lengths[:, None]).astype(dtype)
-    return EncoderOutput(final=ad.concat([final_fwd, final_bwd], axis=1),
-                         states=states, mask=valid)
+    zeros = ad.constant(np.zeros((B, H), dtype=dtype))
+    fwd, (h_fwd, _) = ad.lstm(emb, params["enc_fwd_W"], params["enc_fwd_b"], zeros, zeros,
+                              mask=valid.T)
+    bwd, (h_bwd, _) = ad.lstm(emb, params["enc_bwd_W"], params["enc_bwd_b"], zeros, zeros,
+                              mask=valid.T, reverse=True)
+    return EncoderOutput(final=ad.concat([h_fwd, h_bwd], axis=1),
+                         states=ad.concat([fwd, bwd], axis=2), mask=valid)
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +323,26 @@ def _attention_context(h_dec, enc, params):
     one step (B, Hd) or every step (T, B, Hd)."""
     q = "bd" if h_dec.data.ndim == 2 else "tbd"
     w = q[:-1] + "s"
-    scores = ad.contract(f"bsd,{q}->{w}", enc.states, ad.matmul(h_dec, params["att_W"]))
+    scores = ad.contract(f"sbd,{q}->{w}", enc.states, ad.matmul(h_dec, params["att_W"]))
     neg = ad.constant((1.0 - enc.mask) * -1e9)
     weights = ad.softmax(ad.add(scores, neg))
-    return ad.contract(f"{w},bsd->{q}", weights, enc.states)
+    return ad.contract(f"{w},sbd->{q}", weights, enc.states)
+
+
+def decoder_lstm(prev_idx, state, z, e_u, params, config):
+    """The decoder's recurrence over time-major (T, B) previous tokens: one
+    LSTM on [embedding of prev; z; e_u], where [z; e_u] is the same at
+    every step.  Only (h, c) carries from one step to the next.  Returns
+    (hs (T, B, Hd), final (h, c))."""
+    parts = [t for t, used in ((z, config.is_latent), (e_u, config.decoder_uses_user)) if used]
+    static = ad.concat(parts, axis=1) if len(parts) > 1 else (parts[0] if parts else None)
+    x = ad.embedding(params["word_emb"], np.asarray(prev_idx))
+    return ad.lstm(x, params["dec_W"], params["dec_b"], *state, static=static)
 
 
 def decoder_cell(prev_idx, state, z, e_u, params, config):
-    """The decoder's recurrence: one LSTM step on [embedding of prev; z;
-    e_u].  Only (h, c) carries from one step to the next."""
-    h, c = state
-    parts = [ad.embedding(params["word_emb"], np.asarray(prev_idx))]
-    if config.is_latent:
-        parts.append(z)
-    if config.decoder_uses_user:
-        parts.append(e_u)
-    x = ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
-    return lstm_cell(x, h, c, params["dec_W"], params["dec_b"], config.decoder_hidden)
+    """One decoder step from the (B,) previous tokens; returns (h, c)."""
+    return decoder_lstm(np.asarray(prev_idx)[None], state, z, e_u, params, config)[1]
 
 
 def output_logits(h, enc, params, config, user_idx=None):
@@ -390,8 +388,8 @@ def teacher_forced_log_probs(reply_idx, reply_lengths, state, z, e_u, enc, param
     """Per-example sum of log p(token) over the reply plus EOS, teacher forced.
 
     reply_idx: (B, Tr) padded, no BOS/EOS.  Returns a (B,) tensor of
-    log-probabilities (non-positive).  Only the LSTM steps one at a time;
-    the output layer then runs once over all (Tr + 1, B) decoder states.
+    log-probabilities (non-positive).  One LSTM runs over the whole
+    sequence; the output layer then runs once over all (Tr + 1, B) states.
     """
     B, Tr = reply_idx.shape
     # time-major (Tr + 1, B): row t is step t's target; a row scores EOS
@@ -399,12 +397,8 @@ def teacher_forced_log_probs(reply_idx, reply_lengths, state, z, e_u, enc, param
     t = np.arange(Tr + 1)[:, None]
     targets = np.where(t < reply_lengths, np.pad(reply_idx.T, ((0, 1), (0, 0))), EOS)
     inputs = np.concatenate([np.full((1, B), BOS), targets[:-1]])
-    hs = []
-    for prev in inputs:
-        state = decoder_cell(prev, state, z, e_u, params, config)
-        hs.append(state[0])
-    logp = ad.log_softmax(output_logits(ad.stack(hs, axis=0), enc, params, config,
-                                        user_idx=user_idx))
+    hs, _ = decoder_lstm(inputs, state, z, e_u, params, config)
+    logp = ad.log_softmax(output_logits(hs, enc, params, config, user_idx=user_idx))
     picked = ad.pick(logp, targets)
     mask = ad.constant((t <= reply_lengths).astype(picked.dtype))
     # a sum over axis 0 adds the steps one by one in time order (numpy
@@ -435,27 +429,50 @@ def save_checkpoint(path, params, config):
 
 
 def load_checkpoint(path):
+    """Read a save_checkpoint file.  A bad header, a file cut short, a
+    config trailer other than the canonical one save_checkpoint writes, or
+    a tensor that is missing, unexpected or of the wrong shape for the
+    stored config raises ValueError naming the file (and the tensor)."""
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
+    view, off = memoryview(blob), 0
+
+    def take(n, what):
+        nonlocal off
+        if off + n > len(blob):
+            raise ValueError(f"{path}: checkpoint cut short in {what} "
+                             f"(needs {off + n} bytes, file has {len(blob)})")
+        off += n
+        return view[off - n:off]
+
+    if take(4, "the header") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic")
-    version, count = struct.unpack_from("<II", blob, 4)
+    version, count = struct.unpack("<II", take(8, "the header"))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    off = 12
     params = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        data = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(dims).copy()
-        off += 4 * n
-        params[name] = Tensor(data, requires_grad=True, name=name)
-    config = ModelConfig.from_text(blob[off:].decode("utf-8"), source=f"{path} config")
+    for i in range(count):
+        (nlen,) = struct.unpack("<H", take(2, f"the name of tensor {i}"))
+        name = bytes(take(nlen, f"the name of tensor {i}")).decode("utf-8", errors="replace")
+        what = f"tensor {name!r}"
+        (rank,) = struct.unpack("<B", take(1, what))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, what))
+        data = np.frombuffer(take(4 * int(np.prod(dims)), what), dtype="<f4")
+        if name in params:
+            raise ValueError(f"{path}: {what} stored twice")
+        params[name] = Tensor(data.reshape(dims).copy(), requires_grad=True, name=name)
+    text = blob[off:].decode("utf-8", errors="replace")
+    config = ModelConfig.from_text(text, source=f"{path} config")
+    if text != config.to_text():  # a key lost to truncation would read as its default
+        raise ValueError(f"{path}: checkpoint config is cut short or not canonical")
+    shapes = param_shapes(config)
+    unexpected = sorted(params.keys() - shapes.keys())
+    if unexpected:
+        raise ValueError(f"{path}: unexpected tensor {unexpected[0]!r} for its config")
+    for name, shape in sorted(shapes.items()):
+        if name not in params:
+            raise ValueError(f"{path}: missing tensor {name!r}")
+        if params[name].shape != shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape {params[name].shape}, "
+                             f"its config needs {shape}")
     return params, config

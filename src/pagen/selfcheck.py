@@ -56,8 +56,6 @@ def primitive_cases(seed=0):
     cases.append(("slice", lambda: ad.reduce_sum(ad.mul(ad.slice_cols(x, 1, 3),
                                                         ad.slice_cols(y, 0, 2))),
                   {"x": x, "y": y}))
-    cases.append(("stack", lambda: ad.reduce_sum(ad.sigmoid(ad.stack([x, y], axis=1))),
-                  {"x": x, "y": y}))
 
     seq = _param(rng, 3, 2, 4)
     # attention-shaped: scores over the steps, then their weighted sum
@@ -94,6 +92,33 @@ def primitive_cases(seed=0):
     idx3 = np.array([[0, 2, 1], [3, 3, 0]])
     cases.append(("pick_3d", lambda: ad.reduce_sum(ad.exp(ad.pick(steps, idx3))),
                   {"steps": steps}))
+
+    # the fused LSTM: every output (states, final h and final c) reaches
+    # the loss through its own random weights
+    T, B, n_in, n_s, H = 4, 3, 3, 2, 2
+    seq_x = _param(rng, T, B, n_in)
+    static = _param(rng, B, n_s)
+    h0, c0 = _param(rng, B, H), _param(rng, B, H)
+    bias = _param(rng, 4 * H)
+    W_plain = _param(rng, n_in + H, 4 * H)
+    W_static = _param(rng, n_in + n_s + H, 4 * H)
+    mix = [rng.standard_normal(s) for s in ((T, B, H), (B, H), (B, H))]
+    ragged = np.arange(T)[:, None] < np.array([4, 1, 2])[None, :]
+
+    def lstm_loss(W, **kw):
+        hs, (h, c) = ad.lstm(seq_x, W, bias, h0, c0, **kw)
+        return ad.add(ad.add(ad.reduce_sum(ad.mul(ad.tanh(hs), ad.constant(mix[0]))),
+                             ad.reduce_sum(ad.mul(h, ad.constant(mix[1])))),
+                      ad.reduce_sum(ad.mul(c, ad.constant(mix[2]))))
+
+    state = {"x": seq_x, "h0": h0, "c0": c0, "b": bias}
+    cases.append(("lstm", lambda: lstm_loss(W_plain), dict(state, W=W_plain)))
+    cases.append(("lstm_masked", lambda: lstm_loss(W_plain, mask=ragged),
+                  dict(state, W=W_plain)))
+    cases.append(("lstm_reverse", lambda: lstm_loss(W_plain, mask=ragged, reverse=True),
+                  dict(state, W=W_plain)))
+    cases.append(("lstm_static", lambda: lstm_loss(W_static, static=static),
+                  dict(state, W=W_static, static=static)))
     return cases
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the reverse-mode autodiff engine."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -59,8 +61,9 @@ def test_shape_errors_name_the_op():
         ad.add(Tensor(np.ones((3, 4))), Tensor(np.ones(3)))
     with pytest.raises(ShapeError, match="pick"):
         ad.pick(Tensor(np.ones((2, 3, 4))), np.zeros((2, 4), dtype=np.int64))
-    with pytest.raises(ShapeError, match="stack"):
-        ad.stack([a, b])
+    with pytest.raises(ShapeError, match="lstm"):  # W has no rows for the state
+        ad.lstm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 8))), Tensor(np.ones(8)),
+                Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))))
     with pytest.raises(ShapeError, match="contract"):
         ad.contract("ij,jk->ik", a, a)
     with pytest.raises(ShapeError, match="contract"):
@@ -80,6 +83,106 @@ def test_no_grad_suppresses_graph():
         assert not out.requires_grad
         assert out._backward is None
     assert ad.grad_enabled()
+
+
+def test_no_grad_is_per_thread():
+    """A thread inside no_grad() does not stop another from recording."""
+    inside, release = threading.Event(), threading.Event()
+
+    def hold():
+        with ad.no_grad():
+            inside.set()
+            release.wait(10)
+
+    thread = threading.Thread(target=hold)
+    thread.start()
+    try:
+        assert inside.wait(10)
+        x = Tensor(np.ones(3), requires_grad=True)
+        out = ad.reduce_sum(ad.tanh(x))
+        assert ad.grad_enabled()
+        assert out._backward is not None
+    finally:
+        release.set()
+        thread.join()
+
+
+def test_lstm_under_no_grad_keeps_no_backward():
+    rng = np.random.default_rng(0)
+    args = [Tensor(rng.standard_normal(s), requires_grad=True)
+            for s in ((3, 2, 4), (4 + 5, 20), (20,), (2, 5), (2, 5))]
+    with ad.no_grad():
+        hs, (h, c) = ad.lstm(*args, mask=np.ones((3, 2)), reverse=True)
+    assert hs.shape == (3, 2, 5) and h.shape == c.shape == (2, 5)
+    for t in (hs, h, c):
+        assert not t.requires_grad and t._backward is None and t._parents == ()
+    hs_rec, (h_rec, c_rec) = ad.lstm(*args, mask=np.ones((3, 2)), reverse=True)
+    assert np.array_equal(hs.data, hs_rec.data) and np.array_equal(h.data, hs.data[0])
+    assert np.array_equal(c.data, c_rec.data) and h_rec._backward is not None
+
+
+def _lstm_step_by_step(xs, W, b, h0, c0, static, mask, reverse):
+    """Reference for ad.lstm: the same layer built one step at a time from
+    elementary ops, with a masked step as keep * new + (1 - keep) * old."""
+    H = h0.shape[1]
+    h, c, hs = h0, c0, [None] * len(xs)
+    for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
+        inputs = [xs[t]] + ([static] if static is not None else []) + [h]
+        z = ad.add(ad.matmul(ad.concat(inputs, axis=1), W), b)
+        i, f, o = (ad.sigmoid(ad.slice_cols(z, k * H, (k + 1) * H)) for k in range(3))
+        g = ad.tanh(ad.slice_cols(z, 3 * H, 4 * H))
+        c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h_new = ad.mul(o, ad.tanh(c_new))
+        if mask is not None:
+            keep = Tensor(np.repeat(mask[t][:, None].astype(float), H, axis=1))
+            drop = Tensor(1.0 - keep.data)
+            h_new = ad.add(ad.mul(keep, h_new), ad.mul(drop, h))
+            c_new = ad.add(ad.mul(keep, c_new), ad.mul(drop, c))
+        h, c = h_new, c_new
+        hs[t] = h
+    return hs, h, c
+
+
+@pytest.mark.parametrize("variant", ["plain", "masked", "reverse", "static"])
+def test_lstm_matches_step_by_step_graph(variant):
+    """Loss and every gradient (through the states, the final h and the
+    final c) agree with the step-by-step reference to float64 rounding."""
+    rng = np.random.default_rng(5)
+    T, B, n_in, H = 5, 3, 4, 6
+    n_s = 3 if variant == "static" else 0
+    x = rng.standard_normal((T, B, n_in))
+    data = {k: rng.standard_normal(shape) for k, shape in (
+        ("W", (n_in + n_s + H, 4 * H)), ("b", (4 * H,)), ("h0", (B, H)), ("c0", (B, H)),
+        ("static", (B, n_s)))}
+    mask = np.arange(T)[:, None] < np.array([5, 2, 3]) if variant != "plain" else None
+    mix = rng.standard_normal((T, B, H))
+
+    def run(fused):
+        p = {k: Tensor(v.copy(), requires_grad=True) for k, v in data.items()}
+        args = (p["W"], p["b"], p["h0"], p["c0"])
+        static, reverse = (p["static"] if n_s else None), variant == "reverse"
+        if fused:
+            xs = Tensor(x.copy(), requires_grad=True)
+            hs, (h, c) = ad.lstm(xs, *args, static=static, mask=mask, reverse=reverse)
+            terms = [ad.mul(ad.tanh(hs), Tensor(mix))]
+        else:
+            xs = [Tensor(x[t].copy(), requires_grad=True) for t in range(T)]
+            hs, h, c = _lstm_step_by_step(xs, *args, static, mask, reverse)
+            terms = [ad.mul(ad.tanh(hs[t]), Tensor(mix[t])) for t in range(T)]
+        loss = ad.reduce_sum(ad.mul(h, c))
+        for term in terms:
+            loss = ad.add(loss, ad.reduce_sum(term))
+        backward(loss)
+        grads = {k: v.grad for k, v in p.items() if k != "static" or n_s}
+        grads["x"] = xs.grad if fused else np.stack([t.grad for t in xs])
+        return float(loss.data), grads
+
+    loss, grads = run(fused=True)
+    ref_loss, ref_grads = run(fused=False)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    for k in grads:
+        assert np.allclose(grads[k], ref_grads[k], rtol=1e-10, atol=1e-12), k
 
 
 def test_gradients_map():

@@ -89,7 +89,8 @@ def test_bad_config_key_exits_1(workdir, capsys):
     assert "no_such_option" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["use_r1=True", "decode_with_user=yes", "epochs=ten"])
+@pytest.mark.parametrize("line", ["use_r1=True", "decode_with_user=yes", "epochs=ten",
+                                  "variant=GPT", "z_dim=0"])
 def test_bad_config_value_exits_1(workdir, capsys, line):
     tmp_path, data, config = workdir
     bad = tmp_path / "bad.cfg"
@@ -99,6 +100,14 @@ def test_bad_config_value_exits_1(workdir, capsys, line):
     lineno = len(TOY_CONFIG.splitlines()) + 1
     key = line.partition("=")[0]
     assert f"{bad}:{lineno}: {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_variant_flag_errors_name_the_flag(workdir, capsys):
+    tmp_path, data, config = workdir
+    assert cli.main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "o"), "--variant", "GPT"]) == 1
+    assert "--variant GPT: variant: unknown variant 'GPT'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the network components, the variant lattice, and the
 checkpoint format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -86,7 +88,7 @@ def test_encode_shapes_and_mask():
     enc = M.encode_batch(q_idx, q_len, params, cfg)
     B, T = q_idx.shape
     assert enc.final.shape == (B, 2 * cfg.encoder_hidden)
-    assert enc.states.shape == (B, T, 2 * cfg.encoder_hidden)
+    assert enc.states.shape == (T, B, 2 * cfg.encoder_hidden)
     assert np.array_equal(enc.mask, (np.arange(T)[None, :] < q_len[:, None]))
 
 
@@ -198,7 +200,7 @@ def test_attention_log_probs_match_numpy_oracle(variant):
     pd = {k: p.data for k, p in params.items()}
     final, states, mask = np_oracle.encoder_np(pd, cfg, q_idx, q_len)
     assert np.allclose(enc.final.data, final, atol=1e-12)
-    assert np.allclose(enc.states.data, states, atol=1e-12)
+    assert np.allclose(enc.states.data, states.transpose(1, 0, 2), atol=1e-12)
     assert np.array_equal(enc.mask, mask)
     h0 = np.tanh(final @ pd["dec_init_W"] + pd["dec_init_b"])
     expect = np_oracle.decoder_logprob_np(pd, cfg, h0, np.zeros_like(h0), z, e_u,
@@ -353,3 +355,55 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         M.load_checkpoint(path)
+
+
+def _saved(tmp_path, transform=None):
+    cfg = toy_config(variant="PAGENERATOR")
+    params = M.init_params(cfg, seed=3)
+    if transform:
+        transform(params)
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, params, cfg)
+    return path
+
+
+def test_checkpoint_cut_short_names_file_and_tensor(tmp_path):
+    path = _saved(tmp_path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:len(blob) // 2])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: checkpoint cut short in tensor '\w+'"):
+        M.load_checkpoint(path)
+
+
+def test_checkpoint_cut_in_its_config_is_rejected(tmp_path):
+    path = _saved(tmp_path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:blob.rindex(b"z_dim=")])  # every other key still parses
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint config"):
+        M.load_checkpoint(path)
+
+
+def test_checkpoint_renamed_tensor_is_rejected(tmp_path):
+    path = _saved(tmp_path)
+    blob = path.read_bytes()
+    assert blob.count(b"\x05\x00out_b") == 1
+    path.write_bytes(blob.replace(b"\x05\x00out_b", b"\x05\x00out_c"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unexpected tensor 'out_c'"):
+        M.load_checkpoint(path)
+
+
+def test_checkpoint_missing_tensor_is_rejected(tmp_path):
+    path = _saved(tmp_path, lambda p: p.pop("dec_b"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing tensor 'dec_b'"):
+        M.load_checkpoint(path)
+
+
+def test_checkpoint_transposed_tensor_is_rejected(tmp_path):
+    def transpose(params):
+        params["out_W"] = Tensor(params["out_W"].data.T.copy())
+
+    path = _saved(tmp_path, transpose)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: tensor 'out_W' has "
+                                         r"shape \(30, 8\), its config needs \(8, 30\)"):
+        M.load_checkpoint(path)
+

@@ -255,3 +255,27 @@ def test_total_loss_gradients_match_finite_differences(variant, use_attention):
     report = grad_check(loss_fn, params, h=1e-4, tol=1e-4, max_coords=6,
                         rng=np.random.default_rng(24))
     assert report.passed, report.summary()
+
+
+def _graph_nodes(root):
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("use_attention", [False, True])
+def test_graph_size_does_not_grow_with_sequence_length(use_attention):
+    cfg = toy_config("PAGENERATOR", use_attention=use_attention)
+    params = M.init_params(cfg)
+    sizes = []
+    for T in (3, 12):
+        batch = toy_batch(seed=4, q_max=T, r_max=T)
+        assert batch[1].shape[1] == batch[3].shape[1] == T
+        loss, _ = total_loss(batch, params, cfg, noise=np.zeros((3, cfg.z_dim)),
+                             batch_index=1)
+        sizes.append(_graph_nodes(loss))
+    assert sizes[0] == sizes[1]
