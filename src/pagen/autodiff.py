@@ -122,14 +122,6 @@ def backward(root):
             node._backward(node.grad)
 
 
-def gradients(root, params):
-    """backward() then collect leaf gradients as a name -> array map."""
-    for p in params.values():
-        p.zero_grad()
-    backward(root)
-    return {name: p.grad for name, p in params.items() if p.grad is not None}
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -205,15 +197,6 @@ def matmul(a, b):
 
     return _result((rows @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:]),
                    (a, b), bwd)
-
-
-def sigmoid(a):
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g):
-        _accum(a, g * out_data * (1.0 - out_data))
-
-    return _result(out_data, (a,), bwd)
 
 
 def tanh(a):
@@ -518,7 +501,6 @@ class GradCheckEntry:
 @dataclass
 class GradCheckReport:
     entries: list = field(default_factory=list)
-    tol: float = 1e-4
 
     @property
     def passed(self):
@@ -550,7 +532,7 @@ def grad_check(loss_fn, params, h=1e-4, tol=1e-4, max_coords=None, rng=None):
     analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
                 for k, p in params.items()}
 
-    report = GradCheckReport(tol=tol)
+    report = GradCheckReport()
     for name, p in params.items():
         flat = p.data.reshape(-1)
         coords = np.arange(flat.size)

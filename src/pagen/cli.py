@@ -58,23 +58,24 @@ class DataConfig:
 def read_flat_config(path):
     """Flat key=value file split into model kwargs, TrainConfig and
     DataConfig, plus the "file:line" of each key read."""
-    with open(path, encoding="utf-8") as f:
-        (model_kwargs, trainer_kwargs, data_kwargs), where = M.parse_config_lines(
-            f, path, ModelConfig, TrainConfig, DataConfig)
+    (model_kwargs, trainer_kwargs, data_kwargs), where = M.parse_config_lines(
+        C.read_lines(path), path, ModelConfig, TrainConfig, DataConfig)
     return model_kwargs, TrainConfig(**trainer_kwargs), DataConfig(**data_kwargs), where
 
 
 def prepare_data(data_path, data):
-    triples, _, _ = C.load_corpus(data_path, min_utterances=data.min_utterances,
-                                  max_vocab=data.max_vocab)
+    triples = C.load_corpus(data_path, min_utterances=data.min_utterances)
     train_set, test_set = C.split(triples, data.train_ratio, seed=data.split_seed)
     vocab = C.Vocabulary.build(train_set, max_size=data.max_vocab)
-    users = C.UserTable.build({t.user_id for t in triples} - {C.UNSPECIFIED_USER_ID})
+    users = C.UserTable.build(t.user_id for t in triples)
     return train_set, test_set, vocab, users
 
 
 def run_training(data_path, config_path, out_dir, seed, variant=None):
     model_kwargs, tcfg, data, where = read_flat_config(config_path)
+    for key in ("vocab_size", "num_users"):
+        if key in model_kwargs:
+            raise ValueError(f"{where[key]}: {key}: set from the data, not by the config")
     if variant:
         base, extra = ABLATIONS.get(variant, (variant, {}))
         model_kwargs["variant"] = base
@@ -191,12 +192,11 @@ def cmd_generate(args):
     if args.input:
         # every line is checked before any decoding or output
         requests = []
-        with open(args.input, encoding="utf-8") as f_in:
-            for i, line in enumerate(f_in):
-                if line.strip():
-                    user_id, _, query = line.rstrip("\n").partition("\t")
-                    requests.append(request(user_id, query, args.seed + i,
-                                            f"{args.input}:{i + 1}: "))
+        for i, line in enumerate(C.read_lines(args.input)):
+            if line.strip():
+                user_id, _, query = line.rstrip("\n").partition("\t")
+                requests.append(request(user_id, query, args.seed + i,
+                                        f"{args.input}:{i + 1}: "))
         with open(args.output or args.input + ".out", "w", encoding="utf-8",
                   newline="\n") as f_out:
             for req in requests:
@@ -211,10 +211,7 @@ def cmd_generate(args):
 
 def cmd_evaluate(args):
     model, vocab, users = load_model_dir(args.model, args.vocab, args.users_file)
-    ref_model, _, _ = load_model_dir(args.ref_model, args.vocab or
-                                     os.path.join(os.path.dirname(args.model), "vocab.txt"),
-                                     args.users_file or
-                                     os.path.join(os.path.dirname(args.model), "users.txt"))
+    ref_model = M.load_checkpoint(args.ref_model)
     test_set = C.read_triples(args.data)
     for t in test_set:  # every user is checked before any decoding
         users.index(t.user_id, f"{args.data}: ")
@@ -240,7 +237,7 @@ def cmd_evaluate(args):
 
 
 def cmd_selfcheck(args):
-    ok = selfcheck.run_all(seed=args.seed, verbose=True)
+    ok = selfcheck.run_all(seed=args.seed)
     print("selfcheck:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -272,7 +269,7 @@ def cmd_compare(args):
 
     rows = []
     for variant in variants:
-        model, _, _ = load_model_dir(os.path.join(run_dirs[variant], "model.ckpt"))
+        model = M.load_checkpoint(os.path.join(run_dirs[variant], "model.ckpt"))
         results, per_item = E.evaluate_model(
             model, ref_model, train_set, test_set, vocab, users,
             metric_config=MX.MetricConfig(rounds=args.rounds), seed=args.seed,

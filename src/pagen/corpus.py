@@ -92,7 +92,7 @@ class UserTable:
     @classmethod
     def build(cls, user_ids):
         mapping = {UNSPECIFIED_USER_ID: UNSPECIFIED_USER}
-        for u in sorted(set(user_ids)):
+        for u in sorted(set(user_ids) - {UNSPECIFIED_USER_ID}):
             mapping[u] = len(mapping)
         return cls(user_to_index=mapping)
 
@@ -108,39 +108,45 @@ def parse_line(line, lineno):
     return DialogueTriple(user_id=user_id, query=q_toks, reply=r_toks)
 
 
+def read_lines(path):
+    """The LF-terminated lines of a UTF-8 text file, decoded one by one; a
+    line that is not UTF-8 raises CorpusError naming "path:line"."""
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CorpusError(f"{path}:{lineno}: not UTF-8: {e}") from None
+
+
 def read_triples(path):
     triples = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
             triples.append(parse_line(line, lineno))
+        except CorpusError as e:
+            raise CorpusError(f"{path}: {e}") from None
     if not triples:
         raise CorpusError(f"empty corpus: {path}")
     return triples
 
 
-def load_corpus(path, min_utterances=1, max_vocab=20000):
+def load_corpus(path, min_utterances=1):
     """Load triples; users with fewer than min_utterances replies are
     remapped to the unspecified user and excluded from per-user evaluation.
-
-    Returns (triples, vocabulary, user_table).  The vocabulary here covers
-    the whole file; when a train/test split is used, rebuild it from the
-    train side (see split()).
-    """
+    Returns the triples only (build the vocabulary from the train split)."""
     triples = read_triples(path)
     counts = {}
     for t in triples:
         counts[t.user_id] = counts.get(t.user_id, 0) + 1
     kept_users = {u for u, c in counts.items() if c >= min_utterances}
-    remapped = [
+    return [
         t if t.user_id in kept_users
         else DialogueTriple(UNSPECIFIED_USER_ID, t.query, t.reply)
         for t in triples
     ]
-    vocab = Vocabulary.build(remapped, max_size=max_vocab)
-    users = UserTable.build(u for u in kept_users)
-    return remapped, vocab, users
 
 
 def write_corpus(path, triples):

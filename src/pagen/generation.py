@@ -17,7 +17,6 @@ from .corpus import BOS, EOS, UNSPECIFIED_USER
 class Hypothesis:
     tokens: list = field(default_factory=list)
     log_prob: float = 0.0
-    finished: bool = False
 
     def normalized(self):
         return self.log_prob / max(1, len(self.tokens) + 1)  # +1 counts EOS
@@ -39,14 +38,10 @@ class GenRequest:
             raise ContractError(f"unknown z mode {self.z_mode!r}")
 
 
-def _tile_encoder(enc, k):
-    return M.EncoderOutput(final=ad.constant(np.repeat(enc.final.data, k, axis=0)),
-                           states=ad.constant(np.repeat(enc.states.data, k, axis=1)),
-                           mask=np.repeat(enc.mask, k, axis=0))
-
-
 def _draw_z(enc_final, user_index, params, config, z_mode, seed):
-    """One z per request from the prior p(z | q, u)."""
+    """One z per request from the prior p(z | q, u); None if not latent."""
+    if not config.is_latent:
+        return None
     prior_idx = M.prior_user_index(np.array([user_index]), config)
     e_u = M.user_embedding(prior_idx, params, config)
     prior = M.prior_net(enc_final, e_u, params, config)
@@ -58,6 +53,18 @@ def _draw_z(enc_final, user_index, params, config, z_mode, seed):
     return mu + std * eps
 
 
+def _rows(enc, z_vec, user_index, k, params, config):
+    """The k decoder rows of one request: (encoder output tiled k times,
+    z, the decoder's user embedding, user indices)."""
+    enc_k = M.EncoderOutput(final=ad.constant(np.repeat(enc.final.data, k, axis=0)),
+                            states=ad.constant(np.repeat(enc.states.data, k, axis=1)),
+                            mask=np.repeat(enc.mask, k, axis=0))
+    z = ad.constant(np.repeat(z_vec[None, :], k, axis=0)) if z_vec is not None else None
+    u_idx = np.full(k, user_index, dtype=np.int64)
+    e_u = M.user_embedding(u_idx, params, config) if config.decoder_uses_user else None
+    return enc_k, z, e_u, u_idx
+
+
 def generate(request, params, config):
     """Beam search; returns hypotheses sorted by length-normalized score."""
     if not request.query:
@@ -66,51 +73,39 @@ def generate(request, params, config):
     with no_grad():
         enc = M.encode_batch(*M.pad_batch([request.query]), params, config)
         z_vec = _draw_z(enc.final, request.user_index, params, config,
-                        request.z_mode, request.seed) if config.is_latent else None
-        beams = [Hypothesis()]
+                        request.z_mode, request.seed)
+        h, c = (s.data for s in M.decoder_init_state(enc.final, params, config, 1))
+        # live beams: one row of BOS + tokens each, and its summed log-prob
+        tokens, scores = np.full((1, 1), BOS), np.zeros(1, dtype=h.dtype)
         finished = []
-        h0, c0 = M.decoder_init_state(enc.final, params, config, 1)
-        h, c = h0.data, c0.data
         for step in range(request.max_length):
-            k = len(beams)
-            enc_k = _tile_encoder(enc, k)
-            prev = np.array([b.tokens[-1] if b.tokens else BOS for b in beams])
-            z = ad.constant(np.repeat(z_vec[None, :], k, axis=0)) if z_vec is not None else None
-            u_idx = np.full(k, request.user_index, dtype=np.int64)
-            e_u = M.user_embedding(u_idx, params, config) if config.decoder_uses_user else None
-            logp, (h_new, c_new) = M.decode_step(prev, (ad.constant(h), ad.constant(c)), z,
-                                                 e_u, enc_k, params, config, user_idx=u_idx)
+            enc_k, z, e_u, u_idx = _rows(enc, z_vec, request.user_index, len(tokens),
+                                         params, config)
+            logp, (h_new, c_new) = M.decode_step(tokens[:, -1], (ad.constant(h), ad.constant(c)),
+                                                 z, e_u, enc_k, params, config, user_idx=u_idx)
             logp = logp.data
             logp[:, [0, 1, 2]] = -np.inf  # never emit PAD/UNK/BOS
             if step == 0:
                 logp[:, EOS] = -np.inf  # no empty replies
-            scores = np.array([b.log_prob for b in beams], dtype=logp.dtype)[:, None] + logp
+            total = scores[:, None] + logp
             # top-W (beam, token) pairs by score; the stable sort over the
             # row-major flattening breaks ties by beam, then by token
-            order = np.argsort(-scores, axis=None, kind="stable")[:width]
+            order = np.argsort(-total, axis=None, kind="stable")[:width]
+            beam, tok = np.divmod(order, total.shape[1])
             # EOS retires a hypothesis, the rest carry on
-            new_beams, keep = [], []
-            for i, tok in zip(*np.divmod(order, scores.shape[1])):
-                i, tok = int(i), int(tok)
-                if tok == EOS:
-                    finished.append(Hypothesis(tokens=list(beams[i].tokens),
-                                               log_prob=scores[i, tok], finished=True))
-                else:
-                    new_beams.append(Hypothesis(tokens=beams[i].tokens + [tok],
-                                                log_prob=scores[i, tok]))
-                    keep.append(i)
-            beams, h, c = new_beams, h_new.data[keep], c_new.data[keep]
-            if not beams or len(finished) >= width:
+            eos = tok == EOS
+            finished += [Hypothesis(tokens[i, 1:].tolist(), total[i, EOS]) for i in beam[eos]]
+            keep, tok = beam[~eos], tok[~eos]
+            tokens = np.concatenate([tokens[keep], tok[:, None]], axis=1)
+            scores, h, c = total[keep, tok], h_new.data[keep], c_new.data[keep]
+            if not len(keep) or len(finished) >= width:
                 break
-        for b in beams:  # hit max length
-            b.finished = True
-            finished.append(b)
+        finished += [Hypothesis(t[1:].tolist(), s) for t, s in zip(tokens, scores)]  # max length
         finished.sort(key=lambda hyp: -hyp.normalized())
         return finished[:width]
 
 
-def score_responses(query, replies, user_index, params, config, z_mode="sample",
-                    seed=0):
+def score_responses(query, replies, user_index, params, config, seed=0):
     """Teacher-forced log-probability of each reply given (q, u) and one
     shared z drawn from the prior with the request seed.  Raw sums, no
     length normalization (the ranking metric depends on raw scores)."""
@@ -119,13 +114,8 @@ def score_responses(query, replies, user_index, params, config, z_mode="sample",
     n = len(replies)
     with no_grad():
         enc = M.encode_batch(*M.pad_batch([query]), params, config)
-        enc_n = _tile_encoder(enc, n)
-        z = None
-        if config.is_latent:
-            z_vec = _draw_z(enc.final, user_index, params, config, z_mode, seed)
-            z = ad.constant(np.repeat(z_vec[None, :], n, axis=0))
-        u_idx = np.full(n, user_index, dtype=np.int64)
-        e_u = M.user_embedding(u_idx, params, config) if config.decoder_uses_user else None
+        z_vec = _draw_z(enc.final, user_index, params, config, "sample", seed)
+        enc_n, z, e_u, u_idx = _rows(enc, z_vec, user_index, n, params, config)
         state = M.decoder_init_state(enc_n.final, params, config, n)
         r_idx, r_len = M.pad_batch(replies)
         lp = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc_n, params,

@@ -4,6 +4,7 @@ between-user distinct-n) and the standard BLEU-1 / word-embedding metrics.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -15,13 +16,12 @@ from . import generation as G
 @dataclass
 class MetricConfig:
     n_distractors: int = 10
-    m_users: int = 2
     rounds: int = 10
     beam_width: int = 10
     max_length: int = 30
 
     def __post_init__(self):
-        if self.n_distractors < 1 or self.m_users < 2 or self.rounds < 1:
+        if self.n_distractors < 1 or self.rounds < 1:
             raise ValueError("invalid metric configuration")
 
 
@@ -83,13 +83,12 @@ class BigramLM:
 
 
 def build_user_lms(train_triples, evaluated_users, lam=0.7):
-    """Background counts from all reply-side utterances, finetuned per user."""
-    background = [t.reply for t in train_triples]
+    """One shared background count of all reply-side utterances, finetuned per user."""
+    background = BigramLM([t.reply for t in train_triples], lam=lam)
     lms = {}
     for user in evaluated_users:
-        lm = BigramLM(background, lam=lam)
-        lm.fit_user([t.reply for t in train_triples if t.user_id == user])
-        lms[user] = lm
+        lms[user] = copy.copy(background)
+        lms[user].fit_user([t.reply for t in train_triples if t.user_id == user])
     return lms
 
 

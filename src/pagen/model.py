@@ -5,6 +5,7 @@ baseline variants as configuration, and the binary checkpoint format.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, asdict, replace
 
@@ -457,7 +458,7 @@ def load_checkpoint(path):
         what = f"tensor {name!r}"
         (rank,) = struct.unpack("<B", take(1, what))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, what))
-        data = np.frombuffer(take(4 * int(np.prod(dims)), what), dtype="<f4")
+        data = np.frombuffer(take(4 * math.prod(dims), what), dtype="<f4")
         if name in params:
             raise ValueError(f"{path}: {what} stored twice")
         params[name] = Tensor(data.reshape(dims).copy(), requires_grad=True, name=name)

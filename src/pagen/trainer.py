@@ -7,6 +7,7 @@ thread: one RNG stream drives batch shuffling and reparameterization noise.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -131,35 +132,30 @@ def train(triples, vocab, users, config, train_config, seed, out_dir,
         M.save_checkpoint(ckpt_path, params, config)
         write_history_csv(os.path.join(out_dir, "history.csv"), history)
 
-    batch_index = 0
-    done = False
-    for epoch in range(train_config.epochs):
-        if done:
-            break
-        for idxs in make_batches(indexed, train_config.batch_size, rng):
-            batch = batch_arrays(indexed, idxs)
-            noise = rng.standard_normal((len(idxs), config.z_dim)).astype(np.float32) \
-                if config.is_latent else None
-            for p in params.values():
-                p.zero_grad()
-            try:
-                loss, breakdown = total_loss(batch, params, config, noise=noise,
-                                             batch_index=batch_index)
-                backward(loss)
-                clip_gradients(params, train_config.clip_norm)
-                adam_step(params, state)
-            except (NumericError, DivergenceError) as e:
-                save()  # the failed batch changed no parameter
-                raise DivergenceError(f"aborted at batch {batch_index}: {e}") from e
-            history.append(breakdown)
-            batch_index += 1
-            if log_every and batch_index % log_every == 0:
-                print(f"batch {batch_index}: total={breakdown.total:.4f} "
-                      f"recon={breakdown.reconstruction:.4f} kl={breakdown.kl_user:.4f}")
-            if train_config.checkpoint_every and batch_index % train_config.checkpoint_every == 0:
-                M.save_checkpoint(ckpt_path, params, config)
-            if train_config.max_batches and batch_index >= train_config.max_batches:
-                done = True
-                break
+    # lazy: an epoch's batch order is drawn from rng only after the noise
+    # of the previous epoch's last batch
+    stream = (idxs for _ in range(train_config.epochs)
+              for idxs in make_batches(indexed, train_config.batch_size, rng))
+    for batch_index, idxs in enumerate(itertools.islice(stream, train_config.max_batches or None)):
+        batch = batch_arrays(indexed, idxs)
+        noise = rng.standard_normal((len(idxs), config.z_dim)).astype(np.float32) \
+            if config.is_latent else None
+        for p in params.values():
+            p.zero_grad()
+        try:
+            loss, breakdown = total_loss(batch, params, config, noise=noise,
+                                         batch_index=batch_index)
+            backward(loss)
+            clip_gradients(params, train_config.clip_norm)
+            adam_step(params, state)
+        except (NumericError, DivergenceError) as e:
+            save()  # the failed batch changed no parameter
+            raise DivergenceError(f"aborted at batch {batch_index}: {e}") from e
+        history.append(breakdown)
+        if log_every and len(history) % log_every == 0:
+            print(f"batch {len(history)}: total={breakdown.total:.4f} "
+                  f"recon={breakdown.reconstruction:.4f} kl={breakdown.kl_user:.4f}")
+        if train_config.checkpoint_every and len(history) % train_config.checkpoint_every == 0:
+            M.save_checkpoint(ckpt_path, params, config)
     save()
     return ckpt_path, history

@@ -90,7 +90,7 @@ def test_bad_config_key_exits_1(workdir, capsys):
 
 
 @pytest.mark.parametrize("line", ["use_r1=True", "decode_with_user=yes", "epochs=ten",
-                                  "variant=GPT", "z_dim=0"])
+                                  "variant=GPT", "z_dim=0", "vocab_size=5", "num_users=1"])
 def test_bad_config_value_exits_1(workdir, capsys, line):
     tmp_path, data, config = workdir
     bad = tmp_path / "bad.cfg"
@@ -101,6 +101,16 @@ def test_bad_config_value_exits_1(workdir, capsys, line):
     key = line.partition("=")[0]
     assert f"{bad}:{lineno}: {key}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_config_that_is_not_utf8_names_the_line(workdir, capsys):
+    tmp_path, data, _ = workdir
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(TOY_CONFIG.encode() + b"# caf\xff\n")
+    assert cli.main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 1
+    lineno = len(TOY_CONFIG.splitlines()) + 1
+    assert f"{bad}:{lineno}: not UTF-8" in capsys.readouterr().err
 
 
 def test_variant_flag_errors_name_the_flag(workdir, capsys):

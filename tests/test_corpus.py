@@ -1,5 +1,7 @@
 """Unit tests for corpus IO, vocabulary, splitting, and synthetic data."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,16 @@ def test_parse_line_field_count_error_mentions_line():
         C.parse_line("only one\ttab", 17)
     with pytest.raises(CorpusError, match="line 3"):
         C.parse_line("a\tb\tc\td", 3)
+
+
+def test_read_triples_errors_name_file_and_line(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_bytes(b"u\tq\tr\nu\tq \xff\tr\n")
+    with pytest.raises(CorpusError, match=re.escape(f"{path}:2: not UTF-8")):
+        C.read_triples(path)
+    path.write_text("u\tq\tr\nu\tq\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: line 2: expected 3")):
+        C.read_triples(path)
 
 
 def test_parse_line_empty_field():
@@ -103,6 +115,15 @@ def test_user_table():
         u.index("nobody", "test.tsv: ")
 
 
+def test_user_table_skips_the_unspecified_id(tmp_path):
+    """An id list that holds the unspecified user (as a corpus with
+    remapped sparse users does) still gives one row per user."""
+    u = UserTable.build([UNSPECIFIED_USER_ID, "alice"])
+    assert u.user_to_index == {UNSPECIFIED_USER_ID: UNSPECIFIED_USER, "alice": 1}
+    C.save_users(tmp_path / "users.txt", u)
+    assert C.load_users(tmp_path / "users.txt").user_to_index == u.user_to_index
+
+
 def test_vocab_and_users_file_roundtrip(tmp_path, tiny_triples):
     v = Vocabulary.build(tiny_triples)
     u = UserTable.build({t.user_id for t in tiny_triples})
@@ -123,7 +144,8 @@ def test_load_vocab_missing_reserved(tmp_path):
 def test_load_corpus_remaps_sparse_users(tmp_path):
     lines = ["big\tq\tr\n"] * 3 + ["small\tq\tr\n"]
     (tmp_path / "c.tsv").write_text("".join(lines), encoding="utf-8")
-    triples, vocab, users = C.load_corpus(tmp_path / "c.tsv", min_utterances=2)
+    triples = C.load_corpus(tmp_path / "c.tsv", min_utterances=2)
+    users = UserTable.build(t.user_id for t in triples)
     assert sum(1 for t in triples if t.user_id == UNSPECIFIED_USER_ID) == 1
     assert "small" not in users.user_to_index
     assert "big" in users.user_to_index

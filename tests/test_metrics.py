@@ -17,8 +17,6 @@ from pagen.metrics import (BigramLM, MetricConfig, bleu1, build_user_lms,
 def test_metric_config_validation():
     with pytest.raises(ValueError):
         MetricConfig(n_distractors=0)
-    with pytest.raises(ValueError):
-        MetricConfig(m_users=1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 checkpoint format."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -372,6 +373,20 @@ def test_checkpoint_cut_short_names_file_and_tensor(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:len(blob) // 2])
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: checkpoint cut short in tensor '\w+'"):
+        M.load_checkpoint(path)
+
+
+def test_checkpoint_dims_past_int64_read_as_cut_short(tmp_path):
+    """Dims whose product wraps to 0 in int64 (2**31 * 2**31 * 4) still
+    need more bytes than the file has."""
+    path = _saved(tmp_path)
+    blob = path.read_bytes()
+    header = b"\x05\x00out_b\x01"
+    assert blob.count(header) == 1
+    path.write_bytes(blob.replace(header, header[:-1] + b"\x03"
+                                  + struct.pack("<3I", 2**31, 2**31, 4)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint cut short "
+                                         "in tensor 'out_b'"):
         M.load_checkpoint(path)
 
 
