@@ -81,11 +81,13 @@ def _result(data, parents, backward_fn):
     return out
 
 
-def _accum(t, g):
+def _accum(t, g, owned=False):
+    """Add g to t.grad; an owned g (a buffer no one else holds) becomes
+    t's first gradient without a copy."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g if owned else g.copy()
     else:
         t.grad += g
 
@@ -459,6 +461,34 @@ def pick(a, indices):
         _accum(a, full.reshape(a.data.shape))
 
     return _result(flat[rows, cols].reshape(idx.shape), (a,), bwd)
+
+
+def log_softmax_pick(logits, targets):
+    """pick(log_softmax(logits), targets) with one target per row: each
+    row's log-probability of its target, for the reconstruction loss.
+
+    The saved (rows, V) log-softmax buffer becomes the logits' gradient in
+    the backward, 0 - softmax * g plus g at the targets: bitwise what the
+    two ops apart give, signed zeros included (they sum g over a row of
+    zeros, which gives g + 0)."""
+    idx = np.asarray(targets)
+    shape = logits.data.shape
+    if len(shape) < 2 or idx.shape != shape[:-1]:
+        raise ShapeError(f"log_softmax_pick: {shape} with targets {idx.shape}")
+    flat = logits.data.reshape(-1, shape[-1])
+    logp = flat - flat.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    rows, cols = np.arange(flat.shape[0]), idx.reshape(-1)
+
+    def bwd(g):
+        g = g.reshape(-1)
+        grad = np.exp(logp, out=logp)
+        grad *= (g + 0.0)[:, None]
+        np.subtract(0.0, grad, out=grad)
+        grad[rows, cols] += g
+        _accum(logits, grad.reshape(shape), owned=True)
+
+    return _result(logp[rows, cols].reshape(idx.shape), (logits,), bwd)
 
 
 def embedding(table, indices):

@@ -25,7 +25,7 @@ from . import model as M
 from . import selfcheck
 from .autodiff import ContractError, ShapeError
 from .model import ModelConfig
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, encode_triples, train
 
 
 ABLATIONS = {
@@ -267,13 +267,17 @@ def cmd_compare(args):
     train_set = C.read_triples(os.path.join(ref_dir, "train.tsv"))
     test_set = C.read_triples(os.path.join(ref_dir, "test.tsv"))
 
+    metric_config = MX.MetricConfig(rounds=args.rounds)
+    # the reference's beam-search distractors are the same for every variant
+    distractors = MX.make_distractors(encode_triples(test_set, vocab, users), ref_model,
+                                      metric_config, metric_config.n_distractors)
     rows = []
     for variant in variants:
         model = M.load_checkpoint(os.path.join(run_dirs[variant], "model.ckpt"))
         results, per_item = E.evaluate_model(
             model, ref_model, train_set, test_set, vocab, users,
-            metric_config=MX.MetricConfig(rounds=args.rounds), seed=args.seed,
-            metrics=("bleu1", "urank", "uppl", "udistinct"))
+            metric_config=metric_config, seed=args.seed,
+            metrics=("bleu1", "urank", "uppl", "udistinct"), distractors=distractors)
         write_report(os.path.join(args.out, variant, "eval"), results, per_item, {
             "command": "compare",
             "variant": variant,

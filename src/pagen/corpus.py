@@ -161,9 +161,12 @@ def save_vocab(path, vocab):
             f.write(vocab.index_to_token[i] + "\n")
 
 
+def _nonblank_lines(path):
+    return [s for s in (line.rstrip("\r\n") for line in read_lines(path)) if s]
+
+
 def load_vocab(path):
-    with open(path, encoding="utf-8") as f:
-        tokens = [line.rstrip("\n") for line in f if line.rstrip("\n")]
+    tokens = _nonblank_lines(path)
     if tokens[:4] != RESERVED:
         raise CorpusError(f"{path}: reserved tokens missing or misplaced")
     return Vocabulary(token_to_index={t: i for i, t in enumerate(tokens)})
@@ -176,8 +179,7 @@ def save_users(path, users):
 
 
 def load_users(path):
-    with open(path, encoding="utf-8") as f:
-        ids = [line.rstrip("\n") for line in f if line.rstrip("\n")]
+    ids = _nonblank_lines(path)
     if not ids or ids[0] != UNSPECIFIED_USER_ID:
         raise CorpusError(f"{path}: user table must start with the unspecified user")
     return UserTable(user_to_index={u: i for i, u in enumerate(ids)})

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import generation as G
+from .corpus import read_lines
 
 
 @dataclass
@@ -245,16 +246,16 @@ def bleu1(candidate, reference):
 def load_word_vectors(path):
     """Text format: header line "count dim", then "token v1 ... vd"."""
     vectors = {}
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().split()
-        count, dim = int(header[0]), int(header[1])
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            if vectors[parts[0]].shape != (dim,):
-                raise ValueError(f"bad vector dimension for token {parts[0]!r}")
+    lines = read_lines(path)
+    header = next(lines, "").split()
+    count, dim = int(header[0]), int(header[1])
+    for line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        if vectors[parts[0]].shape != (dim,):
+            raise ValueError(f"bad vector dimension for token {parts[0]!r}")
     if len(vectors) != count:
         raise ValueError(f"header count {count} != {len(vectors)} vectors")
     return vectors

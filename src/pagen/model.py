@@ -399,8 +399,8 @@ def teacher_forced_log_probs(reply_idx, reply_lengths, state, z, e_u, enc, param
     targets = np.where(t < reply_lengths, np.pad(reply_idx.T, ((0, 1), (0, 0))), EOS)
     inputs = np.concatenate([np.full((1, B), BOS), targets[:-1]])
     hs, _ = decoder_lstm(inputs, state, z, e_u, params, config)
-    logp = ad.log_softmax(output_logits(hs, enc, params, config, user_idx=user_idx))
-    picked = ad.pick(logp, targets)
+    picked = ad.log_softmax_pick(output_logits(hs, enc, params, config, user_idx=user_idx),
+                                 targets)
     mask = ad.constant((t <= reply_lengths).astype(picked.dtype))
     # a sum over axis 0 adds the steps one by one in time order (numpy
     # sums along the last axis pairwise, which would round differently)

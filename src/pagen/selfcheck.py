@@ -118,6 +118,12 @@ def primitive_cases(seed=0):
                   dict(state, W=W_plain)))
     cases.append(("lstm_static", lambda: lstm_loss(W_static, static=static),
                   dict(state, W=W_static, static=static)))
+
+    # drawn last, so that the cases above keep their inputs for every seed
+    logits = _param(rng, 2, 3, 5)
+    weights = ad.constant(rng.standard_normal((2, 3)))
+    cases.append(("log_softmax_pick", lambda: ad.reduce_sum(ad.mul(
+        ad.log_softmax_pick(logits, idx3), weights)), {"logits": logits}))
     return cases
 
 

@@ -9,17 +9,55 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as M
-from .autodiff import backward
+from .autodiff import ContractError, backward
 from .objective import total_loss, NumericError, LossBreakdown
 
 
 class DivergenceError(RuntimeError):
     pass
+
+
+# Adam runs over the flat arrays this many elements at a time, so that its
+# two scratch buffers stay small and in cache
+CHUNK = 65536
+
+
+def arena(params):
+    """(weights, grads): the two flat arrays that every .data and .grad of a
+    name -> Tensor dict are views into, in sorted-name order.
+
+    The dict counts as packed when its .data are contiguous views that fill
+    one array and its .grad views that fill another, as this function
+    leaves them.  Otherwise (not packed yet, or a .data or .grad rebound
+    since) it is packed again into new arrays by copying its values, a
+    missing gradient as zeros."""
+    ps = [params[k] for k in sorted(params)]
+    n = sum(p.data.size for p in ps)
+    W = ps[0].data.base if ps else None
+    G = ps[0].grad.base if ps and ps[0].grad is not None else None
+    if (W is not None and G is not None and W.size == G.size == n
+            and all(p.data.base is W and p.grad is not None and p.grad.base is G
+                    and p.data.flags.c_contiguous and p.grad.flags.c_contiguous for p in ps)):
+        return W, G
+    dtypes = sorted({str(p.data.dtype) for p in ps})
+    if len(dtypes) > 1:
+        raise ContractError(f"one arena holds one dtype, got {', '.join(dtypes)}")
+    W = np.empty(n, dtype=dtypes[0] if dtypes else np.float32)
+    G = np.zeros_like(W)
+    lo = 0
+    for p in ps:
+        data, grad = (x[lo:lo + p.data.size].reshape(p.data.shape) for x in (W, G))
+        lo += p.data.size
+        data[...] = p.data
+        if p.grad is not None:
+            grad[...] = p.grad
+        p.data, p.grad = data, grad
+    return W, G
 
 
 @dataclass
@@ -29,45 +67,60 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray = None    # flat moments, laid out as the arena of `layout`
+    v: np.ndarray = None
+    layout: tuple = ()      # (name, shape) of each parameter, in sorted order
 
 
 def clip_gradients(params, max_norm):
-    """Global-norm gradient clipping; returns the pre-clip norm."""
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = float(np.sqrt(total))
+    """Global-norm gradient clipping over the flat gradient, the norm summed
+    in float64; returns the pre-clip norm."""
+    _, G = arena(params)
+    norm = float(np.sqrt(np.einsum("i,i->", G, G, dtype=np.float64)))
     if max_norm and norm > max_norm:
-        scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+        G *= max_norm / norm
     return norm
 
 
 def adam_step(params, state):
-    """Standard bias-corrected Adam update in place, reading .grad.  Every
-    gradient is checked before any parameter or moment changes."""
-    names = [name for name in sorted(params) if params[name].grad is not None]
-    for name in names:
-        if not np.isfinite(params[name].grad).all():
-            raise DivergenceError(f"non-finite gradient for parameter {name}")
+    """Bias-corrected Adam (Kingma & Ba, arXiv:1412.6980) in place over the
+    flat arena, CHUNK elements at a time.  The gradient is checked before any
+    weight or moment changes.  A parameter no gradient reached has a zero
+    gradient, which leaves it unchanged while its moments are still zero."""
+    W, G = arena(params)
+    if G.size and not (np.isfinite(G.min()) and np.isfinite(G.max())):  # NaN propagates
+        bad = next(k for k in sorted(params) if not np.isfinite(params[k].grad).all())
+        raise DivergenceError(f"non-finite gradient for parameter {bad}")
+    layout = tuple((k, params[k].data.shape) for k in sorted(params))
+    if state.m is None:
+        state.m, state.v, state.layout = np.zeros_like(W), np.zeros_like(W), layout
+    elif state.layout != layout:
+        raise ContractError("AdamState holds the moments of another parameter set")
     state.step += 1
-    t = state.step
-    for name in names:
-        p = params[name]
-        g = p.grad
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / (1 - state.beta1 ** t)
-        v_hat = state.v[name] / (1 - state.beta2 ** t)
-        p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    c1, c2 = 1 - b1 ** state.step, 1 - b2 ** state.step
+    scratch = np.empty((2, min(CHUNK, W.size)), dtype=W.dtype)
+    # the per-parameter step's operation order, with Python-float scalars,
+    # so that every result is bitwise unchanged:
+    #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+    #   w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
+    for lo in range(0, W.size, CHUNK):
+        w, g, m, v = (x[lo:lo + CHUNK] for x in (W, G, state.m, state.v))
+        s, u = scratch[:, :g.size]
+        np.multiply(g, 1 - b1, out=s)
+        m *= b1
+        m += s
+        np.multiply(g, 1 - b2, out=s)
+        s *= g
+        v *= b2
+        v += s
+        np.divide(m, c1, out=s)
+        s *= lr
+        np.divide(v, c2, out=u)
+        np.sqrt(u, out=u)
+        u += eps
+        s /= u
+        w -= s
 
 
 @dataclass
@@ -140,8 +193,7 @@ def train(triples, vocab, users, config, train_config, seed, out_dir,
         batch = batch_arrays(indexed, idxs)
         noise = rng.standard_normal((len(idxs), config.z_dim)).astype(np.float32) \
             if config.is_latent else None
-        for p in params.values():
-            p.zero_grad()
+        arena(params)[1].fill(0)
         try:
             loss, breakdown = total_loss(batch, params, config, noise=noise,
                                          batch_index=batch_index)

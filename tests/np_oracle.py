@@ -116,3 +116,39 @@ def bow_logprob_np(pd, z, h_q, e_u, reply_idx, reply_lengths):
         mask = (t < reply_lengths).astype(z.dtype)
         total += logp[np.arange(B), reply_idx[:, t]] * mask
     return total
+
+
+def clip_gradients_np(grads, max_norm):
+    """Per-tensor global-norm clipping, the form the flat one replaced:
+    name -> gradient array (or None, skipped), scaled in place; returns the
+    pre-clip norm."""
+    total = 0.0
+    for g in grads.values():
+        if g is not None:
+            total += float((g.astype(np.float64) ** 2).sum())
+    norm = float(np.sqrt(total))
+    if max_norm and norm > max_norm:
+        scale = max_norm / norm
+        for g in grads.values():
+            if g is not None:
+                g *= scale
+    return norm
+
+
+def adam_step_np(data, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-parameter bias-corrected Adam at step t, the form the flat one
+    replaced.  data: name -> array, updated in place; a name whose gradient
+    is None is skipped, and its moments (name -> array in m and v) start at
+    zero with its first gradient."""
+    for name in sorted(data):
+        g = grads.get(name)
+        if g is None:
+            continue
+        if name not in m:
+            m[name] = np.zeros_like(data[name])
+            v[name] = np.zeros_like(data[name])
+        m[name] = beta1 * m[name] + (1 - beta1) * g
+        v[name] = beta2 * v[name] + (1 - beta2) * g * g
+        m_hat = m[name] / (1 - beta1 ** t)
+        v_hat = v[name] / (1 - beta2 ** t)
+        data[name] -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(data[name].dtype)

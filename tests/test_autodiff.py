@@ -72,6 +72,42 @@ def test_shape_errors_name_the_op():
         ad.contract("ij,j->j", a, Tensor(np.ones(3)))  # i summed inside one operand
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_log_softmax_pick_is_bitwise_log_softmax_then_pick(dtype):
+    # (T, B, V) logits as in teacher forcing.  The mask zeroes two rows,
+    # whose gradients arrive as +0.0 and -0.0, and one row's softmax
+    # underflows to 0 away from its largest logit.
+    rng = np.random.default_rng(5)
+    data = (rng.standard_normal((4, 3, 11)) * 3).astype(dtype)
+    data[0, 0, 0] = 1000.0
+    targets = rng.integers(0, 11, (4, 3))
+    mask = Tensor(np.array([[1, 1, 1], [1, 0, 1], [1, 0, 1], [1, 1, 1]], dtype=dtype))
+    weights = Tensor(rng.standard_normal((4, 3)).astype(dtype))
+    assert weights.data[1, 1] * weights.data[2, 1] < 0
+
+    def run(fused):
+        x = Tensor(data.copy(), requires_grad=True)
+        h = ad.scale(x, 1.0)  # an op output, as the logits are in the model
+        out = (ad.log_softmax_pick(h, targets) if fused
+               else ad.pick(ad.log_softmax(h), targets))
+        backward(ad.reduce_sum(ad.mul(ad.mul(out, mask), weights)))
+        return out.data, x.grad
+
+    (v1, g1), (v2, g2) = run(True), run(False)
+    assert v1.dtype == g1.dtype == dtype
+    assert v1.tobytes() == v2.tobytes() and g1.tobytes() == g2.tobytes()
+
+
+def test_log_softmax_pick_takes_one_target_per_row():
+    x = Tensor(np.ones((2, 3, 4)))
+    for bad in (np.zeros((2, 3, 2), dtype=np.int64), np.zeros((3, 2), dtype=np.int64),
+                np.zeros(2, dtype=np.int64)):
+        with pytest.raises(ShapeError, match="log_softmax_pick"):
+            ad.log_softmax_pick(x, bad)
+    with pytest.raises(ShapeError, match="log_softmax_pick"):
+        ad.log_softmax_pick(Tensor(np.ones(4)), np.zeros((), dtype=np.int64))
+
+
 def test_embedding_index_contract():
     table = Tensor(np.ones((4, 2)), requires_grad=True)
     with pytest.raises(ContractError):

@@ -4,6 +4,9 @@ import pytest
 
 from pagen import cli
 from pagen import corpus as C
+from pagen import evaluate as E
+from pagen import metrics as MX
+from pagen import model as M
 
 TOY_CONFIG = """\
 variant=CVAE
@@ -250,6 +253,37 @@ def test_compare_two_variants(workdir, capsys):
         assert (out / variant / "eval" / "report.txt").exists()
     table = capsys.readouterr().out
     assert "S2SA" in table and "CVAE" in table
+
+
+def test_compare_builds_the_reference_distractors_once(workdir, monkeypatch):
+    tmp_path, data, config = workdir
+    out = tmp_path / "cmp"
+    real, calls = MX.make_distractors, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(MX, "make_distractors", counted)
+    variants = ("S2SA", "CVAE", "PAGENERATOR")
+    assert cli.main(["compare", "--config", str(config), "--data", str(data),
+                     "--variants", ",".join(variants), "--reference", "S2SA",
+                     "--rounds", "2", "--seed", "1", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    # every row is what evaluate_model gives with distractors of its own
+    ref, vocab, users = cli.load_model_dir(out / "S2SA" / "model.ckpt")
+    train_set, test_set = (C.read_triples(out / "S2SA" / f) for f in ("train.tsv", "test.tsv"))
+    lines = [",".join(("variant",) + tuple(cli.REPORT_KEYS))]
+    for variant in variants:
+        results, _ = E.evaluate_model(
+            M.load_checkpoint(out / variant / "model.ckpt"), ref, train_set, test_set, vocab,
+            users, metric_config=MX.MetricConfig(rounds=2), seed=1,
+            metrics=("bleu1", "urank", "uppl", "udistinct"))
+        lines.append(",".join([variant] + [repr(results.get(k, float("nan")))
+                                           for k in cli.REPORT_KEYS]))
+    assert len(calls) == 4
+    assert (out / "comparison.csv").read_bytes() == "".join(
+        line + "\r\n" for line in lines).encode()
 
 
 def test_compare_rejects_single_variant(workdir, capsys):

@@ -135,6 +135,17 @@ def test_vocab_and_users_file_roundtrip(tmp_path, tiny_triples):
     assert u2.user_to_index == u.user_to_index
 
 
+@pytest.mark.parametrize("reader", ["load_vocab", "load_users"])
+def test_vocab_and_users_not_utf8_name_the_line(tmp_path, tiny_triples, reader):
+    C.save_vocab(tmp_path / "load_vocab.txt", Vocabulary.build(tiny_triples))
+    C.save_users(tmp_path / "load_users.txt", UserTable.build({"alice", "bob"}))
+    path = tmp_path / f"{reader}.txt"
+    lines = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join(lines[:1] + [b"caf\xff"] + lines[1:]))
+    with pytest.raises(CorpusError, match=re.escape(f"{path}:2: not UTF-8")):
+        getattr(C, reader)(path)
+
+
 def test_load_vocab_missing_reserved(tmp_path):
     (tmp_path / "vocab.txt").write_text("hello\nworld\n", encoding="utf-8")
     with pytest.raises(CorpusError):

@@ -1,11 +1,13 @@
 """Unit tests for the persona metrics and the standard ones."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conftest import toy_config
+from pagen import corpus as C
 from pagen import metrics as MX
 from pagen import model as M
 from pagen import selfcheck as SC
@@ -270,4 +272,11 @@ def test_word_vector_bad_dim(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("1 3\na 1.0 2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="dimension"):
+        load_word_vectors(path)
+
+
+def test_word_vectors_not_utf8_name_the_line(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_bytes(b"2 2\na 1.0 2.0\ncaf\xff 0.5 0.5\n")
+    with pytest.raises(C.CorpusError, match=re.escape(f"{path}:3: not UTF-8")):
         load_word_vectors(path)

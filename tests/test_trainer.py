@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import np_oracle
 from conftest import toy_config
 from pagen import corpus as C
 from pagen import model as M
 from pagen import trainer as T
-from pagen.autodiff import Tensor
+from pagen.autodiff import ContractError, Tensor
 from pagen.trainer import (AdamState, DivergenceError, TrainConfig, adam_step,
                            batch_arrays, clip_gradients, encode_triples,
                            make_batches, train)
@@ -65,7 +66,7 @@ def test_adam_checks_every_gradient_before_updating():
         p.grad = rng.standard_normal(3)
     adam_step(params, state)
     before = {k: p.data.copy() for k, p in params.items()}
-    moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in params}
+    moments = state.m.copy(), state.v.copy()
     for p in params.values():
         p.grad = rng.standard_normal(3)
     params["z_last"].grad[1] = np.nan
@@ -74,8 +75,8 @@ def test_adam_checks_every_gradient_before_updating():
     assert state.step == 1
     for k, p in params.items():
         assert np.array_equal(p.data, before[k])
-        assert np.array_equal(state.m[k], moments[k][0])
-        assert np.array_equal(state.v[k], moments[k][1])
+    # the moments are flat arrays over every parameter
+    assert np.array_equal(state.m, moments[0]) and np.array_equal(state.v, moments[1])
 
 
 def test_clip_gradients():
@@ -90,6 +91,72 @@ def test_clip_gradients():
     b.grad = np.array([0.4])
     clip_gradients({"a": a, "b": b}, max_norm=1.0)
     assert a.grad[0] == pytest.approx(0.3)
+
+
+def _mixed_params(rng):
+    # one chunk and a part of another: the total is not a multiple of CHUNK
+    shapes = {"big": (300, 251), "bias": (7,), "cube": (13, 5, 3), "late": (4, 6)}
+    assert T.CHUNK < sum(np.prod(s) for s in shapes.values()) < 2 * T.CHUNK
+    params = {k: Tensor(rng.uniform(-0.08, 0.08, s).astype(np.float32), requires_grad=True)
+              for k, s in shapes.items()}
+    return shapes, params
+
+
+def test_flat_adam_is_bitwise_the_per_parameter_step():
+    rng = np.random.default_rng(3)
+    shapes, params = _mixed_params(rng)
+    data = {k: p.data.copy() for k, p in params.items()}
+    m, v = {}, {}
+    state = AdamState(lr=0.01)
+    for t in range(1, 6):
+        grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        if t == 1:
+            grads["late"] = None  # its first gradient arrives at step 2
+        for k, p in params.items():
+            if t <= 2 or grads[k] is None:
+                p.grad = None if grads[k] is None else grads[k].copy()  # packed again
+            else:
+                p.grad[...] = grads[k]  # written through the arena's view
+        adam_step(params, state)
+        np_oracle.adam_step_np(data, grads, m, v, t, lr=0.01)
+        for k, p in params.items():
+            assert p.data.dtype == np.float32
+            assert p.data.tobytes() == data[k].tobytes(), (t, k)
+    assert state.step == 5
+
+
+def test_flat_clip_matches_the_per_tensor_norm():
+    rng = np.random.default_rng(4)
+    shapes, params = _mixed_params(rng)
+    grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+    grads["late"] = None
+    for k, p in params.items():
+        p.grad = None if grads[k] is None else grads[k].copy()
+    want = np_oracle.clip_gradients_np(grads, max_norm=5.0)
+    # the float64 sums run in another order: a few float64 roundings apart
+    assert clip_gradients(params, max_norm=5.0) == pytest.approx(want, rel=1e-12)
+    for k, p in params.items():
+        expect = np.zeros(shapes[k], np.float32) if grads[k] is None else grads[k]
+        np.testing.assert_allclose(p.grad, expect, rtol=1e-6)
+
+
+def test_adam_packs_arrays_it_did_not_make_by_value():
+    # the weights and the gradient each fill an array of their own, the
+    # gradient in another element order: not an arena, so packed by copying
+    data = np.arange(6.0).reshape(2, 3)
+    p = Tensor(data, requires_grad=True)
+    p.grad = np.arange(6.0).reshape(3, 2).T
+    want = {"w": data.copy()}
+    np_oracle.adam_step_np(want, {"w": p.grad.copy()}, {}, {}, 1, lr=0.1)
+    adam_step({"w": p}, AdamState(lr=0.1))
+    assert p.data.tobytes() == want["w"].tobytes()
+
+
+def test_adam_rejects_mixed_dtypes():
+    params = {"a": Tensor(np.zeros(2, np.float32), requires_grad=True),
+              "b": Tensor(np.zeros(2, np.float64), requires_grad=True)}
+    with pytest.raises(ContractError, match="float32, float64"):
+        adam_step(params, AdamState())
 
 
 def test_make_batches_partitions_and_buckets():
@@ -164,6 +231,19 @@ def test_train_writes_history_and_checkpoint(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0][:2] == ["batch", "reconstruction"]
     assert len(rows) == 4
+
+
+def test_train_packs_weights_and_gradients_into_one_array_each(tmp_path):
+    triples, vocab, users = _tiny_setup()
+    cfg = toy_config(variant="PAGENERATOR", vocab_size=len(vocab), num_users=len(users))
+    params = M.init_params(cfg, seed=0)
+    train(triples, vocab, users, cfg, TrainConfig(batch_size=16, epochs=1, max_batches=2),
+          seed=0, out_dir=tmp_path / "r", params=params)
+    for attr in ("data", "grad"):
+        bases = {id(getattr(p, attr).base) for p in params.values()}
+        assert len(bases) == 1, attr
+        flat = getattr(params["word_emb"], attr).base
+        assert flat.size == sum(p.data.size for p in params.values()), attr
 
 
 def test_divergence_writes_last_good_state(tmp_path, monkeypatch):
