@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -185,8 +186,7 @@ def cmd_generate(args):
         return G.GenRequest(query=tokens, user_index=user, beam_width=args.beam,
                             max_length=args.max_length, z_mode=args.mode, seed=seed)
 
-    def reply(req):
-        hyps = G.generate(req, params, config)
+    def reply(hyps):
         return " ".join(vocab.decode(hyps[0].tokens)) if hyps and hyps[0].tokens else ""
 
     if args.input:
@@ -199,13 +199,13 @@ def cmd_generate(args):
                                         f"{args.input}:{i + 1}: "))
         with open(args.output or args.input + ".out", "w", encoding="utf-8",
                   newline="\n") as f_out:
-            for req in requests:
-                f_out.write(reply(req) + "\n")
+            for hyps in G.generate_many(requests, params, config):
+                f_out.write(reply(hyps) + "\n")
         return 0
     if not args.query:
         print("error: --query or --input required", file=sys.stderr)
         return 2
-    print(reply(request(args.user, args.query, args.seed, "")))
+    print(reply(G.generate(request(args.user, args.query, args.seed, ""), params, config)))
     return 0
 
 
@@ -251,6 +251,13 @@ def cmd_report(args):
     return 0
 
 
+def by_urank(row):
+    """Sort key of a (label, results) row: best uRank first, a missing or
+    nan uRank (no item had enough distractors) last."""
+    u = row[1].get("urank")
+    return math.inf if u is None or math.isnan(u) else -u
+
+
 def cmd_compare(args):
     variants = args.variants.split(",")
     if len(variants) < 2:
@@ -293,7 +300,7 @@ def cmd_compare(args):
         w.writerow(("variant",) + tuple(REPORT_KEYS))
         for label, res in rows:
             w.writerow([label] + [repr(res.get(k, float("nan"))) for k in REPORT_KEYS])
-    rows.sort(key=lambda r: -(r[1].get("urank") or 0.0))
+    rows.sort(key=by_urank)
     print(format_table(rows))
     return 0
 

@@ -17,15 +17,12 @@ ALL_METRICS = ("bleu1", "embed", "urank", "uppl", "udistinct")
 def generate_responses(model, test_triples, vocab, users, seed=0, beam_width=10,
                        max_length=30):
     """Top beam hypothesis per test triple, decoded back to tokens."""
-    params, config = model
-    out = []
-    for i, t in enumerate(test_triples):
-        req = G.GenRequest(query=vocab.encode(t.query), user_index=users.index(t.user_id),
-                           beam_width=beam_width, max_length=max_length,
-                           z_mode="sample", seed=seed * 100000 + i)
-        hyps = G.generate(req, params, config)
-        out.append(vocab.decode(hyps[0].tokens) if hyps and hyps[0].tokens else [])
-    return out
+    reqs = [G.GenRequest(query=vocab.encode(t.query), user_index=users.index(t.user_id),
+                         beam_width=beam_width, max_length=max_length,
+                         z_mode="sample", seed=seed * 100000 + i)
+            for i, t in enumerate(test_triples)]
+    return [vocab.decode(hs[0].tokens) if hs and hs[0].tokens else []
+            for hs in G.generate_many(reqs, *model)]
 
 
 def evaluate_model(model, reference, train_triples, test_triples, vocab, users,

@@ -1,5 +1,6 @@
 """Response generation: prior z sampling at inference time, greedy
-decoding as beam width 1, and beam search with a single z per request."""
+decoding as beam width 1, and one batched beam search with a single z per
+request."""
 
 from __future__ import annotations
 
@@ -11,6 +12,12 @@ from . import autodiff as ad
 from . import model as M
 from .autodiff import ContractError, no_grad
 from .corpus import BOS, EOS, UNSPECIFIED_USER
+
+# Most decoder rows (live beams) in one batched beam search: generate_many
+# splits longer request lists into groups whose beam widths sum to at most
+# this.  Each step holds a few (rows, V) float32 buffers, so at the paper's
+# V=20004 a full group costs about 20 MB per buffer.
+MAX_ROWS = 256
 
 
 @dataclass
@@ -38,86 +45,160 @@ class GenRequest:
             raise ContractError(f"unknown z mode {self.z_mode!r}")
 
 
-def _draw_z(enc_final, user_index, params, config, z_mode, seed):
-    """One z per request from the prior p(z | q, u); None if not latent."""
+def _draw_z(enc_final, user_idx, params, config, draws):
+    """z vectors from the prior p(z | q, u), stacked (len(draws), z_dim);
+    None if not latent.  draws holds one (query row, z_mode, seed) per z."""
     if not config.is_latent:
         return None
-    prior_idx = M.prior_user_index(np.array([user_index]), config)
-    e_u = M.user_embedding(prior_idx, params, config)
+    e_u = M.user_embedding(M.prior_user_index(user_idx, config), params, config)
     prior = M.prior_net(enc_final, e_u, params, config)
-    mu = prior.mu.data[0]
-    if z_mode == "mean":
-        return mu.copy()
-    std = np.exp(0.5 * prior.log_var.data[0])
-    eps = np.random.default_rng(seed).standard_normal(config.z_dim).astype(mu.dtype)
-    return mu + std * eps
+    z = np.empty((len(draws), config.z_dim), dtype=prior.mu.dtype)
+    for j, (row, z_mode, seed) in enumerate(draws):
+        mu = prior.mu.data[row]
+        if z_mode == "mean":
+            z[j] = mu
+            continue
+        std = np.exp(0.5 * prior.log_var.data[row])
+        eps = np.random.default_rng(seed).standard_normal(config.z_dim).astype(mu.dtype)
+        z[j] = mu + std * eps
+    return z
 
 
-def _rows(enc, z_vec, user_index, k, params, config):
-    """The k decoder rows of one request: (encoder output tiled k times,
-    z, the decoder's user embedding, user indices)."""
-    enc_k = M.EncoderOutput(final=ad.constant(np.repeat(enc.final.data, k, axis=0)),
-                            states=ad.constant(np.repeat(enc.states.data, k, axis=1)),
-                            mask=np.repeat(enc.mask, k, axis=0))
-    z = ad.constant(np.repeat(z_vec[None, :], k, axis=0)) if z_vec is not None else None
-    u_idx = np.full(k, user_index, dtype=np.int64)
-    e_u = M.user_embedding(u_idx, params, config) if config.decoder_uses_user else None
-    return enc_k, z, e_u, u_idx
+def _rows(enc, src, z, user_idx, params, config):
+    """Decoder rows that read encoder row src[j], z row z[j] and user
+    user_idx[j]: (the encoder states attention reads, None without
+    attention; z; the decoder's user embedding)."""
+    enc_k = M.EncoderOutput(final=None, states=ad.constant(enc.states.data[:, src]),
+                            mask=enc.mask[src]) if config.use_attention else None
+    z = ad.constant(z) if z is not None else None
+    e_u = M.user_embedding(user_idx, params, config) if config.decoder_uses_user else None
+    return enc_k, z, e_u
+
+
+def _check(query, user_index, config):
+    if not query:
+        raise ContractError("empty query")
+    if not 0 <= user_index < config.num_users:
+        raise ContractError(f"unknown user index {user_index}")
 
 
 def generate(request, params, config):
-    """Beam search; returns hypotheses sorted by length-normalized score."""
-    if not request.query:
-        raise ContractError("empty query")
-    width = request.beam_width
+    """Beam search for one request; returns hypotheses sorted by
+    length-normalized score."""
+    return generate_many([request], params, config)[0]
+
+
+def generate_many(requests, params, config):
+    """Beam search for many requests at once; returns one hypothesis list
+    per request, each sorted by length-normalized score.
+
+    Every live beam of every request is one row of a single decoder batch
+    (at most MAX_ROWS rows; longer lists run in groups).  Each request keeps
+    its own z, user, max_length, finished list, stop rule and top-W
+    selection.  Every request is checked before any decoding."""
+    for r in requests:
+        _check(r.query, r.user_index, config)
+    out, group, rows = [], [], 0
+    for r in requests:
+        if group and rows + r.beam_width > MAX_ROWS:
+            out += _beam_search(group, params, config)
+            group, rows = [], 0
+        group.append(r)
+        rows += r.beam_width
+    return out + _beam_search(group, params, config) if group else out
+
+
+def _beam_search(requests, params, config):
+    n = len(requests)
+    users = np.array([r.user_index for r in requests], dtype=np.int64)
     with no_grad():
-        enc = M.encode_batch(*M.pad_batch([request.query]), params, config)
-        z_vec = _draw_z(enc.final, request.user_index, params, config,
-                        request.z_mode, request.seed)
-        h, c = (s.data for s in M.decoder_init_state(enc.final, params, config, 1))
-        # live beams: one row of BOS + tokens each, and its summed log-prob
-        tokens, scores = np.full((1, 1), BOS), np.zeros(1, dtype=h.dtype)
-        finished = []
-        for step in range(request.max_length):
-            enc_k, z, e_u, u_idx = _rows(enc, z_vec, request.user_index, len(tokens),
-                                         params, config)
-            logp, (h_new, c_new) = M.decode_step(tokens[:, -1], (ad.constant(h), ad.constant(c)),
-                                                 z, e_u, enc_k, params, config, user_idx=u_idx)
+        enc = M.encode_batch(*M.pad_batch([r.query for r in requests]), params, config)
+        z_all = _draw_z(enc.final, users, params, config,
+                        [(i, r.z_mode, r.seed) for i, r in enumerate(requests)])
+        h, c = (s.data for s in M.decoder_init_state(enc.final, params, config, n))
+        # per request: its live beams as rows of BOS + tokens and their summed
+        # log-probs; the live rows of the requests in `live` are contiguous
+        # and in order in h, c and src (each live row's request)
+        tokens = [np.full((1, 1), BOS)] * n
+        scores = [np.zeros(1, dtype=h.dtype)] * n
+        finished = [[] for _ in range(n)]
+        live = [i for i, r in enumerate(requests) if r.max_length > 0]
+        src, step = np.array(live, dtype=np.int64), 0
+        if len(live) < n:
+            h, c = h[live], c[live]
+        while live:
+            counts = [len(tokens[i]) for i in live]
+            u_idx = users[src]
+            enc_k, z, e_u = _rows(enc, src, z_all[src] if z_all is not None else None,
+                                  u_idx, params, config)
+            prev = np.concatenate([tokens[i][:, -1] for i in live])
+            logp, (h_new, c_new) = M.decode_step(prev, (ad.constant(h), ad.constant(c)),
+                                                 z, e_u, enc_k, params, config,
+                                                 user_idx=u_idx)
             logp = logp.data
             logp[:, [0, 1, 2]] = -np.inf  # never emit PAD/UNK/BOS
             if step == 0:
                 logp[:, EOS] = -np.inf  # no empty replies
-            total = scores[:, None] + logp
-            # top-W (beam, token) pairs by score; the stable sort over the
-            # row-major flattening breaks ties by beam, then by token
-            order = np.argsort(-total, axis=None, kind="stable")[:width]
-            beam, tok = np.divmod(order, total.shape[1])
-            # EOS retires a hypothesis, the rest carry on
-            eos = tok == EOS
-            finished += [Hypothesis(tokens[i, 1:].tolist(), total[i, EOS]) for i in beam[eos]]
-            keep, tok = beam[~eos], tok[~eos]
-            tokens = np.concatenate([tokens[keep], tok[:, None]], axis=1)
-            scores, h, c = total[keep, tok], h_new.data[keep], c_new.data[keep]
-            if not len(keep) or len(finished) >= width:
-                break
-        finished += [Hypothesis(t[1:].tolist(), s) for t, s in zip(tokens, scores)]  # max length
-        finished.sort(key=lambda hyp: -hyp.normalized())
-        return finished[:width]
+            still, keep_rows, start = [], [], 0
+            for i, k in zip(live, counts):
+                width = requests[i].beam_width
+                total = scores[i][:, None] + logp[start:start + k]
+                # top-W (beam, token) pairs by score; the stable sort over the
+                # row-major flattening breaks ties by beam, then by token
+                order = np.argsort(-total, axis=None, kind="stable")[:width]
+                beam, tok = np.divmod(order, total.shape[1])
+                # EOS retires a hypothesis, the rest carry on
+                eos = tok == EOS
+                finished[i] += [Hypothesis(tokens[i][b, 1:].tolist(), total[b, EOS])
+                                for b in beam[eos]]
+                keep, tok = beam[~eos], tok[~eos]
+                tokens[i] = np.concatenate([tokens[i][keep], tok[:, None]], axis=1)
+                scores[i] = total[keep, tok]
+                if len(keep) and len(finished[i]) < width and step + 1 < requests[i].max_length:
+                    still.append(i)
+                    keep_rows.append(keep + start if start else keep)
+                start += k
+            if still:
+                rows = keep_rows[0] if len(keep_rows) == 1 else np.concatenate(keep_rows)
+                h, c, src = h_new.data[rows], c_new.data[rows], src[rows]
+            live, step = still, step + 1
+    results = []
+    for r, done, toks, sc in zip(requests, finished, tokens, scores):
+        done += [Hypothesis(t[1:].tolist(), s) for t, s in zip(toks, sc)]  # still live
+        done.sort(key=lambda hyp: -hyp.normalized())
+        results.append(done[:r.beam_width])
+    return results
 
 
 def score_responses(query, replies, user_index, params, config, seed=0):
     """Teacher-forced log-probability of each reply given (q, u) and one
     shared z drawn from the prior with the request seed.  Raw sums, no
     length normalization (the ranking metric depends on raw scores)."""
+    return score_rounds(query, replies, user_index, params, config, [seed])[0]
+
+
+def score_rounds(query, replies, user_index, params, config, seeds):
+    """score_responses for every seed in one teacher-forced pass: the query
+    is encoded once, one z is drawn from the prior per seed, and all
+    len(seeds) x len(replies) rows are scored together.  Returns a
+    (len(seeds), len(replies)) float64 array."""
     if not replies or any(not r for r in replies):
         raise ContractError("replies must be nonempty")
-    n = len(replies)
+    if not seeds:
+        raise ContractError("no seeds to score with")
+    _check(query, user_index, config)
+    n = len(seeds) * len(replies)
     with no_grad():
         enc = M.encode_batch(*M.pad_batch([query]), params, config)
-        z_vec = _draw_z(enc.final, user_index, params, config, "sample", seed)
-        enc_n, z, e_u, u_idx = _rows(enc, z_vec, user_index, n, params, config)
-        state = M.decoder_init_state(enc_n.final, params, config, n)
+        users = np.full(n, user_index, dtype=np.int64)
+        z_all = _draw_z(enc.final, users[:1], params, config,
+                        [(0, "sample", seed) for seed in seeds])
+        z = np.repeat(z_all, len(replies), axis=0) if z_all is not None else None
+        src = np.zeros(n, dtype=np.int64)
+        enc_n, z, e_u = _rows(enc, src, z, users, params, config)
+        state = M.decoder_init_state(ad.constant(enc.final.data[src]), params, config, n)
         r_idx, r_len = M.pad_batch(replies)
-        lp = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc_n, params,
-                                        config, user_idx=u_idx)
-        return lp.data.astype(np.float64)
+        lp = M.teacher_forced_log_probs(np.concatenate([r_idx] * len(seeds)),
+                                        np.concatenate([r_len] * len(seeds)), state, z, e_u,
+                                        enc_n, params, config, user_idx=users)
+        return lp.data.astype(np.float64).reshape(len(seeds), len(replies))

@@ -145,25 +145,26 @@ def urank(eval_items, model, reference, config, seed=0):
     1 when the evaluated model ranks the truth strictly better than the
     reference does.  Latent models are averaged over config.rounds z seeds;
     a non-latent model ignores the seed, so it is scored once per item.
+    With no item that has enough distractors, uRank is nan.
     """
     rounds = config.rounds if model[1].is_latent or reference[1].is_latent else 1
     usable = [(u, q, r, d) for u, q, r, d in eval_items if len(d) >= config.n_distractors]
     skipped = len(eval_items) - len(usable)
+    if not usable:
+        return URankReport(value=float("nan"), spread=float("nan"), skipped=skipped)
 
-    def ranks(params, cfg, rnd):
-        return [rank_count(G.score_responses(q, [r] + list(d[: config.n_distractors]), u,
-                                             params, cfg, seed=seed * 1000 + rnd))
-                for u, q, r, d in usable]
+    def ranks(params, cfg):
+        """(rounds, items) rank counts, all rounds of an item in one call."""
+        seeds = [seed * 1000 + rnd for rnd in range(rounds if cfg.is_latent else 1)]
+        out = np.empty((rounds, len(usable)), dtype=np.int64)
+        for j, (u, q, r, d) in enumerate(usable):
+            scores = G.score_rounds(q, [r] + list(d[: config.n_distractors]), u,
+                                    params, cfg, seeds)
+            out[:, j] = [rank_count(s) for s in scores]  # one seed fills every round
+        return out
 
-    def ranks_per_round(params, cfg):
-        if not cfg.is_latent:
-            return [ranks(params, cfg, 0)] * rounds
-        return [ranks(params, cfg, rnd) for rnd in range(rounds)]
-
-    per_round = []
-    for rank_m, rank_s in zip(ranks_per_round(*model), ranks_per_round(*reference)):
-        hits = sum(a < b for a, b in zip(rank_m, rank_s))
-        per_round.append(hits / len(usable) if usable else 0.0)
+    hits = (ranks(*model) < ranks(*reference)).sum(axis=1)
+    per_round = [h / len(usable) for h in hits.tolist()]
     value = float(np.mean(per_round))
     spread = float(np.max(per_round) - np.min(per_round)) if len(per_round) > 1 else 0.0
     return URankReport(value=value, per_round=per_round, spread=spread, skipped=skipped)
@@ -172,14 +173,12 @@ def urank(eval_items, model, reference, config, seed=0):
 def make_distractors(eval_items_raw, reference, config, n):
     """Generate n user-irrelevant responses per query from the reference
     model via beam search.  eval_items_raw: (user_index, query, reply)."""
-    s_params, s_config = reference
-    out = []
-    for u, q, r in eval_items_raw:
-        req = G.GenRequest(query=q, beam_width=max(n + 2, config.beam_width),
-                           max_length=config.max_length, z_mode="mean")
-        hyps = [h for h in G.generate(req, s_params, s_config) if h.tokens]
-        out.append((u, q, r, [h.tokens for h in hyps[:n]]))
-    return out
+    reqs = [G.GenRequest(query=q, beam_width=max(n + 2, config.beam_width),
+                         max_length=config.max_length, z_mode="mean")
+            for _, q, _ in eval_items_raw]
+    hyps = G.generate_many(reqs, *reference)
+    return [(u, q, r, [h.tokens for h in hs if h.tokens][:n])
+            for (u, q, r), hs in zip(eval_items_raw, hyps)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +199,14 @@ def udistinct(queries, user_indices, model, seed=0, max_length=30):
     query across m users, averaged over the query set."""
     if len(user_indices) < 2:
         raise ValueError("udistinct needs at least 2 users")
-    params, config = model
+    reqs = [G.GenRequest(query=q, user_index=u, beam_width=1, max_length=max_length,
+                         z_mode="sample", seed=seed * 10000 + qi * 100 + u)
+            for qi, q in enumerate(queries) for u in user_indices]
+    hyps = G.generate_many(reqs, *model)
+    m = len(user_indices)
     d1s, d2s, skipped = [], [], 0
-    for qi, q in enumerate(queries):
-        responses = []
-        for u in user_indices:
-            req = G.GenRequest(query=q, user_index=u, beam_width=1,
-                               max_length=max_length, z_mode="sample",
-                               seed=seed * 10000 + qi * 100 + u)
-            hyps = G.generate(req, params, config)
-            responses.append(hyps[0].tokens if hyps else [])
+    for qi in range(len(queries)):
+        responses = [hs[0].tokens if hs else [] for hs in hyps[qi * m:(qi + 1) * m]]
         d1 = distinct_n(responses, 1)
         d2 = distinct_n(responses, 2)
         if d1 is None:

@@ -2,10 +2,16 @@
 
 Nothing here touches the autodiff graph; every function works on raw
 arrays pulled out of the parameter tensors, so agreement with the library
-is evidence rather than tautology.
+is evidence rather than tautology.  The exceptions are at the end: the
+single-request beam search and scoring that the batched ones replaced,
+kept on the model's layers as bitwise references.
 """
 
 import numpy as np
+
+from pagen import autodiff as ad
+from pagen import model as M
+from pagen.generation import Hypothesis
 
 BOS, EOS = 2, 3
 
@@ -152,3 +158,79 @@ def adam_step_np(data, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         m_hat = m[name] / (1 - beta1 ** t)
         v_hat = v[name] / (1 - beta2 ** t)
         data[name] -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(data[name].dtype)
+
+
+# ---------------------------------------------------------------------------
+# the single-request beam search and scoring that the batched ones replaced
+
+def draw_z(enc_final, user_index, params, config, z_mode, seed):
+    """One z per request from the prior p(z | q, u); None if not latent."""
+    if not config.is_latent:
+        return None
+    prior_idx = M.prior_user_index(np.array([user_index]), config)
+    e_u = M.user_embedding(prior_idx, params, config)
+    prior = M.prior_net(enc_final, e_u, params, config)
+    mu = prior.mu.data[0]
+    if z_mode == "mean":
+        return mu.copy()
+    std = np.exp(0.5 * prior.log_var.data[0])
+    eps = np.random.default_rng(seed).standard_normal(config.z_dim).astype(mu.dtype)
+    return mu + std * eps
+
+
+def _rows(enc, z_vec, user_index, k, params, config):
+    enc_k = M.EncoderOutput(final=ad.constant(np.repeat(enc.final.data, k, axis=0)),
+                            states=ad.constant(np.repeat(enc.states.data, k, axis=1)),
+                            mask=np.repeat(enc.mask, k, axis=0))
+    z = ad.constant(np.repeat(z_vec[None, :], k, axis=0)) if z_vec is not None else None
+    u_idx = np.full(k, user_index, dtype=np.int64)
+    e_u = M.user_embedding(u_idx, params, config) if config.decoder_uses_user else None
+    return enc_k, z, e_u, u_idx
+
+
+def generate_one(request, params, config):
+    """Beam search for one request on a one-request decoder batch."""
+    width = request.beam_width
+    with ad.no_grad():
+        enc = M.encode_batch(*M.pad_batch([request.query]), params, config)
+        z_vec = draw_z(enc.final, request.user_index, params, config,
+                       request.z_mode, request.seed)
+        h, c = (s.data for s in M.decoder_init_state(enc.final, params, config, 1))
+        tokens, scores = np.full((1, 1), BOS), np.zeros(1, dtype=h.dtype)
+        finished = []
+        for step in range(request.max_length):
+            enc_k, z, e_u, u_idx = _rows(enc, z_vec, request.user_index, len(tokens),
+                                         params, config)
+            logp, (h_new, c_new) = M.decode_step(tokens[:, -1], (ad.constant(h), ad.constant(c)),
+                                                 z, e_u, enc_k, params, config, user_idx=u_idx)
+            logp = logp.data
+            logp[:, [0, 1, 2]] = -np.inf
+            if step == 0:
+                logp[:, EOS] = -np.inf
+            total = scores[:, None] + logp
+            order = np.argsort(-total, axis=None, kind="stable")[:width]
+            beam, tok = np.divmod(order, total.shape[1])
+            eos = tok == EOS
+            finished += [Hypothesis(tokens[i, 1:].tolist(), total[i, EOS]) for i in beam[eos]]
+            keep, tok = beam[~eos], tok[~eos]
+            tokens = np.concatenate([tokens[keep], tok[:, None]], axis=1)
+            scores, h, c = total[keep, tok], h_new.data[keep], c_new.data[keep]
+            if not len(keep) or len(finished) >= width:
+                break
+        finished += [Hypothesis(t[1:].tolist(), s) for t, s in zip(tokens, scores)]
+        finished.sort(key=lambda hyp: -hyp.normalized())
+        return finished[:width]
+
+
+def score_one(query, replies, user_index, params, config, seed=0):
+    """Teacher-forced log-probabilities of the replies under one z."""
+    n = len(replies)
+    with ad.no_grad():
+        enc = M.encode_batch(*M.pad_batch([query]), params, config)
+        z_vec = draw_z(enc.final, user_index, params, config, "sample", seed)
+        enc_n, z, e_u, u_idx = _rows(enc, z_vec, user_index, n, params, config)
+        state = M.decoder_init_state(enc_n.final, params, config, n)
+        r_idx, r_len = M.pad_batch(replies)
+        lp = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc_n, params,
+                                        config, user_idx=u_idx)
+        return lp.data.astype(np.float64)

@@ -5,6 +5,7 @@ import pytest
 from pagen import cli
 from pagen import corpus as C
 from pagen import evaluate as E
+from pagen import generation as G
 from pagen import metrics as MX
 from pagen import model as M
 
@@ -155,6 +156,30 @@ def test_generate_batch_mode(workdir):
     assert len(lines) == 2
 
 
+def test_generate_batch_mode_equals_per_line_generate(workdir):
+    """--input decodes all lines in one batched search; its output is the
+    text per-line generate calls give (line i is seeded with --seed + i)."""
+    tmp_path, _, _ = workdir
+    ckpt = _trained(workdir) / "model.ckpt"
+    lines = ["user0\ttopic1 q3", "", "user2\ttopic2 q4 q5", "user1\tq1", "user0\ttopic0 q2 q7"]
+    batch_in = tmp_path / "queries.tsv"
+    batch_in.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    batch_out = tmp_path / "replies.txt"
+    assert cli.main(["generate", "--model", str(ckpt), "--input", str(batch_in),
+                     "--output", str(batch_out), "--beam", "3", "--max-length", "8",
+                     "--seed", "5"]) == 0
+    (params, config), vocab, users = cli.load_model_dir(str(ckpt))
+    want = []
+    for i, line in enumerate(lines):
+        if line:
+            user, query = line.split("\t")
+            hyps = G.generate(G.GenRequest(query=vocab.encode(query.split()),
+                                           user_index=users.index(user), beam_width=3,
+                                           max_length=8, seed=5 + i), params, config)
+            want.append(" ".join(vocab.decode(hyps[0].tokens)) + "\n")
+    assert batch_out.read_text(encoding="utf-8") == "".join(want)
+
+
 def test_generate_rejects_unknown_users(workdir, capsys):
     tmp_path, _, _ = workdir
     model = str(_trained(workdir) / "model.ckpt")
@@ -225,7 +250,7 @@ def test_evaluate_rejects_unknown_users(workdir, capsys, monkeypatch):
     bad = tmp_path / "bad_test.tsv"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     decoded = []
-    monkeypatch.setattr(cli.G, "generate", lambda *a, **k: decoded.append(a))
+    monkeypatch.setattr(cli.G, "generate_many", lambda *a, **k: decoded.append(a))
     assert cli.main(["evaluate", "--model", str(out / "model.ckpt"),
                      "--ref-model", str(out / "model.ckpt"), "--data", str(bad),
                      "--train-data", str(out / "train.tsv"), "--metrics", "bleu1",
@@ -239,6 +264,13 @@ def test_report_formats_missing_metrics_as_dash(capsys):
     print(cli.format_table([("partial", {"bleu1": 0.5})]))
     table = capsys.readouterr().out
     assert "0.5000" in table and "-" in table
+
+
+def test_compare_sorts_a_nan_urank_last():
+    rows = [("a", {"urank": 0.1}), ("b", {"urank": float("nan")}), ("c", {"urank": 0.3}),
+            ("d", {"urank": 0.0})]
+    for order in (rows, rows[::-1]):
+        assert [label for label, _ in sorted(order, key=cli.by_urank)] == ["c", "a", "d", "b"]
 
 
 def test_compare_two_variants(workdir, capsys):

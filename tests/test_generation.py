@@ -10,7 +10,8 @@ from pagen import generation as G
 from pagen import model as M
 from pagen.autodiff import ContractError
 from pagen.corpus import BOS, EOS, PAD, UNK
-from pagen.generation import GenRequest, Hypothesis, generate, score_responses
+from pagen.generation import (GenRequest, Hypothesis, generate, generate_many, score_responses,
+                              score_rounds)
 
 
 def _model(variant="S2SA", seed=0, **overrides):
@@ -70,8 +71,8 @@ def _beam_reference(request, params, cfg):
     W = request.beam_width
     with ad.no_grad():
         enc = M.encode_batch(*M.pad_batch([request.query]), params, cfg)
-        z_vec = G._draw_z(enc.final, request.user_index, params, cfg, request.z_mode,
-                          request.seed) if cfg.is_latent else None
+        z_vec = np_oracle.draw_z(enc.final, request.user_index, params, cfg, request.z_mode,
+                                 request.seed)
         beams, finished = [Hypothesis()], []
         h0, c0 = M.decoder_init_state(enc.final, params, cfg, 1)
         states = [(h0.data[0], c0.data[0])]
@@ -168,6 +169,10 @@ def test_score_responses_contract():
         score_responses([5], [], 0, params, cfg)
     with pytest.raises(ContractError):
         score_responses([5], [[6], []], 0, params, cfg)
+    with pytest.raises(ContractError):
+        score_rounds([5], [[6]], 0, params, cfg, [])
+    with pytest.raises(ContractError):
+        score_responses([5], [[6]], 4, params, cfg)  # toy_config has 4 users
 
 
 def test_scores_are_negative_and_ranked_consistently():
@@ -201,3 +206,98 @@ def test_latent_score_depends_on_seed_in_sample_mode():
     a = score_responses([5, 6], [[7, 8]], 1, params, cfg, seed=0)
     b = score_responses([5, 6], [[7, 8]], 1, params, cfg, seed=1)
     assert a[0] != b[0]
+
+
+# ---------------------------------------------------------------------------
+# batched beam search and scoring
+
+BATCHED = (("PAGENERATOR", {}), ("S2SA", {"use_attention": True}), ("FACT_BIAS", {}))
+
+
+def _mixed_requests(seed=0, n=9):
+    """Requests with mixed query lengths, beam widths, max lengths, z modes
+    and users."""
+    rng = np.random.default_rng(seed)
+    return [GenRequest(query=[int(t) for t in rng.integers(4, 30, rng.integers(1, 6))],
+                       user_index=int(rng.integers(0, 4)),
+                       beam_width=int(rng.choice([1, 2, 5, 10])),
+                       max_length=int(rng.choice([0, 1, 3, 7])),
+                       z_mode=str(rng.choice(["sample", "mean"])), seed=int(rng.integers(100)))
+            for _ in range(n)]
+
+
+def _tokens(hyps):
+    return [h.tokens for h in hyps]
+
+
+@pytest.mark.parametrize("variant,extra", BATCHED)
+def test_generate_many_matches_single_requests(variant, extra):
+    for seed in range(3):
+        params, cfg = _model(variant=variant, seed=seed, **extra)
+        reqs = _mixed_requests(seed)
+        got = generate_many(reqs, params, cfg)
+        assert len(got) == len(reqs)
+        for req, hyps in zip(reqs, got):
+            single = generate(req, params, cfg)
+            assert _tokens(hyps) == _tokens(single) == _tokens(_beam_reference(req, params, cfg))
+            # the batched GEMMs may round the last bits differently
+            assert [h.log_prob for h in hyps] == pytest.approx([h.log_prob for h in single],
+                                                               rel=1e-5)
+
+
+@pytest.mark.parametrize("variant,extra", [(v, {}) for v in M.VARIANTS]
+                         + [("PAGENERATOR", {"use_attention": True})])
+def test_generate_is_bitwise_the_single_request_search(variant, extra):
+    params, cfg = _model(variant=variant, seed=1, **extra)
+    for req in _mixed_requests(seed=4, n=6) + [GenRequest(query=[5, 6], max_length=0)]:
+        got, want = generate(req, params, cfg), np_oracle.generate_one(req, params, cfg)
+        assert [(h.tokens, h.log_prob) for h in got] == [(h.tokens, h.log_prob) for h in want]
+
+
+def test_generate_many_of_no_requests_is_empty():
+    assert generate_many([], *_model()) == []
+
+
+@pytest.mark.parametrize("bad", [GenRequest(query=[]), GenRequest(query=[5], user_index=4),
+                                 GenRequest(query=[5], user_index=-1)])
+@pytest.mark.parametrize("cap", [1, G.MAX_ROWS])
+def test_generate_many_checks_every_request_before_decoding(bad, cap, monkeypatch):
+    params, cfg = _model(variant="PAGENERATOR")
+    encoded = []
+    monkeypatch.setattr(M, "encode_batch", lambda *a: encoded.append(a))
+    monkeypatch.setattr(G, "MAX_ROWS", cap)
+    with pytest.raises(ContractError):
+        generate_many([GenRequest(query=[5, 6]), bad, GenRequest(query=[7])], params, cfg)
+    assert not encoded
+
+
+@pytest.mark.parametrize("variant,extra", BATCHED)
+def test_generate_many_does_not_depend_on_the_row_cap(variant, extra, monkeypatch):
+    params, cfg = _model(variant=variant, seed=2, **extra)
+    reqs = _mixed_requests(seed=5, n=12)
+    want = [_tokens(h) for h in generate_many(reqs, params, cfg)]
+    rows, step = [], M.decode_step
+    monkeypatch.setattr(M, "decode_step", lambda prev, *a, **k: rows.append(len(prev)) or
+                        step(prev, *a, **k))
+    for cap in (1, 7, 16, 10 ** 6):
+        monkeypatch.setattr(G, "MAX_ROWS", cap)
+        rows.clear()
+        got = generate_many(reqs, params, cfg)
+        assert [_tokens(h) for h in got] == want
+        # a request wider than the cap runs in a group of its own
+        assert max(rows) <= max(cap, max(r.beam_width for r in reqs))
+        if cap == 1:  # one request per group: each is a search of its own
+            assert got == [np_oracle.generate_one(r, params, cfg) for r in reqs]
+
+
+@pytest.mark.parametrize("variant,extra", BATCHED + (("CVAE", {}), ("VAE", {})))
+def test_score_rounds_is_bitwise_per_seed_scoring(variant, extra):
+    params, cfg = _model(variant=variant, seed=3, **extra)
+    query, replies, seeds = [5, 9, 14, 6], [[6, 7, 8], [10, 11], [12], [13, 5, 7, 9]], [0, 7, 3]
+    got = score_rounds(query, replies, 2, params, cfg, seeds)
+    assert got.shape == (3, 4) and got.dtype == np.float64
+    for row, seed in zip(got, seeds):
+        want = np_oracle.score_one(query, replies, 2, params, cfg, seed=seed)
+        assert row.tobytes() == want.tobytes()
+        single = score_responses(query, replies, 2, params, cfg, seed=seed)
+        assert single.tobytes() == want.tobytes()

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import toy_config
 from pagen import corpus as C
+from pagen import evaluate as E
 from pagen import metrics as MX
 from pagen import model as M
 from pagen import selfcheck as SC
@@ -50,10 +51,10 @@ def test_urank_promotion_logic(monkeypatch):
         ("s", 1): [-1.0, -2.0, -3.0],   # rank 0 -> not promoted
     }
 
-    def fake_scores(query, replies, user, params, config, z_mode="sample", seed=0):
-        return np.array(table[(params, query[0])])
+    def fake_scores(query, replies, user, params, config, seeds):
+        return np.array([table[(params, query[0])]] * len(seeds))
 
-    monkeypatch.setattr(MX.G, "score_responses", fake_scores)
+    monkeypatch.setattr(MX.G, "score_rounds", fake_scores)
     items = [(1, [0], [9], [[1], [2]]), (1, [1], [9], [[1], [2]])]
     cfg = MetricConfig(n_distractors=2, rounds=3)
     fake_cfg = type("Cfg", (), {"is_latent": True})()
@@ -64,8 +65,8 @@ def test_urank_promotion_logic(monkeypatch):
 
 
 def test_urank_skips_items_without_enough_distractors(monkeypatch):
-    monkeypatch.setattr(MX.G, "score_responses",
-                        lambda *a, **k: np.array([-1.0, -0.5]))
+    monkeypatch.setattr(MX.G, "score_rounds",
+                        lambda q, r, u, p, c, seeds: np.array([[-1.0, -0.5]] * len(seeds)))
     fake_cfg = type("Cfg", (), {"is_latent": False})()
     items = [(1, [0], [9], [[1]]), (1, [1], [9], [])]
     report = urank(items, ("m", fake_cfg), ("s", fake_cfg),
@@ -75,7 +76,8 @@ def test_urank_skips_items_without_enough_distractors(monkeypatch):
 
 
 def test_urank_scores_a_non_latent_reference_once_per_item(monkeypatch):
-    """The S2SA reference ignores the seed, so it is scored once per item;
+    """The S2SA reference ignores the seed, so it is scored once per item
+    with one seed, the latent model once per item with every round's seed;
     the report equals scoring both models in every round."""
     cfg_m, cfg_s = toy_config(), toy_config(variant="S2SA")
     model, reference = (M.init_params(cfg_m, seed=1), cfg_m), (M.init_params(cfg_s, seed=2), cfg_s)
@@ -93,17 +95,29 @@ def test_urank_scores_a_non_latent_reference_once_per_item(monkeypatch):
         expect.append(hits / len(items))
 
     calls = {}
-    score = MX.G.score_responses
+    score = MX.G.score_rounds
 
-    def counted(query, replies, user, params, config, **kwargs):
-        calls[config.variant] = calls.get(config.variant, 0) + 1
-        return score(query, replies, user, params, config, **kwargs)
+    def counted(query, replies, user, params, config, seeds):
+        calls.setdefault(config.variant, []).append(list(seeds))
+        return score(query, replies, user, params, config, seeds)
 
-    monkeypatch.setattr(MX.G, "score_responses", counted)
+    monkeypatch.setattr(MX.G, "score_rounds", counted)
     report = urank(items, model, reference, MetricConfig(n_distractors=3, rounds=3), seed=7)
     assert report.per_round == expect
     assert report.value == float(np.mean(expect))
-    assert calls == {"PAGENERATOR": 3 * len(items), "S2SA": len(items)}
+    assert calls == {"PAGENERATOR": [[7000, 7001, 7002]] * len(items),
+                     "S2SA": [[7000]] * len(items)}
+
+
+def test_urank_over_no_usable_item_is_nan(monkeypatch):
+    """Like uppl and udistinct, uRank over nothing is nan, not "never
+    promoted"."""
+    monkeypatch.setattr(MX.G, "score_rounds", lambda *a: pytest.fail("nothing to score"))
+    fake_cfg = type("Cfg", (), {"is_latent": True})()
+    report = urank([(1, [0], [9], [[1]]), (1, [1], [9], [])], ("m", fake_cfg), ("s", fake_cfg),
+                   MetricConfig(n_distractors=2, rounds=3), seed=0)
+    assert math.isnan(report.value)
+    assert report.skipped == 2 and report.per_round == []
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +214,32 @@ def test_distinct_matches_oracle_random():
 def test_udistinct_needs_two_users():
     with pytest.raises(ValueError):
         udistinct([[5]], [1], (None, None))
+
+
+def test_evaluate_model_decodes_in_batches(monkeypatch):
+    """Each of the three beam searches of a pass (responses, distractors,
+    uDistinct) is one generate_many call of at most max_length decoder
+    steps, and uRank scores each item once per model, so a per-request loop
+    cannot come back unnoticed."""
+    triples = C.generate_synthetic(3, 20, 0.9, seed=4)
+    train, test = C.split(triples, 0.8, seed=4)
+    vocab, users = C.Vocabulary.build(train), C.UserTable.build({t.user_id for t in triples})
+    cfg_m, cfg_s = (toy_config(variant=v, vocab_size=len(vocab), num_users=len(users))
+                    for v in ("PAGENERATOR", "S2SA"))
+    model, reference = (M.init_params(cfg_m, seed=1), cfg_m), (M.init_params(cfg_s, seed=2), cfg_s)
+    mc = MetricConfig(n_distractors=3, rounds=3, beam_width=4, max_length=6)
+    counts = {"generate_many": 0, "decode_step": 0, "score_rounds": 0}
+    for owner, name in ((MX.G, "generate_many"), (M, "decode_step"), (MX.G, "score_rounds")):
+        def counted(*a, _inner=getattr(owner, name), _name=name, **k):
+            counts[_name] += 1
+            return _inner(*a, **k)
+        monkeypatch.setattr(owner, name, counted)
+    results, _ = E.evaluate_model(model, reference, train, test, vocab, users, metric_config=mc,
+                                  seed=1, metrics=("bleu1", "uppl", "urank", "udistinct"))
+    assert len(test) > 10 and results["urank_skipped"] < len(test)
+    assert counts["generate_many"] == 3
+    assert 3 <= counts["decode_step"] <= 3 * mc.max_length
+    assert counts["score_rounds"] == 2 * (len(test) - results["urank_skipped"])
 
 
 # ---------------------------------------------------------------------------
