@@ -72,7 +72,7 @@ def prepare_data(data_path, data):
     return train_set, test_set, vocab, users
 
 
-def run_training(data_path, config_path, out_dir, seed, variant=None):
+def run_training(data_path, config_path, out_dir, seed, variant=None, log_every=0):
     model_kwargs, tcfg, data, where = read_flat_config(config_path)
     for key in ("vocab_size", "num_users"):
         if key in model_kwargs:
@@ -92,7 +92,8 @@ def run_training(data_path, config_path, out_dir, seed, variant=None):
     C.write_corpus(os.path.join(out_dir, "test.tsv"), test_set)
     C.save_vocab(os.path.join(out_dir, "vocab.txt"), vocab)
     C.save_users(os.path.join(out_dir, "users.txt"), users)
-    ckpt, history = train(train_set, vocab, users, config, tcfg, seed, out_dir)
+    ckpt, history = train(train_set, vocab, users, config, tcfg, seed, out_dir,
+                          log_every=log_every)
     write_manifest(os.path.join(out_dir, "manifest.txt"), {
         "command": "train",
         "config_hash": file_hash(config_path),
@@ -169,7 +170,7 @@ def cmd_gen_corpus(args):
 
 def cmd_train(args):
     ckpt, history = run_training(args.data, args.config, args.out, args.seed,
-                                 variant=args.variant)
+                                 variant=args.variant, log_every=args.log_every)
     print(f"checkpoint: {ckpt} ({len(history)} batches)")
     return 0
 
@@ -325,6 +326,8 @@ def build_parser():
     t.add_argument("--out", required=True)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--variant", default=None)
+    t.add_argument("--log-every", type=int, default=0, metavar="N",
+                   help="print the losses every N batches (0: never)")
     t.set_defaults(fn=cmd_train)
 
     d = sub.add_parser("generate", help="decode replies from a checkpoint")

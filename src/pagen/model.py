@@ -278,12 +278,12 @@ def _split_gaussian(out, z_dim):
 
 def prior_net(h_q, e_u, params, config):
     """Affine map on [h_q; e_u] -> (mu, log_var), each z_dim wide."""
-    out = ad.add(ad.matmul(ad.concat([h_q, e_u], axis=1), params["prior_W"]), params["prior_b"])
+    out = ad.matmul(ad.concat([h_q, e_u], axis=1), params["prior_W"], params["prior_b"])
     return _split_gaussian(out, config.z_dim)
 
 
 def posterior_net(h_q, h_r, params, config):
-    out = ad.add(ad.matmul(ad.concat([h_q, h_r], axis=1), params["post_W"]), params["post_b"])
+    out = ad.matmul(ad.concat([h_q, h_r], axis=1), params["post_W"], params["post_b"])
     return _split_gaussian(out, config.z_dim)
 
 
@@ -307,7 +307,7 @@ def prior_user_index(user_idx, config):
 # decoder
 
 def decoder_init_state(h_q, params, config, batch):
-    h0 = ad.tanh(ad.add(ad.matmul(h_q, params["dec_init_W"]), params["dec_init_b"]))
+    h0 = ad.tanh(ad.matmul(h_q, params["dec_init_W"], params["dec_init_b"]))
     c0 = ad.constant(np.zeros((batch, config.decoder_hidden), dtype=h0.dtype))
     return h0, c0
 
@@ -346,15 +346,23 @@ def decoder_cell(prev_idx, state, z, e_u, params, config):
     return decoder_lstm(np.asarray(prev_idx)[None], state, z, e_u, params, config)[1]
 
 
-def output_logits(h, enc, params, config, user_idx=None):
-    """Vocabulary logits from decoder states h, one step (B, Hd) or every
-    step (T, B, Hd): attention, the output projection and FACT_BIAS's
-    per-user bias (which needs user_idx).  Nothing here feeds back."""
+def output_logits(h, enc, params, config, user_idx=None, rows=None):
+    """Vocabulary logits from decoder states h: attention, the output
+    projection and FACT_BIAS's per-user bias (which needs user_idx, one
+    user per batch row).  Nothing here feeds back.
+
+    h is one step (B, Hd), giving (B, V) logits, or every step (T, B, Hd)
+    with rows, a (T, B) boolean mask: attention reads all T steps, and only
+    the N masked states, in time-major order, reach the output layer, giving
+    (N, V) logits."""
     if config.use_attention:
         ctx = _attention_context(h, enc, params)
-        h = ad.tanh(ad.add(ad.matmul(ad.concat([h, ctx], axis=-1), params["att_comb_W"]),
-                           params["att_comb_b"]))
-    logits = ad.add(ad.matmul(h, params["out_W"]), params["out_b"])
+        h = ad.tanh(ad.matmul(ad.concat([h, ctx], axis=-1), params["att_comb_W"],
+                              params["att_comb_b"]))
+    if rows is not None:
+        h = ad.gather_rows(h, rows)
+        user_idx = None if user_idx is None else np.broadcast_to(user_idx, rows.shape)[rows]
+    logits = ad.matmul(h, params["out_W"], params["out_b"])
     if config.variant == "FACT_BIAS":
         if user_idx is None:
             raise ContractError("FACT_BIAS decode requires user_idx")
@@ -390,21 +398,22 @@ def teacher_forced_log_probs(reply_idx, reply_lengths, state, z, e_u, enc, param
 
     reply_idx: (B, Tr) padded, no BOS/EOS.  Returns a (B,) tensor of
     log-probabilities (non-positive).  One LSTM runs over the whole
-    sequence; the output layer then runs once over all (Tr + 1, B) states.
+    sequence; the output layer then runs once over the N scored states
+    (step t of row b for t <= its length), and padding never reaches it.
     """
     B, Tr = reply_idx.shape
     # time-major (Tr + 1, B): row t is step t's target; a row scores EOS
-    # at t == its length and is masked after it
+    # at t == its length and nothing after it
     t = np.arange(Tr + 1)[:, None]
     targets = np.where(t < reply_lengths, np.pad(reply_idx.T, ((0, 1), (0, 0))), EOS)
     inputs = np.concatenate([np.full((1, B), BOS), targets[:-1]])
     hs, _ = decoder_lstm(inputs, state, z, e_u, params, config)
-    picked = ad.log_softmax_pick(output_logits(hs, enc, params, config, user_idx=user_idx),
-                                 targets)
-    mask = ad.constant((t <= reply_lengths).astype(picked.dtype))
+    scored = t <= reply_lengths
+    logits = output_logits(hs, enc, params, config, user_idx=user_idx, rows=scored)
+    picked = ad.scatter_rows(ad.log_softmax_pick(logits, targets[scored]), scored)
     # a sum over axis 0 adds the steps one by one in time order (numpy
     # sums along the last axis pairwise, which would round differently)
-    return ad.reduce_sum(ad.mul(picked, mask), axis=0)
+    return ad.reduce_sum(picked, axis=0)
 
 
 # ---------------------------------------------------------------------------

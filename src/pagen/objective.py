@@ -61,9 +61,9 @@ def gaussian_kl(a, b):
 def bow_loss(z, h_q, e_u, reply_idx, reply_lengths, params):
     """Negative log-likelihood of the reply's bag of words (duplicates
     counted, position-independent) under an MLP on [z; h_q; e_u]."""
-    hid = ad.tanh(ad.add(ad.matmul(ad.concat([z, h_q, e_u], axis=1),
-                                   params["bow_W1"]), params["bow_b1"]))
-    logp = ad.log_softmax(ad.add(ad.matmul(hid, params["bow_W2"]), params["bow_b2"]))
+    hid = ad.tanh(ad.matmul(ad.concat([z, h_q, e_u], axis=1), params["bow_W1"],
+                            params["bow_b1"]))
+    logp = ad.log_softmax(ad.matmul(hid, params["bow_W2"], params["bow_b2"]))
     mask = np.arange(reply_idx.shape[1]) < reply_lengths[:, None]
     tokens = ad.mul(ad.pick(logp, reply_idx), ad.constant(mask.astype(logp.dtype)))
     return ad.scale(ad.reduce_sum(tokens, axis=1), -1.0)

@@ -124,6 +124,27 @@ def primitive_cases(seed=0):
     weights = ad.constant(rng.standard_normal((2, 3)))
     cases.append(("log_softmax_pick", lambda: ad.reduce_sum(ad.mul(
         ad.log_softmax_pick(logits, idx3), weights)), {"logits": logits}))
+
+    # matmul with a bias, on (B, .) and on (T, B, .) rows
+    b_w = _param(rng, 5)
+    cases.append(("matmul_bias", lambda: ad.reduce_sum(ad.tanh(ad.matmul(x, w, b_w))),
+                  {"x": x, "w": w, "b": b_w}))
+    cases.append(("matmul_bias_3d", lambda: ad.reduce_sum(ad.tanh(ad.matmul(steps, w, b_w))),
+                  {"steps": steps, "w": w, "b": b_w}))
+    # the scored rows of a (T, B, .) tensor, and the scatter back, as in
+    # teacher forcing: a ragged (T, B) mask, time-major order
+    scored = np.arange(2)[:, None] <= np.array([1, 0, 1])
+    rows_w = ad.constant(rng.standard_normal((5, 4)))
+    cases.append(("gather_rows", lambda: ad.reduce_sum(ad.mul(ad.gather_rows(steps, scored),
+                                                              rows_w)), {"steps": steps}))
+    vals = _param(rng, 5)
+    cases.append(("scatter_rows", lambda: ad.reduce_sum(ad.tanh(ad.reduce_sum(
+        ad.scatter_rows(vals, scored), axis=0))), {"vals": vals}))
+    # (T, B) indices that repeat rows within and across steps
+    lookup2 = np.array([[1, 4, 1], [4, 4, 0]])
+    cases.append(("embedding_2d", lambda: ad.reduce_sum(ad.mul(ad.embedding(table, lookup2),
+                                                               steps)),
+                  {"table": table, "steps": steps}))
     return cases
 
 

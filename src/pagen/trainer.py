@@ -157,21 +157,27 @@ def batch_arrays(indexed, idxs):
     return users, q_idx, q_len, r_idx, r_len
 
 
-def write_history_csv(path, history):
+def write_history_csv(path, history, norms):
+    """One row per batch: its LossBreakdown, the pre-clip gradient norm and
+    whether clipping scaled the gradient (1) or not (0)."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(("batch",) + LossBreakdown.FIELDS)
-        for i, b in enumerate(history):
-            w.writerow([i] + [repr(getattr(b, k)) for k in LossBreakdown.FIELDS])
+        w.writerow(("batch",) + LossBreakdown.FIELDS + ("grad_norm", "clipped"))
+        for i, (b, (norm, clipped)) in enumerate(zip(history, norms)):
+            w.writerow([i] + [repr(getattr(b, k)) for k in LossBreakdown.FIELDS]
+                       + [repr(norm), int(clipped)])
 
 
 def train(triples, vocab, users, config, train_config, seed, out_dir,
           params=None, log_every=0):
     """Train one model variant; returns (checkpoint path, loss history).
+    With log_every N > 0 it prints the losses after every N-th batch.
 
     On divergence the last good parameters and the history so far are
     written, then a DivergenceError is raised.
     """
+    if log_every < 0:
+        raise ValueError(f"log_every must be >= 0, got {log_every}")
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     if params is None:
@@ -179,11 +185,11 @@ def train(triples, vocab, users, config, train_config, seed, out_dir,
     state = AdamState(lr=train_config.lr)
     indexed = encode_triples(triples, vocab, users)
     ckpt_path = os.path.join(out_dir, "model.ckpt")
-    history = []
+    history, norms = [], []
 
     def save():
         M.save_checkpoint(ckpt_path, params, config)
-        write_history_csv(os.path.join(out_dir, "history.csv"), history)
+        write_history_csv(os.path.join(out_dir, "history.csv"), history, norms)
 
     # lazy: an epoch's batch order is drawn from rng only after the noise
     # of the previous epoch's last batch
@@ -198,12 +204,13 @@ def train(triples, vocab, users, config, train_config, seed, out_dir,
             loss, breakdown = total_loss(batch, params, config, noise=noise,
                                          batch_index=batch_index)
             backward(loss)
-            clip_gradients(params, train_config.clip_norm)
+            norm = clip_gradients(params, train_config.clip_norm)
             adam_step(params, state)
         except (NumericError, DivergenceError) as e:
             save()  # the failed batch changed no parameter
             raise DivergenceError(f"aborted at batch {batch_index}: {e}") from e
         history.append(breakdown)
+        norms.append((norm, bool(train_config.clip_norm) and norm > train_config.clip_norm))
         if log_every and len(history) % log_every == 0:
             print(f"batch {len(history)}: total={breakdown.total:.4f} "
                   f"recon={breakdown.reconstruction:.4f} kl={breakdown.kl_user:.4f}")

@@ -114,6 +114,32 @@ def test_embedding_index_contract():
         ad.embedding(table, np.array([0, 4]))
 
 
+def test_scatter_gradients_are_bitwise_add_at_with_repeated_indices():
+    """embedding adds its gradient into table.grad, and pick into a zeros
+    buffer, by one flat 1-D np.add.at; with repeated indices that equals
+    the 2-D np.add.at bitwise, in float32 where the order shows."""
+    rng = np.random.default_rng(0)
+    grad0 = rng.standard_normal((7, 5)).astype(np.float32)
+    table = Tensor(rng.standard_normal((7, 5)).astype(np.float32), requires_grad=True)
+    table.grad = view = grad0.copy()
+    idx = rng.integers(0, 3, (6, 4))  # three rows share 24 lookups
+    g = (rng.standard_normal((6, 4, 5)) * 10.0 ** rng.integers(-4, 4, (6, 4, 1))).astype(np.float32)
+    out = ad.embedding(table, idx)
+    out._backward(g)
+    expect = grad0.copy()
+    np.add.at(expect, idx, g)
+    assert table.grad is view  # written in place, as into an arena view
+    assert table.grad.tobytes() == expect.tobytes()
+
+    a = Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True)
+    cols = rng.integers(0, 4, (2, 3, 6))  # each row picks entries several times
+    gp = (rng.standard_normal((2, 3, 6)) * 10.0 ** rng.integers(-4, 4, (2, 3, 6))).astype(np.float32)
+    ad.pick(a, cols)._backward(gp)
+    expect = np.zeros((6, 4), dtype=np.float32)
+    np.add.at(expect, (np.arange(6)[:, None], cols.reshape(6, 6)), gp.reshape(6, 6))
+    assert a.grad.tobytes() == expect.reshape(a.shape).tobytes()
+
+
 def test_no_grad_suppresses_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     with ad.no_grad():

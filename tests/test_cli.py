@@ -75,6 +75,24 @@ def test_train_outputs(workdir):
     assert manifest["checkpoint_hash"] == cli.file_hash(out / "model.ckpt")
 
 
+@pytest.mark.parametrize("every", [None, 1])
+def test_train_log_every(workdir, capsys, every):
+    tmp_path, data, config = workdir
+    argv = ["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "r")]
+    assert cli.main(argv + ([] if every is None else ["--log-every", str(every)])) == 0
+    out = capsys.readouterr().out.splitlines()
+    batches = int(out[-1].split("(")[1].split()[0])  # "checkpoint: ... (N batches)"
+    logged = [line for line in out if line.startswith("batch ")]
+    assert len(logged) == (0 if every is None else batches) and batches > 1
+
+
+def test_train_rejects_negative_log_every(workdir, capsys):
+    tmp_path, data, config = workdir
+    assert cli.main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "r"), "--log-every", "-1"]) == 1
+    assert "log_every" in capsys.readouterr().err
+
+
 def test_train_missing_data_exits_2(workdir, capsys):
     tmp_path, _, config = workdir
     code = cli.main(["train", "--config", str(config), "--data",

@@ -11,6 +11,7 @@ import np_oracle
 from conftest import toy_batch, toy_config
 from pagen import autodiff as ad
 from pagen import model as M
+from pagen import trainer as T
 from pagen.autodiff import ContractError, Tensor, backward
 from pagen.corpus import BOS, EOS, UNSPECIFIED_USER
 from pagen.model import GaussianParams, ModelConfig
@@ -242,6 +243,90 @@ def test_teacher_forcing_matches_decode_step_loop(variant, use_attention):
         prev = target
     assert got.dtype == np.float64
     assert np.allclose(got, expect, rtol=0.0, atol=1e-10)
+
+
+SCORING_SETUPS = [(v, False) for v in M.VARIANTS] + [("S2SA", True), ("FACT_BIAS", True)]
+
+
+@pytest.mark.parametrize("variant, use_attention", SCORING_SETUPS)
+def test_teacher_forcing_is_padding_invariant(variant, use_attention):
+    """A ragged batch scores each reply as if it were alone and unpadded,
+    and extra padded steps change neither the loss nor any gradient (in
+    float64; FACT_BIAS maps each scored row to its own user)."""
+    cfg = toy_config(variant=variant, use_attention=use_attention)
+    params = M.init_params(cfg, seed=17, dtype=np.float64)
+    for p in params.values():
+        p.data *= 5.0
+    batch = toy_batch(seed=18, batch=4, q_max=6, r_max=6)
+    user_idx, q_idx, q_len, r_idx, r_len = batch
+    r_len[:] = [6, 1, 3, 2]  # the longest row and a one-token reply
+    z = np.random.default_rng(19).standard_normal((4, cfg.z_dim))
+
+    def scores(rows, trim):
+        q, r = q_idx[rows], r_idx[rows]
+        if trim:
+            q, r = q[:, :q_len[rows].max()], r[:, :r_len[rows].max()]
+        enc = M.encode_batch(q, q_len[rows], params, cfg)
+        state = M.decoder_init_state(enc.final, params, cfg, len(rows))
+        e_u = M.user_embedding(user_idx[rows], params, cfg) if cfg.decoder_uses_user else None
+        return M.teacher_forced_log_probs(r, r_len[rows], state, ad.constant(z[rows]) if
+                                          cfg.is_latent else None, e_u, enc, params, cfg,
+                                          user_idx=user_idx[rows]).data
+
+    together = scores(np.arange(4), trim=False)
+    alone = [scores(np.array([b]), trim=True)[0] for b in range(4)]
+    assert np.allclose(together, alone, rtol=1e-12, atol=0.0)
+
+    def loss_and_grads(r_pad):
+        for p in params.values():
+            p.zero_grad()
+        padded = (user_idx, q_idx, q_len, np.pad(r_idx, ((0, 0), (0, r_pad))), r_len)
+        loss, _ = total_loss(padded, params, cfg, noise=z, batch_index=5)
+        backward(loss)
+        return float(loss.data), {k: p.grad.copy() for k, p in params.items()}
+
+    loss, grads = loss_and_grads(0)
+    loss_padded, grads_padded = loss_and_grads(4)
+    assert loss_padded == pytest.approx(loss, rel=1e-12)
+    for k in grads:
+        assert np.allclose(grads_padded[k], grads[k], rtol=1e-10, atol=1e-12), k
+
+
+def test_backward_allocates_no_table_and_copies_no_logits(monkeypatch):
+    """In one backward of a toy PAGENERATOR batch with packed parameters,
+    the embedding gradients go straight into the arena (no table-sized
+    buffer) and no V-wide gradient is copied as a first gradient."""
+    cfg = toy_config()
+    params = M.init_params(cfg, seed=20)
+    T.arena(params)
+    noise = np.random.default_rng(21).standard_normal((3, cfg.z_dim)).astype(np.float32)
+    loss, _ = total_loss(toy_batch(seed=22), params, cfg, noise=noise, batch_index=5)
+    made, copied = [], []
+    real_zeros_like, real_zeros, real_accum = np.zeros_like, np.zeros, ad._accum
+
+    def zeros_like(a, *args, **kwargs):
+        made.append(np.shape(a))
+        return real_zeros_like(a, *args, **kwargs)
+
+    def zeros(shape, *args, **kwargs):
+        made.append(tuple(np.atleast_1d(shape)))
+        return real_zeros(shape, *args, **kwargs)
+
+    def accum(t, g, owned=False):
+        if t.requires_grad and t.grad is None and not owned:
+            copied.append(g.shape)
+        real_accum(t, g, owned)
+
+    monkeypatch.setattr(np, "zeros_like", zeros_like)
+    monkeypatch.setattr(np, "zeros", zeros)
+    monkeypatch.setattr(ad, "_accum", accum)
+    backward(loss)
+    monkeypatch.undo()
+    tables = {params[k].shape for k in ("word_emb", "user_emb")}
+    assert made and copied  # the wrappers saw the backward
+    assert not tables & set(made), made
+    assert [s for s in copied if s[-1] == cfg.vocab_size] == []
+    assert params["word_emb"].grad.base is T.arena(params)[1] and np.abs(params["word_emb"].grad).max() > 0
 
 
 def test_fact_bias_rank_and_zero_case():

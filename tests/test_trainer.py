@@ -12,6 +12,7 @@ from pagen import corpus as C
 from pagen import model as M
 from pagen import trainer as T
 from pagen.autodiff import ContractError, Tensor
+from pagen.objective import LossBreakdown
 from pagen.trainer import (AdamState, DivergenceError, TrainConfig, adam_step,
                            batch_arrays, clip_gradients, encode_triples,
                            make_batches, train)
@@ -231,6 +232,27 @@ def test_train_writes_history_and_checkpoint(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0][:2] == ["batch", "reconstruction"]
     assert len(rows) == 4
+
+
+def test_history_records_grad_norm_and_clip_events(tmp_path, monkeypatch):
+    triples, vocab, users = _tiny_setup()
+    cfg = toy_config(variant="CVAE", vocab_size=len(vocab), num_users=len(users))
+    tcfg = TrainConfig(batch_size=16, epochs=2, clip_norm=1.5)
+    real_clip, norms = T.clip_gradients, []
+
+    def clip(params, max_norm):
+        norms.append(real_clip(params, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(T, "clip_gradients", clip)
+    _, history = train(triples, vocab, users, cfg, tcfg, seed=1, out_dir=tmp_path / "r")
+    with open(tmp_path / "r" / "history.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert list(rows[0]) == ["batch", *LossBreakdown.FIELDS, "grad_norm", "clipped"]
+    assert len(rows) == len(history) == len(norms)
+    assert [float(r["grad_norm"]) for r in rows] == norms
+    assert [r["clipped"] for r in rows] == [str(int(n > 1.5)) for n in norms]
+    assert {r["clipped"] for r in rows} == {"0", "1"}  # the run has both kinds of batch
 
 
 def test_train_packs_weights_and_gradients_into_one_array_each(tmp_path):
