@@ -6,6 +6,11 @@ order.  Leading axes are rows: matmul, pick and the trailing-axes
 broadcast of add treat an array of shape (..., n) as rows of n entries.
 Other shapes must match exactly; a mismatch raises a ShapeError naming
 the op.  Training runs in float32, gradient checking in float64.
+
+Gradient ownership: a backward hands each input a buffer of its own (a
+fresh array, or its upstream gradient or a view of it), and nothing reads
+an upstream gradient after its backward, so a first gradient becomes
+t.grad uncopied.  add of equal shapes gives b a copy when a has kept g.
 """
 
 from __future__ import annotations
@@ -81,14 +86,11 @@ def _result(data, parents, backward_fn):
     return out
 
 
-def _accum(t, g, owned=False):
-    """Add g to t.grad; an owned g (a buffer no one else holds) becomes
-    t's first gradient without a copy."""
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = g if owned else g.copy()
-    else:
+def _accum(t, g):
+    """Add g to t.grad; the first gradient is g itself, never a copy."""
+    if t.requires_grad and t.grad is None:
+        t.grad = g
+    elif t.requires_grad:
         t.grad += g
 
 
@@ -143,7 +145,9 @@ def add(a, b):
 
     def bwd(g):
         _accum(a, g)
-        _accum(b, g.sum(axis=tuple(range(lead))) if lead else g)
+        if lead:
+            g = g.sum(axis=tuple(range(lead)))
+        _accum(b, g.copy() if a.grad is g and b.requires_grad else g)  # never a's buffer
 
     return _result(a.data + b.data, (a, b), bwd)
 
@@ -191,8 +195,8 @@ def add_const(a, c):
 
 def matmul(a, b, bias=None):
     """(..., k) @ (k, n), plus an optional (n,) bias row: the leading axes
-    of a are rows of one 2-D product.  With a bias it is one node, bitwise
-    matmul then add, whose gradient reaches the products uncopied."""
+    of a are rows of one 2-D product; with a bias, one node bitwise equal
+    to matmul then add."""
     if (a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]
             or (bias is not None and bias.data.shape != b.data.shape[1:])):
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}"
@@ -204,10 +208,10 @@ def matmul(a, b, bias=None):
 
     def bwd(g):
         g = g.reshape(-1, b.data.shape[1])
-        _accum(a, (g @ b.data.T).reshape(a.data.shape), owned=True)
-        _accum(b, rows.T @ g, owned=True)
+        _accum(a, (g @ b.data.T).reshape(a.data.shape))
+        _accum(b, rows.T @ g)
         if bias is not None:
-            _accum(bias, g.sum(axis=0), owned=True)
+            _accum(bias, g.sum(axis=0))
 
     return _result(out.reshape(a.data.shape[:-1] + b.data.shape[1:]),
                    (a, b) if bias is None else (a, b, bias), bwd)
@@ -251,7 +255,7 @@ def log_softmax(a):
 
     def bwd(g):
         sm = np.exp(out_data)
-        _accum(a, g - sm * g.sum(axis=-1, keepdims=True), owned=True)
+        _accum(a, g - sm * g.sum(axis=-1, keepdims=True))
 
     return _result(out_data, (a,), bwd)
 
@@ -435,10 +439,8 @@ def contract(spec, a, b):
 
 def reduce_sum(a, axis=None):
     def bwd(g):
-        if axis is None:
-            _accum(a, np.full_like(a.data, g))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+        _accum(a, np.full_like(a.data, g) if axis is None
+               else np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
 
     return _result(a.data.sum(axis=axis), (a,), bwd)
 
@@ -447,10 +449,8 @@ def reduce_mean(a, axis=None):
     n = a.data.size if axis is None else a.data.shape[axis]
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.full_like(a.data, g / n))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g / n, axis), a.data.shape).copy())
+        _accum(a, np.full_like(a.data, g / n) if axis is None
+               else np.broadcast_to(np.expand_dims(g / n, axis), a.data.shape).copy())
 
     return _result(a.data.mean(axis=axis), (a,), bwd)
 
@@ -472,7 +472,7 @@ def pick(a, indices):
         # add.at, as a row may pick one entry twice; one 1-D call over flat
         # indices is bitwise the 2-D one, and faster
         np.add.at(full, (rows * flat.shape[1] + cols).reshape(-1), g.reshape(-1))
-        _accum(a, full.reshape(a.data.shape), owned=True)
+        _accum(a, full.reshape(a.data.shape))
 
     return _result(flat[rows, cols].reshape(idx.shape), (a,), bwd)
 
@@ -500,7 +500,7 @@ def log_softmax_pick(logits, targets):
         grad *= (g + 0.0)[:, None]
         np.subtract(0.0, grad, out=grad)
         grad[rows, cols] += g
-        _accum(logits, grad.reshape(shape), owned=True)
+        _accum(logits, grad.reshape(shape))
 
     return _result(logp[rows, cols].reshape(idx.shape), (logits,), bwd)
 
@@ -536,7 +536,7 @@ def gather_rows(a, mask):
     def bwd(g):
         full = np.zeros(a.data.shape, dtype=g.dtype)
         full[mask] = g
-        _accum(a, full, owned=True)
+        _accum(a, full)
 
     return _result(a.data[mask], (a,), bwd)
 
@@ -552,7 +552,7 @@ def scatter_rows(a, mask):
     out[mask] = a.data
 
     def bwd(g):
-        _accum(a, g[mask], owned=True)
+        _accum(a, g[mask])
 
     return _result(out, (a,), bwd)
 

@@ -55,13 +55,19 @@ class DataConfig:
     max_vocab: int = 20000
     split_seed: int = 0
 
+    def __post_init__(self):
+        M.check_range(self, ("min_utterances", "split_seed"), lambda v: v >= 0, ">= 0")
+        M.check_range(self, ("max_vocab",), lambda v: v >= 1, ">= 1")
+        M.check_range(self, ("train_ratio",), lambda v: 0 < v < 1, "in (0, 1)")
+
 
 def read_flat_config(path):
     """Flat key=value file split into model kwargs, TrainConfig and
     DataConfig, plus the "file:line" of each key read."""
     (model_kwargs, trainer_kwargs, data_kwargs), where = M.parse_config_lines(
         C.read_lines(path), path, ModelConfig, TrainConfig, DataConfig)
-    return model_kwargs, TrainConfig(**trainer_kwargs), DataConfig(**data_kwargs), where
+    return (model_kwargs, M.checked(TrainConfig, trainer_kwargs, where),
+            M.checked(DataConfig, data_kwargs, where), where)
 
 
 def prepare_data(data_path, data):
@@ -85,7 +91,7 @@ def run_training(data_path, config_path, out_dir, seed, variant=None, log_every=
     train_set, test_set, vocab, users = prepare_data(data_path, data)
     model_kwargs["vocab_size"] = len(vocab)
     model_kwargs["num_users"] = len(users)
-    config = ModelConfig.checked(model_kwargs, where)
+    config = M.checked(ModelConfig, model_kwargs, where)
 
     os.makedirs(out_dir, exist_ok=True)
     C.write_corpus(os.path.join(out_dir, "train.tsv"), train_set)

@@ -207,9 +207,7 @@ def split(triples, train_ratio, seed=0):
     return train, test
 
 
-def generate_synthetic(num_users, triples_per_user, signature_strength, seed,
-                       signature_size=2, topic_count=6, query_fillers=12,
-                       reply_pool=24):
+def generate_synthetic(num_users, triples_per_user, signature_strength, seed):
     """Deterministic synthetic persona corpus.
 
     Each user owns a disjoint set of signature tokens and a user-specific
@@ -224,6 +222,7 @@ def generate_synthetic(num_users, triples_per_user, signature_strength, seed,
     if not (0.5 < signature_strength < 1.0):
         raise CorpusError("signature_strength must be in (0.5, 1)")
     rng = np.random.default_rng(seed)
+    signature_size, topic_count, query_fillers, reply_pool = 2, 6, 12, 24
 
     topics = [f"topic{i}" for i in range(topic_count)]
     fillers = [f"q{i}" for i in range(query_fillers)]

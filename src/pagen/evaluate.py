@@ -12,6 +12,7 @@ from .corpus import UNSPECIFIED_USER_ID
 from .trainer import encode_triples
 
 ALL_METRICS = ("bleu1", "embed", "urank", "uppl", "udistinct")
+UDISTINCT_QUERIES = 20  # distinct test queries that udistinct decodes for every user
 
 
 def generate_responses(model, test_triples, vocab, users, seed=0, beam_width=10,
@@ -27,7 +28,7 @@ def generate_responses(model, test_triples, vocab, users, seed=0, beam_width=10,
 
 def evaluate_model(model, reference, train_triples, test_triples, vocab, users,
                    metric_config=None, seed=0, metrics=ALL_METRICS, vectors=None,
-                   udistinct_queries=20, distractors=None):
+                   distractors=None):
     """Returns (results dict, per-item rows).  `distractors` may carry the
     reference beam-search outputs to reuse across evaluated models."""
     cfg = metric_config or MX.MetricConfig()
@@ -87,7 +88,7 @@ def evaluate_model(model, reference, train_triples, test_triples, vocab, users,
 
     if "udistinct" in metrics:
         # distinct queries, in the order they first occur
-        queries = list({tuple(q): q for _, q, _ in indexed}.values())[:udistinct_queries]
+        queries = list({tuple(q): q for _, q, _ in indexed}.values())[:UDISTINCT_QUERIES]
         user_indices = [users.index(u) for u in evaluated_users]
         d1, d2, skipped = MX.udistinct(queries, user_indices, model, seed=seed,
                                        max_length=cfg.max_length)

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import generation as G
 from .corpus import read_lines
+from .model import check_range
 
 
 @dataclass
@@ -22,8 +23,7 @@ class MetricConfig:
     max_length: int = 30
 
     def __post_init__(self):
-        if self.n_distractors < 1 or self.rounds < 1:
-            raise ValueError("invalid metric configuration")
+        check_range(self, ("n_distractors", "rounds"), lambda v: v >= 1, ">= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +83,9 @@ class BigramLM:
         return math.exp(-logp / (len(seq) - 1))
 
 
-def build_user_lms(train_triples, evaluated_users, lam=0.7):
+def build_user_lms(train_triples, evaluated_users):
     """One shared background count of all reply-side utterances, finetuned per user."""
-    background = BigramLM([t.reply for t in train_triples], lam=lam)
+    background = BigramLM([t.reply for t in train_triples])
     lms = {}
     for user in evaluated_users:
         lms[user] = copy.copy(background)
@@ -241,20 +241,34 @@ def bleu1(candidate, reference):
 
 
 def load_word_vectors(path):
-    """Text format: header line "count dim", then "token v1 ... vd"."""
+    """Text format: header line "count dim" (two positive integers), then
+    "token v1 ... vd" per token; a malformed file raises ValueError naming
+    "path:line"."""
     vectors = {}
     lines = read_lines(path)
     header = next(lines, "").split()
-    count, dim = int(header[0]), int(header[1])
-    for line in lines:
+    try:
+        count, dim = (int(h) for h in header) if len(header) == 2 else (0, 0)
+    except ValueError:
+        count = dim = 0
+    if count < 1 or dim < 1:
+        raise ValueError(f"{path}:1: expected a header 'count dim' of two positive integers")
+    for lineno, line in enumerate(lines, 2):
         parts = line.split()
         if not parts:
             continue
-        vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-        if vectors[parts[0]].shape != (dim,):
-            raise ValueError(f"bad vector dimension for token {parts[0]!r}")
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+        if vec.shape != (dim,):
+            raise ValueError(f"{path}:{lineno}: bad vector dimension for token {parts[0]!r}: "
+                             f"{vec.size} values, header says {dim}")
+        if parts[0] in vectors:
+            raise ValueError(f"{path}:{lineno}: duplicate token {parts[0]!r}")
+        vectors[parts[0]] = vec
     if len(vectors) != count:
-        raise ValueError(f"header count {count} != {len(vectors)} vectors")
+        raise ValueError(f"{path}:1: header count {count} != {len(vectors)} vectors")
     return vectors
 
 

@@ -74,6 +74,25 @@ class ConfigError(ValueError):
         self.key = key
 
 
+def check_range(config, fields, ok, expected):
+    """Raise ConfigError for the first of a config's fields whose value v
+    fails ok(v); expected says what it must be."""
+    for f in fields:
+        if not ok(getattr(config, f)):
+            raise ConfigError(f, f"must be {expected}, got {getattr(config, f)!r}")
+
+
+def checked(cls, kwargs, where):
+    """cls(**kwargs) for a config dataclass; a range error names where[key],
+    the place the value at fault came from (e.g. "file:line")."""
+    try:
+        return cls(**kwargs)
+    except ConfigError as e:
+        if e.key not in where:
+            raise
+        raise ValueError(f"{where[e.key]}: {e}") from None
+
+
 @dataclass
 class ModelConfig:
     variant: str = "PAGENERATOR"
@@ -98,25 +117,12 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise ConfigError("variant", f"unknown variant {self.variant!r} "
                                          f"(expected one of {', '.join(VARIANTS)})")
-        for f in ("vocab_size", "num_users", "word_embed_dim", "user_embed_dim",
-                  "encoder_hidden", "decoder_hidden", "z_dim", "bow_hidden", "fact_rank"):
-            if getattr(self, f) <= 0:
-                raise ConfigError(f, f"must be positive, got {getattr(self, f)}")
+        check_range(self, ("vocab_size", "num_users", "word_embed_dim", "user_embed_dim",
+                           "encoder_hidden", "decoder_hidden", "z_dim", "bow_hidden",
+                           "fact_rank", "anneal_batches"), lambda v: v > 0, "positive")
         if self.variant == "PAGENERATOR":
-            for f, used in (("gamma1", self.use_r1), ("gamma2", self.use_r2)):
-                if used and getattr(self, f) <= 0:
-                    raise ConfigError(f, f"must be > 0, got {getattr(self, f)}")
-
-    @classmethod
-    def checked(cls, kwargs, where):
-        """cls(**kwargs); a range error names where[key], the place the
-        value at fault came from (e.g. "file:line")."""
-        try:
-            return cls(**kwargs)
-        except ConfigError as e:
-            if e.key not in where:
-                raise
-            raise ValueError(f"{where[e.key]}: {e}") from None
+            check_range(self, [f for f, used in (("gamma1", self.use_r1), ("gamma2", self.use_r2))
+                               if used], lambda v: v > 0, "> 0")
 
     @property
     def is_latent(self):
@@ -149,14 +155,12 @@ class ModelConfig:
     @classmethod
     def from_text(cls, text, source="<config>"):
         (kwargs,), where = parse_config_lines(text.splitlines(), source, cls)
-        return cls.checked(kwargs, where)
+        return checked(cls, kwargs, where)
 
-    def toy(self, **overrides):
+    def toy(self):
         """Desk-scale profile; the full-scale sizes stay the defaults."""
-        small = dict(word_embed_dim=32, user_embed_dim=16, encoder_hidden=32,
-                     decoder_hidden=64, z_dim=16, bow_hidden=64, fact_rank=8)
-        small.update(overrides)
-        return replace(self, **small)
+        return replace(self, word_embed_dim=32, user_embed_dim=16, encoder_hidden=32,
+                       decoder_hidden=64, z_dim=16, bow_hidden=64, fact_rank=8)
 
 
 @dataclass

@@ -132,6 +132,12 @@ class TrainConfig:
     checkpoint_every: int = 0   # batches; 0 = end of training only
     max_batches: int = 0        # 0 = no cap
 
+    def __post_init__(self):
+        M.check_range(self, ("batch_size", "epochs"), lambda v: v >= 1, ">= 1")
+        M.check_range(self, ("checkpoint_every", "max_batches"), lambda v: v >= 0, ">= 0")
+        M.check_range(self, ("lr",), lambda v: 0 < v < float("inf"), "positive and finite")
+        M.check_range(self, ("clip_norm",), lambda v: v >= 0, ">= 0 (0: no clipping)")
+
 
 def encode_triples(triples, vocab, users):
     """Pre-index a corpus: list of (user_idx, query ids, reply ids)."""

@@ -306,6 +306,59 @@ def test_backward_determinism():
     assert np.array_equal(g1[0], g2[0]) and np.array_equal(g1[1], g2[1])
 
 
+def _aliasing_graphs():
+    """name -> (loss_fn, leaves): float64 graphs in which one gradient
+    buffer could reach two tensors."""
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    y = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    c = ad.constant(rng.standard_normal((3, 8)))
+
+    def reused_by_mul(swap):
+        def loss():
+            a, b = ad.scale(x, 0.5), ad.tanh(y)
+            s, m = ad.add(a, b), ad.mul(a, b)
+            return ad.reduce_sum(ad.mul(*((m, ad.tanh(s)) if swap else (ad.tanh(s), m))))
+        return loss
+
+    return {
+        "add(x, x)": (lambda: ad.reduce_sum(ad.tanh(ad.add(ad.add(x, x), y))), (x, y)),
+        "sub(x, x)": (lambda: ad.reduce_sum(ad.tanh(ad.add(ad.sub(x, x), ad.mul(x, y)))), (x, y)),
+        "concat([x, x])": (lambda: ad.reduce_sum(ad.tanh(ad.mul(ad.concat([x, x]), c))), (x,)),
+        "add(x, y)": (lambda: ad.reduce_sum(ad.mul(ad.add(x, y), ad.tanh(y))), (x, y)),
+        "add reused by mul": (reused_by_mul(False), (x, y)),
+        "add reused by mul, swapped": (reused_by_mul(True), (x, y)),
+    }
+
+
+def _assert_no_shared_grads(leaves):
+    for i, a in enumerate(leaves):
+        for b in leaves[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
+
+
+@pytest.mark.parametrize("name", list(_aliasing_graphs()))
+def test_no_gradient_buffer_reaches_two_tensors(name):
+    """Gradients stay right where one buffer could reach two tensors (a
+    tensor used twice, an add whose operands mul reuses), and afterwards no
+    two leaves' .grad share memory; again when the leaves' .grad are
+    existing views into one flat array, as in the trainer's arena."""
+    loss_fn, leaves = _aliasing_graphs()[name]
+    report = grad_check(loss_fn, {f"p{i}": t for i, t in enumerate(leaves)}, h=1e-6, tol=1e-6)
+    assert report.passed, report.summary()
+    _assert_no_shared_grads(leaves)
+    expect = [t.grad.copy() for t in leaves]
+    flat = np.zeros(sum(t.data.size for t in leaves))
+    views = [flat[i * t.data.size:(i + 1) * t.data.size].reshape(t.data.shape)
+             for i, t in enumerate(leaves)]
+    for t, v in zip(leaves, views):
+        t.grad = v
+    backward(loss_fn())
+    for t, v, e in zip(leaves, views, expect):
+        assert t.grad is v
+        assert np.allclose(v, e, rtol=1e-12, atol=1e-15)
+
+
 def test_concat_slice_roundtrip_gradient():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     b = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)

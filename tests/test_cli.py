@@ -112,7 +112,11 @@ def test_bad_config_key_exits_1(workdir, capsys):
 
 
 @pytest.mark.parametrize("line", ["use_r1=True", "decode_with_user=yes", "epochs=ten",
-                                  "variant=GPT", "z_dim=0", "vocab_size=5", "num_users=1"])
+                                  "variant=GPT", "z_dim=0", "vocab_size=5", "num_users=1",
+                                  "batch_size=0", "max_batches=-1", "clip_norm=-1", "lr=-1",
+                                  "lr=nan", "epochs=-1", "checkpoint_every=-2",
+                                  "train_ratio=1.5", "max_vocab=0", "split_seed=-1",
+                                  "min_utterances=-1", "anneal_batches=0"])
 def test_bad_config_value_exits_1(workdir, capsys, line):
     tmp_path, data, config = workdir
     bad = tmp_path / "bad.cfg"

@@ -1,10 +1,11 @@
 """Property tests for the readers of outside input: config lines, corpus
-files and checkpoints.  Each input either parses, and then round-trips
+files, checkpoints and word vectors.  Each input either parses, and then round-trips
 through the matching writer, or raises the reader's own error naming the
 source; no bare codec, numpy or struct error gets through."""
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import toy_config
 from pagen import cli
 from pagen import corpus as C
+from pagen import metrics as MX
 from pagen import model as M
 from pagen.trainer import TrainConfig
 
@@ -53,7 +55,7 @@ def _flipped(blob, flips):
 def test_config_lines_parse_and_round_trip_or_name_the_line(lines):
     try:
         (kwargs,), where = M.parse_config_lines(lines, "fuzz.cfg", M.ModelConfig)
-        config = M.ModelConfig.checked(kwargs, where)
+        config = M.checked(M.ModelConfig, kwargs, where)
     except ValueError as e:
         assert re.match(r"fuzz\.cfg:\d+: ", str(e)), e
         return
@@ -130,3 +132,28 @@ def test_checkpoint_round_trips_or_names_the_file(scratch, checkpoint, data):
         return
     M.save_checkpoint(again, params, config)
     assert again.read_bytes() == blob
+
+
+@pytest.fixture(scope="module")
+def vector_file(scratch):
+    path = scratch / "valid.vec"
+    MX.save_word_vectors(path, {"a": np.array([0.5, -1.0, 2.0]), "zoë": np.array([1e-3, 3.0, 0.0]),
+                                "café": np.array([-0.25, 1e20, 7.0])})
+    return path.read_bytes()
+
+
+@FUZZ
+@given(data=st.data())
+def test_word_vectors_round_trip_or_name_the_file(scratch, vector_file, data):
+    blob = data.draw(st.one_of(st.binary(max_size=80), cut_or_flip(vector_file)))
+    path, again = scratch / "fuzz.vec", scratch / "again.vec"
+    path.write_bytes(blob)
+    try:
+        vectors = MX.load_word_vectors(path)
+    except ValueError as e:
+        assert re.match(re.escape(str(path)) + r":\d+: ", str(e)), e
+        return
+    MX.save_word_vectors(again, vectors)
+    back = MX.load_word_vectors(again)
+    assert back.keys() == vectors.keys()
+    assert all(np.array_equal(back[k], v, equal_nan=True) for k, v in vectors.items())

@@ -18,8 +18,10 @@ from pagen.metrics import (BigramLM, MetricConfig, bleu1, build_user_lms,
 
 
 def test_metric_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_distractors: must be >= 1, got 0$"):
         MetricConfig(n_distractors=0)
+    with pytest.raises(ValueError, match="^rounds: must be >= 1, got -1$"):
+        MetricConfig(rounds=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +314,23 @@ def test_word_vector_bad_dim(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("1 3\na 1.0 2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="dimension"):
+        load_word_vectors(path)
+
+
+@pytest.mark.parametrize("text,where,what", [
+    ("", 1, "expected a header"),
+    ("2\na 1.0\n", 1, "expected a header"),
+    ("0 2\n", 1, "expected a header"),
+    ("1 two\na 1.0 2.0\n", 1, "expected a header"),
+    ("1 2\n\na 1.0 x2\n", 3, "could not convert string to float"),
+    ("2 2\na 1.0 2.0\nb 1.0\n", 3, "bad vector dimension for token 'b': 1 values"),
+    ("2 2\na 1.0 2.0\na 3.0 4.0\n", 3, "duplicate token 'a'"),
+    ("3 2\na 1.0 2.0\n", 1, "header count 3 != 1 vectors"),
+])
+def test_word_vector_errors_name_the_line(tmp_path, text, where, what):
+    path = tmp_path / "vec.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{where}: {what}")):
         load_word_vectors(path)
 
 
