@@ -11,6 +11,15 @@ Gradient ownership: a backward hands each input a buffer of its own (a
 fresh array, or its upstream gradient or a view of it), and nothing reads
 an upstream gradient after its backward, so a first gradient becomes
 t.grad uncopied.  add of equal shapes gives b a copy when a has kept g.
+A tensor whose .grad is a buffer to reuse (in training, its arena view)
+is marked stale_grad: the first gradient to reach it is written into the
+buffer (matmul computes its weight gradient straight into it), and only
+later ones are added.
+
+Graph lifetime: a graph is backpropagated once and freed as it goes.
+After each node's backward has run, backward() drops its closure, its
+parents and its .grad, so saved activations die as soon as they are used;
+a second backward through a freed node raises ContractError.
 """
 
 from __future__ import annotations
@@ -50,11 +59,13 @@ def grad_enabled():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    # _parents is None once backward() has freed the node
+    __slots__ = ("data", "grad", "stale_grad", "requires_grad", "name", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data)
         self.grad = None
+        self.stale_grad = False  # the next gradient overwrites .grad instead of adding
         self.requires_grad = bool(requires_grad)
         self.name = name
         self._parents = ()
@@ -70,6 +81,7 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
+        self.stale_grad = False
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -87,25 +99,45 @@ def _result(data, parents, backward_fn):
 
 
 def _accum(t, g):
-    """Add g to t.grad; the first gradient is g itself, never a copy."""
-    if t.requires_grad and t.grad is None:
+    """Add g to t.grad; the first gradient is g itself, never a copy, or
+    is written into a stale .grad."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
         t.grad = g
-    elif t.requires_grad:
+    elif t.stale_grad:
+        t.grad[...] = g
+        t.stale_grad = False
+    else:
         t.grad += g
 
 
+def _accum_product(t, x, y):
+    """_accum(t, x @ y), the product computed straight into a stale .grad."""
+    if t.requires_grad and t.stale_grad:
+        np.matmul(x, y, out=t.grad)
+        t.stale_grad = False
+    elif t.requires_grad:
+        _accum(t, x @ y)
+
+
 def _grad_buffer(t):
-    """t.grad, created as zeros if no gradient has reached t yet; always
+    """t.grad, as zeros if no gradient has reached t yet; always
     C-contiguous, so that a flat view of it writes through."""
     if t.grad is None:
         t.grad = np.zeros(t.data.shape, dtype=t.data.dtype)
-    elif not t.grad.flags.c_contiguous:
+    elif t.stale_grad:
+        t.grad.fill(0)
+    if not t.grad.flags.c_contiguous:
         t.grad = np.ascontiguousarray(t.grad)
+    t.stale_grad = False
     return t.grad
 
 
 def backward(root):
-    """Backpropagate from a scalar root; gradients accumulate on leaves."""
+    """Backpropagate from a scalar root; gradients accumulate on leaves.
+    Each node is freed once its backward has run (see the module
+    docstring), so the graph can be backpropagated only once."""
     if root.data.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.data.shape}")
     order = []
@@ -118,15 +150,22 @@ def backward(root):
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise ContractError("backward through a graph that an earlier backward "
+                                "has already used and freed")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
     root.grad = np.ones_like(root.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:  # a leaf keeps its .grad
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node._backward, node._parents, node.grad = None, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +248,7 @@ def matmul(a, b, bias=None):
     def bwd(g):
         g = g.reshape(-1, b.data.shape[1])
         _accum(a, (g @ b.data.T).reshape(a.data.shape))
-        _accum(b, rows.T @ g)
+        _accum_product(b, rows.T, g)
         if bias is not None:
             _accum(bias, g.sum(axis=0))
 

@@ -43,7 +43,7 @@ def file_hash(path):
 
 
 def write_manifest(path, entries):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with C.atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         for k in sorted(entries):
             f.write(f"{k}={entries[k]}\n")
 
@@ -139,10 +139,11 @@ def format_table(rows):
 
 def write_report(out_dir, results, rows, manifest):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8", newline="\n") as f:
+    with C.atomic_open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8",
+                       newline="\n") as f:
         for k in sorted(results):
             f.write(f"{k}={results[k]!r}\n")
-    with open(os.path.join(out_dir, "per_item.csv"), "w", newline="") as f:
+    with C.atomic_open(os.path.join(out_dir, "per_item.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(("item", "metric", "value"))
         for r in rows:
@@ -302,7 +303,7 @@ def cmd_compare(args):
         })
         rows.append((variant, results))
 
-    with open(os.path.join(args.out, "comparison.csv"), "w", newline="") as f:
+    with C.atomic_open(os.path.join(args.out, "comparison.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(("variant",) + tuple(REPORT_KEYS))
         for label, res in rows:

@@ -10,6 +10,9 @@ Tokens are whitespace-delimited; tokenization happens upstream.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,6 +150,22 @@ def load_corpus(path, min_utterances=1):
         else DialogueTriple(UNSPECIFIED_USER_ID, t.query, t.reply)
         for t in triples
     ]
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """open(path, mode) for writing, through a temporary file in the same
+    directory that replaces path only after the last write: a writer that
+    fails midway leaves the previous file, and no temporary file, behind."""
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_corpus(path, triples):

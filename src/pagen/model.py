@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ContractError
-from .corpus import PAD, BOS, EOS, UNSPECIFIED_USER
+from .corpus import PAD, BOS, EOS, UNSPECIFIED_USER, atomic_open
 
 VARIANTS = ("S2SA", "FACT_BIAS", "SPEAKER", "VAE", "CVAE", "PAGENERATOR")
 LATENT_VARIANTS = ("VAE", "CVAE", "PAGENERATOR")
@@ -427,7 +427,7 @@ def save_checkpoint(path, params, config):
     """Binary layout: magic "PAGN", u32 version, u32 tensor count; per
     tensor u16 name length + UTF-8 name, u8 rank, u32 dims, float32
     little-endian row-major values; then the canonical config text."""
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
         for name in sorted(params):

@@ -1,6 +1,7 @@
 """Build verification: finite-difference checks for every autodiff
 primitive and one end-to-end loss, a Monte Carlo oracle for the closed-form
-KL, and brute-force reimplementations of the evaluation metrics.
+KL, and brute-force reimplementations of BLEU-1 and distinct-n, which
+`pagen selfcheck` runs (the other metric oracles live with the tests).
 
 The brute-force oracles here deliberately share no code with the metric
 implementations they check.
@@ -263,91 +264,6 @@ def distinct_n_oracle(responses, n):
     if total == 0:
         return None
     return len(seen) / total
-
-
-def bigram_perplexity_oracle(background, user_sents, lam, tokens):
-    """Recount everything from scratch and evaluate the interpolated
-    bigram probability transition by transition."""
-    vocab = {"</s>", "<oov>"}
-    for s in background:
-        vocab.update(s)
-    v = len(vocab)
-
-    def norm(t):
-        return t if (t in vocab or t == "<s>") else "<oov>"
-
-    def counts(sents):
-        bi, uni = Counter(), Counter()
-        for s in sents:
-            seq = ["<s>"] + [norm(t) for t in s] + ["</s>"]
-            for i in range(len(seq) - 1):
-                bi[(seq[i], seq[i + 1])] += 1
-                uni[seq[i]] += 1
-        return bi, uni
-
-    bg_bi, bg_uni = counts(background)
-    u_bi, u_uni = counts(user_sents)
-    seq = ["<s>"] + [norm(t) for t in tokens] + ["</s>"]
-    total = 0.0
-    for i in range(len(seq) - 1):
-        a, b = seq[i], seq[i + 1]
-        p_bg = (bg_bi[(a, b)] + 1) / (bg_uni[a] + v)
-        if u_uni[a] > 0:
-            p_u = u_bi[(a, b)] / u_uni[a]
-        else:
-            p_u = p_bg
-        total += math.log(lam * p_u + (1 - lam) * p_bg)
-    return math.exp(-total / (len(seq) - 1))
-
-
-def urank_oracle(m_scores, s_scores):
-    """Indicator from explicit pairwise comparisons."""
-    rank_m = 0
-    for s in m_scores[1:]:
-        if s > m_scores[0]:
-            rank_m += 1
-    rank_s = 0
-    for s in s_scores[1:]:
-        if s > s_scores[0]:
-            rank_s += 1
-    return 1 if rank_m < rank_s else 0
-
-
-def embedding_metrics_oracle(candidate, reference, vectors):
-    cv = [vectors[t] for t in candidate if t in vectors]
-    rv = [vectors[t] for t in reference if t in vectors]
-    if not cv or not rv:
-        return None
-
-    def cos(a, b):
-        na = math.sqrt(sum(x * x for x in a))
-        nb = math.sqrt(sum(x * x for x in b))
-        if na == 0 or nb == 0:
-            return 0.0
-        return sum(x * y for x, y in zip(a, b)) / (na * nb)
-
-    def mean_vec(vs):
-        return [sum(v[i] for v in vs) / len(vs) for i in range(len(vs[0]))]
-
-    average = cos(mean_vec(cv), mean_vec(rv))
-
-    def extrema(vs):
-        out = []
-        for i in range(len(vs[0])):
-            best = vs[0][i]
-            for v in vs[1:]:
-                if abs(v[i]) > abs(best):
-                    best = v[i]
-            out.append(best)
-        return out
-
-    ext = cos(extrema(cv), extrema(rv))
-
-    def directed(a, b):
-        return sum(max(cos(x, y) for y in b) for x in a) / len(a)
-
-    greedy = 0.5 * (directed(cv, rv) + directed(rv, cv))
-    return average, ext, greedy
 
 
 def run_all(seed=0):

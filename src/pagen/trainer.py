@@ -15,6 +15,7 @@ import numpy as np
 
 from . import model as M
 from .autodiff import ContractError, backward
+from .corpus import atomic_open
 from .objective import total_loss, NumericError, LossBreakdown
 
 
@@ -166,7 +167,7 @@ def batch_arrays(indexed, idxs):
 def write_history_csv(path, history, norms):
     """One row per batch: its LossBreakdown, the pre-clip gradient norm and
     whether clipping scaled the gradient (1) or not (0)."""
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(("batch",) + LossBreakdown.FIELDS + ("grad_norm", "clipped"))
         for i, (b, (norm, clipped)) in enumerate(zip(history, norms)):
@@ -205,11 +206,17 @@ def train(triples, vocab, users, config, train_config, seed, out_dir,
         batch = batch_arrays(indexed, idxs)
         noise = rng.standard_normal((len(idxs), config.z_dim)).astype(np.float32) \
             if config.is_latent else None
-        arena(params)[1].fill(0)
+        arena(params)
+        for p in params.values():  # the arena is overwritten, not zero-filled first
+            p.stale_grad = True
         try:
             loss, breakdown = total_loss(batch, params, config, noise=noise,
                                          batch_index=batch_index)
-            backward(loss)
+            backward(loss)  # frees the graph as it goes
+            for p in params.values():
+                if p.stale_grad:  # no gradient reached p
+                    p.grad.fill(0)
+                    p.stale_grad = False
             norm = clip_gradients(params, train_config.clip_norm)
             adam_step(params, state)
         except (NumericError, DivergenceError) as e:

@@ -306,12 +306,30 @@ def test_backward_determinism():
     assert np.array_equal(g1[0], g2[0]) and np.array_equal(g1[1], g2[1])
 
 
+def test_backward_frees_the_graph_and_refuses_a_second_pass():
+    """A graph is backpropagated once: backward frees each node it has used,
+    and a second backward over the graph, or over a new graph built on one
+    of its freed nodes, raises instead of giving wrong gradients."""
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    h = ad.tanh(x)
+    loss = ad.reduce_sum(ad.mul(h, h))
+    backward(loss)
+    first = x.grad.copy()
+    assert loss.grad is None and h.grad is None  # non-leaf gradients are dropped
+    with pytest.raises(ContractError, match="already used"):
+        backward(loss)
+    with pytest.raises(ContractError, match="already used"):
+        backward(ad.reduce_sum(ad.add(h, x)))
+    assert np.array_equal(x.grad, first)  # a refused backward adds nothing
+
+
 def _aliasing_graphs():
     """name -> (loss_fn, leaves): float64 graphs in which one gradient
     buffer could reach two tensors."""
     rng = np.random.default_rng(31)
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     y = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
     c = ad.constant(rng.standard_normal((3, 8)))
 
     def reused_by_mul(swap):
@@ -328,6 +346,8 @@ def _aliasing_graphs():
         "add(x, y)": (lambda: ad.reduce_sum(ad.mul(ad.add(x, y), ad.tanh(y))), (x, y)),
         "add reused by mul": (reused_by_mul(False), (x, y)),
         "add reused by mul, swapped": (reused_by_mul(True), (x, y)),
+        "matmul reusing w": (lambda: ad.reduce_sum(ad.tanh(ad.matmul(
+            ad.tanh(ad.matmul(x, w)), w))), (x, w)),
     }
 
 
@@ -342,20 +362,28 @@ def test_no_gradient_buffer_reaches_two_tensors(name):
     """Gradients stay right where one buffer could reach two tensors (a
     tensor used twice, an add whose operands mul reuses), and afterwards no
     two leaves' .grad share memory; again when the leaves' .grad are
-    existing views into one flat array, as in the trainer's arena."""
+    existing views into one flat array, as in the trainer's arena, both
+    zeroed and holding stale values that the first gradient overwrites."""
     loss_fn, leaves = _aliasing_graphs()[name]
     report = grad_check(loss_fn, {f"p{i}": t for i, t in enumerate(leaves)}, h=1e-6, tol=1e-6)
     assert report.passed, report.summary()
     _assert_no_shared_grads(leaves)
     expect = [t.grad.copy() for t in leaves]
     flat = np.zeros(sum(t.data.size for t in leaves))
-    views = [flat[i * t.data.size:(i + 1) * t.data.size].reshape(t.data.shape)
-             for i, t in enumerate(leaves)]
+    ends = np.cumsum([t.data.size for t in leaves])
+    views = [flat[end - t.data.size:end].reshape(t.data.shape) for t, end in zip(leaves, ends)]
     for t, v in zip(leaves, views):
         t.grad = v
     backward(loss_fn())
     for t, v, e in zip(leaves, views, expect):
         assert t.grad is v
+        assert np.allclose(v, e, rtol=1e-12, atol=1e-15)
+    flat.fill(np.nan)
+    for t in leaves:
+        t.stale_grad = True
+    backward(loss_fn())
+    for t, v, e in zip(leaves, views, expect):
+        assert t.grad is v and not t.stale_grad
         assert np.allclose(v, e, rtol=1e-12, atol=1e-15)
 
 

@@ -3,6 +3,8 @@ checkpoint format."""
 
 import re
 import struct
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -349,6 +351,58 @@ def test_backward_allocates_no_table_and_copies_no_logits(monkeypatch, variant, 
     assert all(kept)
     assert len([s for s in copies if s[-1] == cfg.vocab_size]) <= v_wide_copies, copies
     assert params["word_emb"].grad.base is T.arena(params)[1] and np.abs(params["word_emb"].grad).max() > 0
+
+
+def test_backward_frees_the_logits_while_the_loss_lives(monkeypatch):
+    """Once backward(loss) has run, the logits array of the output layer is
+    unreachable although loss itself is still held: backward frees each
+    node's saved arrays as soon as it has used them."""
+    cfg = toy_config("PAGENERATOR")
+    params = M.init_params(cfg, seed=23)
+    noise = np.random.default_rng(24).standard_normal((3, cfg.z_dim)).astype(np.float32)
+    refs, real = [], ad.log_softmax_pick
+
+    def spy(logits, targets):
+        refs.extend(weakref.ref(a) for a in (logits.data, logits.data.base) if a is not None)
+        return real(logits, targets)
+
+    monkeypatch.setattr(ad, "log_softmax_pick", spy)
+    loss, _ = total_loss(toy_batch(seed=25), params, cfg, noise=noise, batch_index=5)
+    monkeypatch.undo()
+    assert refs and all(r() is not None for r in refs)
+    backward(loss)
+    assert np.isfinite(loss.data)
+    assert [r for r in refs if r() is not None] == []
+
+
+def test_backward_writes_weight_gradients_into_the_arena():
+    """With packed parameters marked stale_grad, as the trainer leaves them,
+    one PAGENERATOR batch's backward at V=5000 computes the out_W and bow_W2
+    gradients straight into their arena views: all it allocates at once
+    stays below the size of one of them, and the gradients equal those of a
+    backward into fresh buffers."""
+    cfg = ModelConfig(vocab_size=5000, num_users=4).toy()
+    batch = toy_batch(seed=26, vocab=5000)
+    noise = np.random.default_rng(27).standard_normal((3, cfg.z_dim)).astype(np.float32)
+    params = M.init_params(cfg, seed=28)
+    backward(total_loss(batch, params, cfg, noise=noise, batch_index=5)[0])
+    expect = {k: p.grad.copy() for k, p in params.items()}
+    T.arena(params)[1].fill(np.nan)
+    for p in params.values():
+        p.stale_grad = True
+    loss, _ = total_loss(batch, params, cfg, noise=noise, batch_index=5)
+    tracemalloc.start()
+    try:
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = params["out_W"].grad.nbytes
+    assert size == params["bow_W2"].grad.nbytes == 64 * 5000 * 4
+    assert peak < size, (peak, size)
+    assert not any(p.stale_grad for p in params.values())  # every parameter was reached
+    for k, p in params.items():
+        assert np.array_equal(p.grad, expect[k]), k
 
 
 def test_fact_bias_rank_and_zero_case():

@@ -300,3 +300,41 @@ def test_annealing_starts_near_zero(tmp_path):
     tcfg = TrainConfig(batch_size=16, epochs=1, max_batches=4)
     _, history = train(triples, vocab, users, cfg, tcfg, seed=2, out_dir=tmp_path / "r")
     assert all(b.anneal_weight < 0.001 for b in history)
+
+
+def test_train_zeroes_a_gradient_no_backward_reached(tmp_path):
+    """The trainer overwrites the gradient arena each batch instead of
+    zero-filling it first; a parameter that no gradient reaches gets its
+    leftover gradient zeroed before clipping and Adam, so it stays put."""
+    triples, vocab, users = _tiny_setup()
+    cfg = toy_config(vocab_size=len(vocab), num_users=len(users))
+    params = M.init_params(cfg, seed=0)
+    params["unused"] = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    T.arena(params)[1].fill(7.0)  # left over from an earlier step
+    train(triples, vocab, users, cfg, TrainConfig(batch_size=16, epochs=1, max_batches=2),
+          seed=0, out_dir=tmp_path / "r", params=params)
+    assert np.array_equal(params["unused"].data, np.ones((2, 3)))
+    assert not params["unused"].grad.any()
+    assert params["word_emb"].grad.any()
+
+
+def test_a_failed_save_leaves_the_previous_artifacts(tmp_path):
+    """Checkpoint and history go to a temporary file that replaces the old
+    one only once complete: a writer failing midway leaves the previous
+    model.ckpt loadable, history.csv unchanged and no temporary file."""
+    triples, vocab, users = _tiny_setup()
+    cfg = toy_config(vocab_size=len(vocab), num_users=len(users))
+    run = tmp_path / "r"
+    ckpt, history = train(triples, vocab, users, cfg,
+                          TrainConfig(batch_size=16, epochs=1, max_batches=2),
+                          seed=0, out_dir=run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    params, _ = M.load_checkpoint(ckpt)
+    last = max(params)  # written last, after every other tensor
+    params[last] = Tensor(np.full(params[last].shape, "x", dtype=object))
+    with pytest.raises(ValueError):
+        M.save_checkpoint(ckpt, params, cfg)
+    with pytest.raises(AttributeError):  # fails on its last row
+        T.write_history_csv(run / "history.csv", history + [None], [(1.0, False)] * 3)
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    assert M.load_checkpoint(ckpt)[1] == cfg
