@@ -2,10 +2,11 @@
 
 Dynamic graph: every op records its parents and a backward closure on the
 produced tensor, and backward() walks the graph in reverse topological
-order.  Leading axes are rows: matmul, pick and the trailing-axes
-broadcast of add treat an array of shape (..., n) as rows of n entries.
-Other shapes must match exactly; a mismatch raises a ShapeError naming
-the op.  Training runs in float32, gradient checking in float64.
+order.  Leading axes are rows: matmul, affine_log_softmax_pick, pick and
+the trailing-axes broadcast of add treat an array of shape (..., n) as
+rows of n entries.  Other shapes must match exactly; a mismatch raises a
+ShapeError naming the op.  Training runs in float32, gradient checking in
+float64.
 
 Gradient ownership: a backward hands each input a buffer of its own (a
 fresh array, or its upstream gradient or a view of it), and nothing reads
@@ -15,6 +16,10 @@ A tensor whose .grad is a buffer to reuse (in training, its arena view)
 is marked stale_grad: the first gradient to reach it is written into the
 buffer (matmul computes its weight gradient straight into it), and only
 later ones are added.
+
+The output layer: affine_log_softmax_pick keeps one (rows, V) buffer,
+which holds the logits, then their log-softmax, then in the backward
+their gradient, and is handed uncopied to the bias rows, if any.
 
 Graph lifetime: a graph is backpropagated once and freed as it goes.
 After each node's backward has run, backward() drops its closure, its
@@ -516,32 +521,57 @@ def pick(a, indices):
     return _result(flat[rows, cols].reshape(idx.shape), (a,), bwd)
 
 
-def log_softmax_pick(logits, targets):
-    """pick(log_softmax(logits), targets) with one target per row: each
-    row's log-probability of its target, for the reconstruction loss.
+# the log-softmax's exp-sums run over row blocks of about this many bytes
+_EXP_BLOCK_BYTES = 1 << 20
 
-    The saved (rows, V) log-softmax buffer becomes the logits' gradient in
-    the backward, 0 - softmax * g plus g at the targets: bitwise what the
-    two ops apart give, signed zeros included (they sum g over a row of
-    zeros, which gives g + 0)."""
+
+def affine_log_softmax_pick(x, W, b, targets, bias_rows=None):
+    """pick(log_softmax(matmul(x, W, b) [+ bias_rows]), targets), one
+    target per row of x, as one node bitwise equal to those ops apart: the
+    output layer and the reconstruction loss's log-probabilities.
+
+    Its one (rows, V) buffer takes the logits, then their log-softmax in
+    place (the exp-sums run over row blocks of a small scratch array), then
+    in the backward their gradient, 0 - softmax * g plus g at the targets
+    (bitwise the ops apart, signed zeros included: they sum g over a row
+    of zeros, which gives g + 0), which goes uncopied to bias_rows."""
     idx = np.asarray(targets)
-    shape = logits.data.shape
-    if len(shape) < 2 or idx.shape != shape[:-1]:
-        raise ShapeError(f"log_softmax_pick: {shape} with targets {idx.shape}")
-    flat = logits.data.reshape(-1, shape[-1])
-    logp = flat - flat.max(axis=-1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
-    rows, cols = np.arange(flat.shape[0]), idx.reshape(-1)
+    if (x.data.ndim < 2 or W.data.ndim != 2 or x.data.shape[-1] != W.data.shape[0]
+            or b.data.shape != W.data.shape[1:] or idx.shape != x.data.shape[:-1]
+            or (bias_rows is not None and bias_rows.data.shape != idx.shape + b.data.shape)):
+        raise ShapeError(f"affine_log_softmax_pick: {x.data.shape} @ {W.data.shape} + "
+                         f"{b.data.shape}, targets {idx.shape}, bias rows "
+                         f"{getattr(bias_rows, 'shape', None)}")
+    rows = x.data.reshape(-1, W.data.shape[0])
+    logp = rows @ W.data
+    logp += b.data
+    if bias_rows is not None:
+        logp += bias_rows.data.reshape(logp.shape)
+    logp -= logp.max(axis=-1, keepdims=True)
+    n, V = logp.shape
+    block = max(1, _EXP_BLOCK_BYTES // (V * logp.itemsize))
+    scratch = np.empty((min(block, n), V), dtype=logp.dtype)
+    sums = np.empty((n, 1), dtype=logp.dtype)
+    for lo in range(0, n, block):
+        e = np.exp(logp[lo:lo + block], out=scratch[:min(block, n - lo)])
+        e.sum(axis=-1, keepdims=True, out=sums[lo:lo + block])
+    logp -= np.log(sums, out=sums)
+    at = np.arange(n), idx.reshape(-1)
 
     def bwd(g):
         g = g.reshape(-1)
         grad = np.exp(logp, out=logp)
         grad *= (g + 0.0)[:, None]
         np.subtract(0.0, grad, out=grad)
-        grad[rows, cols] += g
-        _accum(logits, grad.reshape(shape))
+        grad[at] += g
+        _accum(x, (grad @ W.data.T).reshape(x.data.shape))
+        _accum_product(W, rows.T, grad)
+        _accum(b, grad.sum(axis=0))
+        if bias_rows is not None:
+            _accum(bias_rows, grad.reshape(bias_rows.data.shape))
 
-    return _result(logp[rows, cols].reshape(idx.shape), (logits,), bwd)
+    return _result(logp[at].reshape(idx.shape),
+                   (x, W, b) if bias_rows is None else (x, W, b, bias_rows), bwd)
 
 
 def embedding(table, indices):

@@ -205,8 +205,8 @@ def cmd_generate(args):
                 user_id, _, query = line.rstrip("\n").partition("\t")
                 requests.append(request(user_id, query, args.seed + i,
                                         f"{args.input}:{i + 1}: "))
-        with open(args.output or args.input + ".out", "w", encoding="utf-8",
-                  newline="\n") as f_out:
+        with C.atomic_open(args.output or args.input + ".out", "w", encoding="utf-8",
+                           newline="\n") as f_out:
             for hyps in G.generate_many(requests, params, config):
                 f_out.write(reply(hyps) + "\n")
         return 0

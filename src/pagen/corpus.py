@@ -169,13 +169,13 @@ def atomic_open(path, mode="w", **kwargs):
 
 
 def write_corpus(path, triples):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         for t in triples:
             f.write(f"{t.user_id}\t{' '.join(t.query)}\t{' '.join(t.reply)}\n")
 
 
 def save_vocab(path, vocab):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         for i in range(len(vocab)):
             f.write(vocab.index_to_token[i] + "\n")
 
@@ -192,7 +192,7 @@ def load_vocab(path):
 
 
 def save_users(path, users):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         for i in range(len(users)):
             f.write(users.index_to_user[i] + "\n")
 

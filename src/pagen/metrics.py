@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import generation as G
-from .corpus import read_lines
+from .corpus import atomic_open, read_lines
 from .model import check_range
 
 
@@ -55,12 +56,11 @@ class BigramLM:
         return tok if tok in self.vocab or tok == BOS_TOK else UNK_TOK
 
     def _count(self, sentences):
-        bi, ctx = {}, {}
+        bi, ctx = Counter(), Counter()
         for s in sentences:
-            toks = [BOS_TOK] + [self._norm(t) for t in s] + [EOS_TOK]
-            for a, b in zip(toks, toks[1:]):
-                bi[(a, b)] = bi.get((a, b), 0) + 1
-                ctx[a] = ctx.get(a, 0) + 1
+            toks = [BOS_TOK, *map(self._norm, s), EOS_TOK]
+            bi.update(zip(toks, toks[1:]))
+            ctx.update(toks[:-1])
         return bi, ctx
 
     def fit_user(self, sentences):
@@ -274,7 +274,7 @@ def load_word_vectors(path):
 
 def save_word_vectors(path, vectors):
     dim = len(next(iter(vectors.values())))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{len(vectors)} {dim}\n")
         for tok in sorted(vectors):
             vals = " ".join(repr(float(v)) for v in vectors[tok])

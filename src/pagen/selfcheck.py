@@ -120,12 +120,6 @@ def primitive_cases(seed=0):
     cases.append(("lstm_static", lambda: lstm_loss(W_static, static=static),
                   dict(state, W=W_static, static=static)))
 
-    # drawn last, so that the cases above keep their inputs for every seed
-    logits = _param(rng, 2, 3, 5)
-    weights = ad.constant(rng.standard_normal((2, 3)))
-    cases.append(("log_softmax_pick", lambda: ad.reduce_sum(ad.mul(
-        ad.log_softmax_pick(logits, idx3), weights)), {"logits": logits}))
-
     # matmul with a bias, on (B, .) and on (T, B, .) rows
     b_w = _param(rng, 5)
     cases.append(("matmul_bias", lambda: ad.reduce_sum(ad.tanh(ad.matmul(x, w, b_w))),
@@ -146,6 +140,14 @@ def primitive_cases(seed=0):
     cases.append(("embedding_2d", lambda: ad.reduce_sum(ad.mul(ad.embedding(table, lookup2),
                                                                steps)),
                   {"table": table, "steps": steps}))
+    # the output layer with FACT_BIAS's bias rows, on (T, B, .) rows; drawn
+    # last, so that the cases above keep their inputs for every seed
+    out_x, out_W, out_b, bias_rows = (_param(rng, 2, 3, 4), _param(rng, 4, 5), _param(rng, 5),
+                                      _param(rng, 2, 3, 5))
+    weights = ad.constant(rng.standard_normal((2, 3)))
+    cases.append(("affine_log_softmax_pick", lambda: ad.reduce_sum(ad.mul(
+        ad.affine_log_softmax_pick(out_x, out_W, out_b, idx3, bias_rows), weights)),
+        {"x": out_x, "W": out_W, "b": out_b, "bias_rows": bias_rows}))
     return cases
 
 

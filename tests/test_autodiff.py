@@ -73,39 +73,55 @@ def test_shape_errors_name_the_op():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_log_softmax_pick_is_bitwise_log_softmax_then_pick(dtype):
-    # (T, B, V) logits as in teacher forcing.  The mask zeroes two rows,
-    # whose gradients arrive as +0.0 and -0.0, and one row's softmax
-    # underflows to 0 away from its largest logit.
+def test_affine_log_softmax_pick_is_bitwise_the_ops_apart(monkeypatch, dtype):
+    """The fused output node equals matmul (plus add of the bias rows),
+    log_softmax and pick bitwise: the picked values and the gradients of
+    h, W, b and the bias rows, with N below, equal to and above one row
+    block of the exp-sums.  The mask zeroes the first and last rows, whose
+    gradients arrive as +0.0 and -0.0, and the first row's softmax
+    underflows to 0 away from its largest logit."""
+    V = 11
+    monkeypatch.setattr(ad, "_EXP_BLOCK_BYTES", 3 * V * np.dtype(dtype).itemsize)
     rng = np.random.default_rng(5)
-    data = (rng.standard_normal((4, 3, 11)) * 3).astype(dtype)
-    data[0, 0, 0] = 1000.0
-    targets = rng.integers(0, 11, (4, 3))
-    mask = Tensor(np.array([[1, 1, 1], [1, 0, 1], [1, 0, 1], [1, 1, 1]], dtype=dtype))
-    weights = Tensor(rng.standard_normal((4, 3)).astype(dtype))
-    assert weights.data[1, 1] * weights.data[2, 1] < 0
+    W0, b0 = (rng.standard_normal(s).astype(dtype) for s in ((6, V), (V,)))
+    for n in (2, 3, 7):
+        x0, B0 = (rng.standard_normal(s).astype(dtype) for s in ((n, 6), (n, V)))
+        x0[0] *= 300
+        targets = rng.integers(0, V, n)
+        mask = Tensor(np.r_[0, np.ones(n - 2), 0].astype(dtype))
+        weights = rng.standard_normal(n).astype(dtype)
+        weights[0], weights[-1] = abs(weights[0]), -abs(weights[-1])
 
-    def run(fused):
-        x = Tensor(data.copy(), requires_grad=True)
-        h = ad.scale(x, 1.0)  # an op output, as the logits are in the model
-        out = (ad.log_softmax_pick(h, targets) if fused
-               else ad.pick(ad.log_softmax(h), targets))
-        backward(ad.reduce_sum(ad.mul(ad.mul(out, mask), weights)))
-        return out.data, x.grad
+        def run(fused, with_bias):
+            x, W, b, B = (Tensor(a.copy(), requires_grad=True) for a in (x0, W0, b0, B0))
+            h, bias = ad.scale(x, 1.0), ad.scale(B, 1.0) if with_bias else None
+            if fused:
+                out = ad.affine_log_softmax_pick(h, W, b, targets, bias)
+            else:
+                logits = ad.matmul(h, W, b)
+                out = ad.pick(ad.log_softmax(logits if bias is None else ad.add(logits, bias)),
+                              targets)
+            backward(ad.reduce_sum(ad.mul(ad.mul(out, mask), Tensor(weights))))
+            assert out.data.dtype == x.grad.dtype == dtype
+            return [None if a is None else a.tobytes()
+                    for a in (out.data, x.grad, W.grad, b.grad, B.grad)]
 
-    (v1, g1), (v2, g2) = run(True), run(False)
-    assert v1.dtype == g1.dtype == dtype
-    assert v1.tobytes() == v2.tobytes() and g1.tobytes() == g2.tobytes()
+        for with_bias in (False, True):
+            assert run(True, with_bias) == run(False, with_bias), (n, with_bias)
 
 
-def test_log_softmax_pick_takes_one_target_per_row():
-    x = Tensor(np.ones((2, 3, 4)))
+def test_affine_log_softmax_pick_takes_one_target_per_row():
+    x, W, b = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 5))), Tensor(np.ones(5))
+    targets = np.zeros((2, 3), dtype=np.int64)
     for bad in (np.zeros((2, 3, 2), dtype=np.int64), np.zeros((3, 2), dtype=np.int64),
                 np.zeros(2, dtype=np.int64)):
-        with pytest.raises(ShapeError, match="log_softmax_pick"):
-            ad.log_softmax_pick(x, bad)
-    with pytest.raises(ShapeError, match="log_softmax_pick"):
-        ad.log_softmax_pick(Tensor(np.ones(4)), np.zeros((), dtype=np.int64))
+        with pytest.raises(ShapeError, match="affine_log_softmax_pick"):
+            ad.affine_log_softmax_pick(x, W, b, bad)
+    with pytest.raises(ShapeError, match="affine_log_softmax_pick"):  # bias rows of (2, 3, 4)
+        ad.affine_log_softmax_pick(x, W, b, targets, x)
+    with pytest.raises(ShapeError, match="affine_log_softmax_pick"):
+        ad.affine_log_softmax_pick(Tensor(np.ones(4)), W, b, np.zeros((), dtype=np.int64))
+    assert ad.affine_log_softmax_pick(x, W, b, targets).shape == (2, 3)
 
 
 def test_embedding_index_contract():

@@ -202,6 +202,30 @@ def test_generate_batch_mode_equals_per_line_generate(workdir):
     assert batch_out.read_text(encoding="utf-8") == "".join(want)
 
 
+def test_a_failed_generate_leaves_the_previous_output(workdir, monkeypatch):
+    """generate --output replaces its file only once every reply is
+    written: decoding that fails midway leaves the previous output and no
+    temporary file behind."""
+    tmp_path, _, _ = workdir
+    model = str(_trained(workdir) / "model.ckpt")
+    batch_in = tmp_path / "queries.tsv"
+    batch_in.write_text("user0\ttopic1 q3\nuser2\ttopic2 q4 q5\n", encoding="utf-8")
+    batch_out = tmp_path / "replies.txt"
+    argv = ["generate", "--model", model, "--input", str(batch_in), "--output", str(batch_out),
+            "--beam", "2", "--max-length", "4"]
+    assert cli.main(argv) == 0
+    before = sorted(tmp_path.iterdir()), batch_out.read_bytes()
+    real = G.generate_many
+
+    def failing(requests, params, config):
+        yield next(iter(real(requests, params, config)))
+        raise ValueError("decoding failed")
+
+    monkeypatch.setattr(G, "generate_many", failing)
+    assert cli.main(argv) == 1
+    assert (sorted(tmp_path.iterdir()), batch_out.read_bytes()) == before
+
+
 def test_generate_rejects_unknown_users(workdir, capsys):
     tmp_path, _, _ = workdir
     model = str(_trained(workdir) / "model.ckpt")

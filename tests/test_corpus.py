@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pagen import corpus as C
+from pagen import metrics as MX
 from pagen.corpus import (BOS, EOS, PAD, RESERVED, UNK, UNSPECIFIED_USER,
                           UNSPECIFIED_USER_ID, CorpusError, DialogueTriple,
                           UserTable, Vocabulary)
@@ -226,3 +227,29 @@ def test_synthetic_argument_validation():
         C.generate_synthetic(1, 10, 0.9, seed=0)
     with pytest.raises(CorpusError):
         C.generate_synthetic(4, 10, 0.4, seed=0)
+
+
+def test_a_failed_write_leaves_the_previous_file(tmp_path, tiny_triples):
+    """The corpus, vocabulary, user-table and word-vector writers replace
+    their file only once complete: each, failing on its last entry, leaves
+    the previous file and no temporary file behind."""
+    def failing_on_last(table, names):
+        getattr(table, names)[len(table) - 1] = None
+        return table
+
+    writers = [
+        (C.write_corpus, tiny_triples[:2], tiny_triples + [None]),
+        (C.save_vocab, Vocabulary.build(tiny_triples[:2]),
+         failing_on_last(Vocabulary.build(tiny_triples), "index_to_token")),
+        (C.save_users, UserTable.build(["alice"]),
+         failing_on_last(UserTable.build(["alice", "bob", "carol"]), "index_to_user")),
+        (MX.save_word_vectors, {"a": np.ones(2)}, {"a": np.ones(2), "b": [1.0, "x"]}),
+    ]
+    for i, (write, good, bad) in enumerate(writers):
+        path = tmp_path / f"out{i}"
+        write(path, good)
+        before = path.read_bytes()
+        with pytest.raises((AttributeError, TypeError, ValueError)):
+            write(path, bad)
+        assert path.read_bytes() == before, write.__name__
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"out{i}" for i in range(4)]

@@ -295,15 +295,15 @@ def test_teacher_forcing_is_padding_invariant(variant, use_attention):
 
 
 @pytest.mark.parametrize("variant,attention,v_wide_copies",
-                         [("PAGENERATOR", False, 0), ("FACT_BIAS", False, 1), ("S2SA", True, 0)],
+                         [("PAGENERATOR", False, 0), ("FACT_BIAS", False, 0), ("S2SA", True, 0)],
                          ids=["PAGENERATOR", "FACT_BIAS", "S2SA+attention"])
 def test_backward_allocates_no_table_and_copies_no_logits(monkeypatch, variant, attention,
                                                           v_wide_copies):
     """In one backward of a toy batch with packed parameters, the embedding
     gradients go straight into the arena (no table-sized buffer), every
     first gradient becomes .grad uncopied, and no backward hands on a copy
-    of a V-wide upstream gradient, except the one FACT_BIAS's user-bias add
-    gives its second operand."""
+    of a V-wide upstream gradient: FACT_BIAS's bias rows get the output
+    node's logits-gradient buffer itself."""
     cfg = toy_config(variant, use_attention=attention)
     params = M.init_params(cfg, seed=20)
     T.arena(params)
@@ -353,26 +353,66 @@ def test_backward_allocates_no_table_and_copies_no_logits(monkeypatch, variant, 
     assert params["word_emb"].grad.base is T.arena(params)[1] and np.abs(params["word_emb"].grad).max() > 0
 
 
+def _graph_arrays(root):
+    """The arrays the graph under root holds for its backward: each op
+    output and every array its backward closure keeps (directly or in a
+    list or tuple), each counted once as the buffer it views."""
+    found, seen, stack = {}, set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        kept = [node.data]
+        for cell in node._backward.__closure__ or ():
+            v = cell.cell_contents
+            kept.extend(v if isinstance(v, (list, tuple)) else [v])
+        for a in kept:
+            if isinstance(a, np.ndarray):
+                while a.base is not None:
+                    a = a.base
+                found[id(a)] = a
+        stack.extend(node._parents)
+    return list(found.values())
+
+
 def test_backward_frees_the_logits_while_the_loss_lives(monkeypatch):
-    """Once backward(loss) has run, the logits array of the output layer is
-    unreachable although loss itself is still held: backward frees each
-    node's saved arrays as soon as it has used them."""
+    """Once backward(loss) has run, the output node's (N, V) buffer, which
+    held the logits and then their log-softmax, is unreachable although
+    loss itself is still held: backward frees each node's saved arrays as
+    soon as it has used them."""
     cfg = toy_config("PAGENERATOR")
     params = M.init_params(cfg, seed=23)
     noise = np.random.default_rng(24).standard_normal((3, cfg.z_dim)).astype(np.float32)
-    refs, real = [], ad.log_softmax_pick
+    refs, real = [], ad.affine_log_softmax_pick
 
-    def spy(logits, targets):
-        refs.extend(weakref.ref(a) for a in (logits.data, logits.data.base) if a is not None)
-        return real(logits, targets)
+    def spy(x, W, b, targets, bias_rows=None):
+        out = real(x, W, b, targets, bias_rows)
+        refs.extend(weakref.ref(a) for a in _graph_arrays(out) if a.shape == (len(targets), W.shape[1]))
+        return out
 
-    monkeypatch.setattr(ad, "log_softmax_pick", spy)
+    monkeypatch.setattr(ad, "affine_log_softmax_pick", spy)
     loss, _ = total_loss(toy_batch(seed=25), params, cfg, noise=noise, batch_index=5)
     monkeypatch.undo()
-    assert refs and all(r() is not None for r in refs)
+    assert len(refs) == 1 and refs[0]() is not None
     backward(loss)
     assert np.isfinite(loss.data)
-    assert [r for r in refs if r() is not None] == []
+    assert refs[0]() is None
+
+
+def test_forward_holds_one_logits_sized_array():
+    """After one PAGENERATOR forward at V=5000 the graph holds exactly one
+    array of N x V for its N scored decoder rows: the output node's buffer,
+    which serves as logits, log-softmax and later their gradient."""
+    cfg = ModelConfig(vocab_size=5000, num_users=4).toy()
+    batch = toy_batch(seed=29, vocab=5000)
+    noise = np.random.default_rng(30).standard_normal((3, cfg.z_dim)).astype(np.float32)
+    params = M.init_params(cfg, seed=31)
+    loss, _ = total_loss(batch, params, cfg, noise=noise, batch_index=5)
+    n = int(np.sum(batch[4] + 1))  # each reply's tokens plus EOS
+    held = _graph_arrays(loss)
+    assert len([a for a in held if a.size == n * cfg.vocab_size]) == 1
+    assert max(a.size for a in held) == n * cfg.vocab_size
 
 
 def test_backward_writes_weight_gradients_into_the_arena():
