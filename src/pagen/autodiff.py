@@ -18,8 +18,11 @@ buffer (matmul computes its weight gradient straight into it), and only
 later ones are added.
 
 The output layer: affine_log_softmax_pick keeps one (rows, V) buffer,
-which holds the logits, then their log-softmax, then in the backward
-their gradient, and is handed uncopied to the bias rows, if any.
+which holds the logits (low-rank bias rows added in), then their
+log-softmax, then in the backward their gradient.  An lstm keeps, for
+BPTT, its gate activations and the (T, B, H) states and cells each step
+leaves; the backward rebuilds from them the state entering each step and
+tanh of each cell.
 
 Graph lifetime: a graph is backpropagated once and freed as it goes.
 After each node's backward has run, backward() drops its closure, its
@@ -388,8 +391,7 @@ def lstm(x, W, b, h0, c0, static=None, mask=None, reverse=False):
     ragged = [False] * T if keep is None else (~keep.all(axis=(1, 2))).tolist()
     steps = range(T - 1, -1, -1) if reverse else range(T)
     hs = np.empty((T, B, H), dtype=pre.dtype)
-    if record:  # the state entering each step, and tanh of each new cell
-        h_in, c_in, tanh_c = (np.empty_like(hs) for _ in range(3))
+    cs = np.empty_like(hs) if record else None  # the cell each step leaves
     h, c = h0.data, c0.data
     for t in steps:
         z = pre[t]
@@ -399,17 +401,24 @@ def lstm(x, W, b, h0, c0, static=None, mask=None, reverse=False):
         z += shift
         c_new = z[:, H:2 * H] * c
         c_new += z[:, :H] * z[:, 3 * H:]
-        tc = np.tanh(c_new, out=tanh_c[t] if record else None)
-        h_new = z[:, 2 * H:3 * H] * tc
-        if record:
-            h_in[t], c_in[t] = h, c
+        h_new = z[:, 2 * H:3 * H] * np.tanh(c_new)
         if ragged[t]:
             h_new, c_new = np.where(keep[t], h_new, h), np.where(keep[t], c_new, c)
         h, c = h_new, c_new
         hs[t] = h
+        if record:
+            cs[t] = c
     final_dc = [None]  # the final cell's gradient, left here by its node
 
+    def entering(states, first):
+        """The state entering each step: the one the step before it left."""
+        parts = [states[1:], first[None]] if reverse else [first[None], states[:-1]]
+        return np.concatenate(parts, dtype=states.dtype)
+
     def bwd(g_hs):
+        # tanh(cs) differs from the step's own tanh only on masked rows,
+        # whose dh and dc the mask zeroes
+        h_in, c_in, tanh_c = entering(hs, h0.data), entering(cs, c0.data), np.tanh(cs)
         dZ = np.empty_like(pre)  # gradient of every step's gate pre-activations
         dh = np.zeros_like(h0.data)
         dc = np.zeros_like(c0.data) if final_dc[0] is None else final_dc[0]
@@ -525,30 +534,35 @@ def pick(a, indices):
 _EXP_BLOCK_BYTES = 1 << 20
 
 
-def affine_log_softmax_pick(x, W, b, targets, bias_rows=None):
-    """pick(log_softmax(matmul(x, W, b) [+ bias_rows]), targets), one
+def affine_log_softmax_pick(x, W, b, targets, bias=None):
+    """pick(log_softmax(matmul(x, W, b) [+ matmul(u, P)]), targets), one
     target per row of x, as one node bitwise equal to those ops apart: the
-    output layer and the reconstruction loss's log-probabilities.
+    output layer and the reconstruction loss's log-probabilities.  bias is
+    an optional pair (u, P), u with a row per row of x: FACT_BIAS's
+    low-rank user bias.
 
-    Its one (rows, V) buffer takes the logits, then their log-softmax in
-    place (the exp-sums run over row blocks of a small scratch array), then
-    in the backward their gradient, 0 - softmax * g plus g at the targets
-    (bitwise the ops apart, signed zeros included: they sum g over a row
-    of zeros, which gives g + 0), which goes uncopied to bias_rows."""
+    Its one (rows, V) buffer takes the logits (u @ P is added into it, not
+    kept), then their log-softmax in place (the exp-sums run over row
+    blocks of a small scratch array), then in the backward their gradient,
+    0 - softmax * g plus g at the targets (bitwise the ops apart, signed
+    zeros included: they sum g over a row of zeros, which gives g + 0)."""
     idx = np.asarray(targets)
+    u, P = (None, None) if bias is None else bias
     if (x.data.ndim < 2 or W.data.ndim != 2 or x.data.shape[-1] != W.data.shape[0]
             or b.data.shape != W.data.shape[1:] or idx.shape != x.data.shape[:-1]
-            or (bias_rows is not None and bias_rows.data.shape != idx.shape + b.data.shape)):
+            or (bias is not None and (P.data.ndim != 2 or P.data.shape[1:] != b.data.shape
+                                      or u.data.shape != idx.shape + P.data.shape[:1]))):
         raise ShapeError(f"affine_log_softmax_pick: {x.data.shape} @ {W.data.shape} + "
-                         f"{b.data.shape}, targets {idx.shape}, bias rows "
-                         f"{getattr(bias_rows, 'shape', None)}")
+                         f"{b.data.shape}, targets {idx.shape}, bias "
+                         f"{None if bias is None else (u.data.shape, P.data.shape)}")
     rows = x.data.reshape(-1, W.data.shape[0])
     logp = rows @ W.data
     logp += b.data
-    if bias_rows is not None:
-        logp += bias_rows.data.reshape(logp.shape)
-    logp -= logp.max(axis=-1, keepdims=True)
     n, V = logp.shape
+    u_rows = None if bias is None else u.data.reshape(n, -1)
+    if bias is not None:  # one GEMM: a column block of it may round differently
+        logp += u_rows @ P.data
+    logp -= logp.max(axis=-1, keepdims=True)
     block = max(1, _EXP_BLOCK_BYTES // (V * logp.itemsize))
     scratch = np.empty((min(block, n), V), dtype=logp.dtype)
     sums = np.empty((n, 1), dtype=logp.dtype)
@@ -567,11 +581,12 @@ def affine_log_softmax_pick(x, W, b, targets, bias_rows=None):
         _accum(x, (grad @ W.data.T).reshape(x.data.shape))
         _accum_product(W, rows.T, grad)
         _accum(b, grad.sum(axis=0))
-        if bias_rows is not None:
-            _accum(bias_rows, grad.reshape(bias_rows.data.shape))
+        if bias is not None:
+            _accum(u, (grad @ P.data.T).reshape(u.data.shape))
+            _accum_product(P, u_rows.T, grad)
 
-    return _result(logp[at].reshape(idx.shape),
-                   (x, W, b) if bias_rows is None else (x, W, b, bias_rows), bwd)
+    return _result(logp[at].reshape(idx.shape), (x, W, b) + (() if bias is None else (u, P)),
+                   bwd)
 
 
 def embedding(table, indices):

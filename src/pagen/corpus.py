@@ -100,7 +100,9 @@ class UserTable:
         return cls(user_to_index=mapping)
 
 
-def parse_line(line, lineno):
+def parse_line(line, lineno, shared=None):
+    """One corpus line as a triple.  With shared, a dict, each token is the
+    one str object shared holds for it (added there on first sight)."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 3:
         raise CorpusError(f"line {lineno}: expected 3 TAB-separated fields, got {len(parts)}")
@@ -108,6 +110,8 @@ def parse_line(line, lineno):
     q_toks, r_toks = query.split(), reply.split()
     if not user_id or not q_toks or not r_toks:
         raise CorpusError(f"line {lineno}: empty field")
+    if shared is not None:
+        q_toks, r_toks = ([shared.setdefault(w, w) for w in toks] for toks in (q_toks, r_toks))
     return DialogueTriple(user_id=user_id, query=q_toks, reply=r_toks)
 
 
@@ -123,12 +127,13 @@ def read_lines(path):
 
 
 def read_triples(path):
-    triples = []
+    """The triples of a corpus file; equal tokens share one str."""
+    triples, shared = [], {}
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:
-            triples.append(parse_line(line, lineno))
+            triples.append(parse_line(line, lineno, shared))
         except CorpusError as e:
             raise CorpusError(f"{path}: {e}") from None
     if not triples:
@@ -264,7 +269,7 @@ def generate_synthetic(num_users, triples_per_user, signature_strength, seed):
             q_len = int(rng.integers(2, 5))
             query = [topic] + [fillers[rng.integers(query_fillers)] for _ in range(q_len)]
             r_len = int(rng.integers(3, 7))
-            reply = list(np.array(pool)[rng.choice(reply_pool, size=r_len, p=prefs[k])])
+            reply = [pool[i] for i in rng.choice(reply_pool, size=r_len, p=prefs[k])]
             if rng.random() < 0.5:
                 reply[rng.integers(r_len)] = topic
             if rng.random() < signature_strength:

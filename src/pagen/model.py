@@ -225,15 +225,25 @@ def param_shapes(config):
     return shapes
 
 
+_INIT_PIECE = 1 << 16  # values per init_params draw
+
+
 def init_params(config, seed=0, dtype=np.float32):
-    """Uniform(-0.08, 0.08) init for every trainable tensor."""
+    """Uniform(-0.08, 0.08) init for every trainable tensor, drawn in
+    sorted-name order; each tensor is a view of one flat array.
+
+    The draws fill it a piece at a time, the same stream as one draw per
+    tensor, so no tensor-sized temporary is made: glibc would keep such
+    blocks in its heap, and a training's peak RSS would grow by them."""
     rng = np.random.default_rng(seed)
     shapes = param_shapes(config)
-    params = {}
-    for name in sorted(shapes):
-        data = rng.uniform(-0.08, 0.08, size=shapes[name]).astype(dtype)
-        params[name] = Tensor(data, requires_grad=True, name=name)
-    return params
+    names = sorted(shapes)
+    ends = np.cumsum([math.prod(shapes[k]) for k in names]).tolist()
+    flat = np.empty(ends[-1], dtype=dtype)
+    for lo in range(0, flat.size, _INIT_PIECE):
+        flat[lo:lo + _INIT_PIECE] = rng.uniform(-0.08, 0.08, size=min(_INIT_PIECE, flat.size - lo))
+    return {k: Tensor(flat[lo:hi].reshape(shapes[k]), requires_grad=True, name=k)
+            for k, lo, hi in zip(names, [0] + ends, ends)}
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +326,10 @@ def decoder_init_state(h_q, params, config, batch):
     return h0, c0
 
 
-def fact_bias_logits(user_idx, params):
-    """Low-rank per-user output bias: factors[u] @ shared projection."""
-    return ad.matmul(ad.embedding(params["fact_factors"], np.asarray(user_idx)),
-                     params["fact_proj"])
+def fact_bias(user_idx, params):
+    """Low-rank per-user output bias, as the pair whose product it is:
+    (factors[u], shared projection)."""
+    return ad.embedding(params["fact_factors"], np.asarray(user_idx)), params["fact_proj"]
 
 
 def _attention_context(h_dec, enc, params):
@@ -372,11 +382,11 @@ def output_logits(h, enc, params, config, user_idx=None, rows=None, targets=None
     if config.variant == "FACT_BIAS":
         if user_idx is None:
             raise ContractError("FACT_BIAS decode requires user_idx")
-        bias = fact_bias_logits(user_idx, params)
+        bias = fact_bias(user_idx, params)
     if targets is not None:
         return ad.affine_log_softmax_pick(h, params["out_W"], params["out_b"], targets, bias)
     logits = ad.matmul(h, params["out_W"], params["out_b"])
-    return logits if bias is None else ad.add(logits, bias)
+    return logits if bias is None else ad.add(logits, ad.matmul(*bias))
 
 
 def decode_logits(prev_idx, state, z, e_u, enc, params, config, user_idx=None):
@@ -443,7 +453,7 @@ def save_checkpoint(path, params, config):
             f.write(struct.pack("<B", data.ndim))
             for d in data.shape:
                 f.write(struct.pack("<I", d))
-            f.write(data.tobytes())
+            f.write(memoryview(data).cast("B"))  # the array's own bytes, uncopied
         f.write(config.to_text().encode("utf-8"))
 
 

@@ -142,12 +142,12 @@ def primitive_cases(seed=0):
                   {"table": table, "steps": steps}))
     # the output layer with FACT_BIAS's bias rows, on (T, B, .) rows; drawn
     # last, so that the cases above keep their inputs for every seed
-    out_x, out_W, out_b, bias_rows = (_param(rng, 2, 3, 4), _param(rng, 4, 5), _param(rng, 5),
-                                      _param(rng, 2, 3, 5))
+    out_x, out_W, out_b, bias_u, bias_P = (_param(rng, 2, 3, 4), _param(rng, 4, 5), _param(rng, 5),
+                                           _param(rng, 2, 3, 2), _param(rng, 2, 5))
     weights = ad.constant(rng.standard_normal((2, 3)))
     cases.append(("affine_log_softmax_pick", lambda: ad.reduce_sum(ad.mul(
-        ad.affine_log_softmax_pick(out_x, out_W, out_b, idx3, bias_rows), weights)),
-        {"x": out_x, "W": out_W, "b": out_b, "bias_rows": bias_rows}))
+        ad.affine_log_softmax_pick(out_x, out_W, out_b, idx3, (bias_u, bias_P)), weights)),
+        {"x": out_x, "W": out_W, "b": out_b, "bias_u": bias_u, "bias_P": bias_P}))
     return cases
 
 

@@ -74,18 +74,18 @@ def test_shape_errors_name_the_op():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_affine_log_softmax_pick_is_bitwise_the_ops_apart(monkeypatch, dtype):
-    """The fused output node equals matmul (plus add of the bias rows),
-    log_softmax and pick bitwise: the picked values and the gradients of
-    h, W, b and the bias rows, with N below, equal to and above one row
-    block of the exp-sums.  The mask zeroes the first and last rows, whose
-    gradients arrive as +0.0 and -0.0, and the first row's softmax
-    underflows to 0 away from its largest logit."""
-    V = 11
+    """The fused output node equals matmul (plus add of the bias rows'
+    matmul), log_softmax and pick bitwise: the picked values and the
+    gradients of h, W, b and the bias factors, with N below, equal to and
+    above one row block of the exp-sums.  The mask zeroes the first and last rows, whose gradients arrive as
+    +0.0 and -0.0, and the first row's softmax underflows to 0 away from
+    its largest logit."""
+    V, r = 11, 4
     monkeypatch.setattr(ad, "_EXP_BLOCK_BYTES", 3 * V * np.dtype(dtype).itemsize)
     rng = np.random.default_rng(5)
-    W0, b0 = (rng.standard_normal(s).astype(dtype) for s in ((6, V), (V,)))
+    W0, b0, P0 = (rng.standard_normal(s).astype(dtype) for s in ((6, V), (V,), (r, V)))
     for n in (2, 3, 7):
-        x0, B0 = (rng.standard_normal(s).astype(dtype) for s in ((n, 6), (n, V)))
+        x0, U0 = (rng.standard_normal(s).astype(dtype) for s in ((n, 6), (n, r)))
         x0[0] *= 300
         targets = rng.integers(0, V, n)
         mask = Tensor(np.r_[0, np.ones(n - 2), 0].astype(dtype))
@@ -93,18 +93,18 @@ def test_affine_log_softmax_pick_is_bitwise_the_ops_apart(monkeypatch, dtype):
         weights[0], weights[-1] = abs(weights[0]), -abs(weights[-1])
 
         def run(fused, with_bias):
-            x, W, b, B = (Tensor(a.copy(), requires_grad=True) for a in (x0, W0, b0, B0))
-            h, bias = ad.scale(x, 1.0), ad.scale(B, 1.0) if with_bias else None
+            x, W, b, U, P = (Tensor(a.copy(), requires_grad=True) for a in (x0, W0, b0, U0, P0))
+            h, bias = ad.scale(x, 1.0), (ad.scale(U, 1.0), P) if with_bias else None
             if fused:
                 out = ad.affine_log_softmax_pick(h, W, b, targets, bias)
             else:
                 logits = ad.matmul(h, W, b)
-                out = ad.pick(ad.log_softmax(logits if bias is None else ad.add(logits, bias)),
-                              targets)
+                out = ad.pick(ad.log_softmax(logits if bias is None
+                                             else ad.add(logits, ad.matmul(*bias))), targets)
             backward(ad.reduce_sum(ad.mul(ad.mul(out, mask), Tensor(weights))))
             assert out.data.dtype == x.grad.dtype == dtype
             return [None if a is None else a.tobytes()
-                    for a in (out.data, x.grad, W.grad, b.grad, B.grad)]
+                    for a in (out.data, x.grad, W.grad, b.grad, U.grad, P.grad)]
 
         for with_bias in (False, True):
             assert run(True, with_bias) == run(False, with_bias), (n, with_bias)
@@ -117,11 +117,14 @@ def test_affine_log_softmax_pick_takes_one_target_per_row():
                 np.zeros(2, dtype=np.int64)):
         with pytest.raises(ShapeError, match="affine_log_softmax_pick"):
             ad.affine_log_softmax_pick(x, W, b, bad)
-    with pytest.raises(ShapeError, match="affine_log_softmax_pick"):  # bias rows of (2, 3, 4)
-        ad.affine_log_softmax_pick(x, W, b, targets, x)
+    u, P = Tensor(np.ones((2, 3, 2))), Tensor(np.ones((2, 5)))
+    for bad in ((x, P), (u, W), (Tensor(np.ones((3, 2))), P)):  # factor rows or projection off
+        with pytest.raises(ShapeError, match="affine_log_softmax_pick"):
+            ad.affine_log_softmax_pick(x, W, b, targets, bad)
     with pytest.raises(ShapeError, match="affine_log_softmax_pick"):
         ad.affine_log_softmax_pick(Tensor(np.ones(4)), W, b, np.zeros((), dtype=np.int64))
     assert ad.affine_log_softmax_pick(x, W, b, targets).shape == (2, 3)
+    assert ad.affine_log_softmax_pick(x, W, b, targets, (u, P)).shape == (2, 3)
 
 
 def test_embedding_index_contract():

@@ -203,6 +203,18 @@ def test_synthetic_deterministic():
     assert a != c
 
 
+def test_equal_tokens_are_one_str(tmp_path):
+    """A generated and a loaded corpus hold one str object per distinct
+    token, not one per occurrence."""
+    generated = C.generate_synthetic(4, 30, 0.9, seed=3)
+    path = tmp_path / "c.tsv"
+    C.write_corpus(path, generated)
+    for triples in (generated, C.read_triples(path)):
+        tokens = [tok for t in triples for tok in t.query + t.reply]
+        assert all(type(tok) is str for tok in tokens)
+        assert len({id(tok) for tok in tokens}) == len(set(tokens)) < len(tokens)
+
+
 def test_synthetic_signature_frequency():
     strength = 0.9
     triples = C.generate_synthetic(4, 300, strength, seed=7)

@@ -85,6 +85,27 @@ def test_param_shapes_per_variant():
     assert "att_W" in p
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_params_draws_per_tensor_values_without_temporaries(dtype):
+    """init_params gives bitwise the values of one uniform draw per tensor
+    in sorted-name order, cast to dtype, while its traced peak stays within
+    its one flat array plus a few draw pieces: no tensor-sized temporary."""
+    cfg = ModelConfig(vocab_size=20000, num_users=4).toy()
+    tracemalloc.start()
+    try:
+        params = M.init_params(cfg, seed=7, dtype=dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rng = np.random.default_rng(7)
+    for k in sorted(params):
+        want = rng.uniform(-0.08, 0.08, size=params[k].shape).astype(dtype)
+        assert params[k].data.dtype == dtype and params[k].data.tobytes() == want.tobytes(), k
+    total = sum(p.data.nbytes for p in params.values())
+    assert max(p.data.nbytes for p in params.values()) > 4 * M._INIT_PIECE * 8
+    assert peak < total + 4 * M._INIT_PIECE * 8, (peak, total)
+
+
 def test_encode_shapes_and_mask():
     cfg = toy_config()
     params = M.init_params(cfg)
@@ -353,27 +374,39 @@ def test_backward_allocates_no_table_and_copies_no_logits(monkeypatch, variant, 
     assert params["word_emb"].grad.base is T.arena(params)[1] and np.abs(params["word_emb"].grad).max() > 0
 
 
+def _buffer(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def _node_arrays(node):
+    """The arrays one op node holds for its backward: its output and every
+    array its backward closure keeps (directly or in a list or tuple), each
+    as the buffer it views, by id."""
+    kept = [node.data]
+    for cell in node._backward.__closure__ or ():
+        v = cell.cell_contents
+        kept.extend(v if isinstance(v, (list, tuple)) else [v])
+    return {id(b): b for b in (_buffer(a) for a in kept if isinstance(a, np.ndarray))}
+
+
 def _graph_arrays(root):
-    """The arrays the graph under root holds for its backward: each op
-    output and every array its backward closure keeps (directly or in a
-    list or tuple), each counted once as the buffer it views."""
-    found, seen, stack = {}, set(), [root]
+    """The arrays the graph under root holds for its backward, each counted
+    once; the buffers of its leaves (the weights, which init_params lays
+    out in one array) belong to their owner, not to the graph."""
+    found, leaves, seen, stack = {}, set(), set(), [root]
     while stack:
         node = stack.pop()
-        if id(node) in seen or node._backward is None:
+        if id(node) in seen:
             continue
         seen.add(id(node))
-        kept = [node.data]
-        for cell in node._backward.__closure__ or ():
-            v = cell.cell_contents
-            kept.extend(v if isinstance(v, (list, tuple)) else [v])
-        for a in kept:
-            if isinstance(a, np.ndarray):
-                while a.base is not None:
-                    a = a.base
-                found[id(a)] = a
+        if node._backward is None:
+            leaves.add(id(_buffer(node.data)))
+            continue
+        found.update(_node_arrays(node))
         stack.extend(node._parents)
-    return list(found.values())
+    return [a for k, a in found.items() if k not in leaves]
 
 
 def test_backward_frees_the_logits_while_the_loss_lives(monkeypatch):
@@ -386,8 +419,8 @@ def test_backward_frees_the_logits_while_the_loss_lives(monkeypatch):
     noise = np.random.default_rng(24).standard_normal((3, cfg.z_dim)).astype(np.float32)
     refs, real = [], ad.affine_log_softmax_pick
 
-    def spy(x, W, b, targets, bias_rows=None):
-        out = real(x, W, b, targets, bias_rows)
+    def spy(x, W, b, targets, bias=None):
+        out = real(x, W, b, targets, bias)
         refs.extend(weakref.ref(a) for a in _graph_arrays(out) if a.shape == (len(targets), W.shape[1]))
         return out
 
@@ -401,18 +434,45 @@ def test_backward_frees_the_logits_while_the_loss_lives(monkeypatch):
 
 
 def test_forward_holds_one_logits_sized_array():
-    """After one PAGENERATOR forward at V=5000 the graph holds exactly one
-    array of N x V for its N scored decoder rows: the output node's buffer,
-    which serves as logits, log-softmax and later their gradient."""
-    cfg = ModelConfig(vocab_size=5000, num_users=4).toy()
+    """After one PAGENERATOR or FACT_BIAS forward at V=5000 the graph holds
+    exactly one array of N x V for its N scored decoder rows: the output
+    node's buffer, which serves as logits (FACT_BIAS's bias product added
+    into it), log-softmax and later their gradient."""
     batch = toy_batch(seed=29, vocab=5000)
-    noise = np.random.default_rng(30).standard_normal((3, cfg.z_dim)).astype(np.float32)
-    params = M.init_params(cfg, seed=31)
-    loss, _ = total_loss(batch, params, cfg, noise=noise, batch_index=5)
     n = int(np.sum(batch[4] + 1))  # each reply's tokens plus EOS
-    held = _graph_arrays(loss)
-    assert len([a for a in held if a.size == n * cfg.vocab_size]) == 1
-    assert max(a.size for a in held) == n * cfg.vocab_size
+    for variant in ("PAGENERATOR", "FACT_BIAS"):
+        cfg = ModelConfig(variant=variant, vocab_size=5000, num_users=4).toy()
+        noise = np.random.default_rng(30).standard_normal((3, cfg.z_dim)).astype(np.float32)
+        params = M.init_params(cfg, seed=31)
+        loss, _ = total_loss(batch, params, cfg, noise=noise, batch_index=5)
+        held = _graph_arrays(loss)
+        assert len([a for a in held if a.size == n * cfg.vocab_size]) == 1, variant
+        assert max(a.size for a in held) == n * cfg.vocab_size, variant
+
+
+def test_lstm_holds_its_states_and_cells_only(monkeypatch):
+    """After a toy PAGENERATOR forward each of its five LSTM calls holds
+    two (T, B, H) arrays for its backward, the states hs and the cells cs:
+    the backward rebuilds the state entering each step and tanh of each
+    cell from them."""
+    cfg = toy_config("PAGENERATOR")
+    params = M.init_params(cfg, seed=41)
+    noise = np.random.default_rng(42).standard_normal((3, cfg.z_dim)).astype(np.float32)
+    nodes, real = [], ad.lstm
+
+    def spy(*args, **kwargs):
+        hs, final = real(*args, **kwargs)
+        nodes.append(hs)
+        return hs, final
+
+    monkeypatch.setattr(ad, "lstm", spy)
+    loss, _ = total_loss(toy_batch(seed=43), params, cfg, noise=noise, batch_index=5)
+    assert len(nodes) == 5
+    for hs in nodes:
+        held = [a for a in _node_arrays(hs).values() if a.shape == hs.shape]
+        assert len(held) == 2 and any(a is hs.data for a in held)
+    backward(loss)
+    assert np.isfinite(loss.data)
 
 
 def test_backward_writes_weight_gradients_into_the_arena():
@@ -448,10 +508,10 @@ def test_backward_writes_weight_gradients_into_the_arena():
 def test_fact_bias_rank_and_zero_case():
     cfg = toy_config(variant="FACT_BIAS")
     params = M.init_params(cfg)
-    bias = M.fact_bias_logits(np.arange(cfg.num_users), params).data
+    bias = ad.matmul(*M.fact_bias(np.arange(cfg.num_users), params)).data
     assert np.linalg.matrix_rank(bias) <= cfg.fact_rank
     params["fact_factors"].data[:] = 0.0
-    assert np.allclose(M.fact_bias_logits(np.array([1]), params).data, 0.0)
+    assert np.allclose(ad.matmul(*M.fact_bias(np.array([1]), params)).data, 0.0)
 
 
 def test_fact_bias_requires_user_idx():
@@ -550,6 +610,23 @@ def test_checkpoint_roundtrip_byte_identical(tmp_path):
         assert np.array_equal(loaded[k].data, params[k].data.astype(np.float32))
     M.save_checkpoint(p2, loaded, cfg2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_save_copies_no_tensor(tmp_path):
+    """Saving writes each tensor's own buffer: the save's traced peak stays
+    below the size of the largest tensor."""
+    cfg = ModelConfig(vocab_size=5000, num_users=4).toy()
+    params = M.init_params(cfg, seed=14)
+    largest = max(p.data.nbytes for p in params.values())
+    tracemalloc.start()
+    try:
+        M.save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < largest, (peak, largest)
+    loaded, _ = M.load_checkpoint(tmp_path / "m.ckpt")
+    assert all(np.array_equal(loaded[k].data, params[k].data) for k in params)
 
 
 def test_checkpoint_bad_magic(tmp_path):
