@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -100,9 +101,9 @@ class UserTable:
         return cls(user_to_index=mapping)
 
 
-def parse_line(line, lineno, shared=None):
-    """One corpus line as a triple.  With shared, a dict, each token is the
-    one str object shared holds for it (added there on first sight)."""
+def parse_line(line, lineno):
+    """One corpus line as a triple; its tokens are interned, so a corpus
+    holds one str per distinct token."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 3:
         raise CorpusError(f"line {lineno}: expected 3 TAB-separated fields, got {len(parts)}")
@@ -110,9 +111,8 @@ def parse_line(line, lineno, shared=None):
     q_toks, r_toks = query.split(), reply.split()
     if not user_id or not q_toks or not r_toks:
         raise CorpusError(f"line {lineno}: empty field")
-    if shared is not None:
-        q_toks, r_toks = ([shared.setdefault(w, w) for w in toks] for toks in (q_toks, r_toks))
-    return DialogueTriple(user_id=user_id, query=q_toks, reply=r_toks)
+    return DialogueTriple(user_id=user_id, query=list(map(sys.intern, q_toks)),
+                          reply=list(map(sys.intern, r_toks)))
 
 
 def read_lines(path):
@@ -127,13 +127,12 @@ def read_lines(path):
 
 
 def read_triples(path):
-    """The triples of a corpus file; equal tokens share one str."""
-    triples, shared = [], {}
+    triples = []
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:
-            triples.append(parse_line(line, lineno, shared))
+            triples.append(parse_line(line, lineno))
         except CorpusError as e:
             raise CorpusError(f"{path}: {e}") from None
     if not triples:

@@ -225,25 +225,36 @@ def param_shapes(config):
     return shapes
 
 
-_INIT_PIECE = 1 << 16  # values per init_params draw
+# loops over the flat parameter array (init_params' draws, Adam's step) take
+# this many values at a time, so that their temporaries stay small and in cache
+CHUNK = 65536
+
+
+def flat_views(flat, shapes):
+    """name -> view of the 1-D array flat, shaped as in shapes, in sorted-name
+    order with no gaps: the one layout of the weights, their gradients and
+    Adam's moments (trainer.arena)."""
+    views, lo = {}, 0
+    for k in sorted(shapes):
+        n = math.prod(shapes[k])
+        views[k] = flat[lo:lo + n].reshape(shapes[k])
+        lo += n
+    return views
 
 
 def init_params(config, seed=0, dtype=np.float32):
     """Uniform(-0.08, 0.08) init for every trainable tensor, drawn in
-    sorted-name order; each tensor is a view of one flat array.
+    sorted-name order; the tensors are the flat_views of one array.
 
-    The draws fill it a piece at a time, the same stream as one draw per
-    tensor, so no tensor-sized temporary is made: glibc would keep such
+    The draws fill it CHUNK values at a time, the same stream as one draw
+    per tensor, so no tensor-sized temporary is made: glibc would keep such
     blocks in its heap, and a training's peak RSS would grow by them."""
     rng = np.random.default_rng(seed)
     shapes = param_shapes(config)
-    names = sorted(shapes)
-    ends = np.cumsum([math.prod(shapes[k]) for k in names]).tolist()
-    flat = np.empty(ends[-1], dtype=dtype)
-    for lo in range(0, flat.size, _INIT_PIECE):
-        flat[lo:lo + _INIT_PIECE] = rng.uniform(-0.08, 0.08, size=min(_INIT_PIECE, flat.size - lo))
-    return {k: Tensor(flat[lo:hi].reshape(shapes[k]), requires_grad=True, name=k)
-            for k, lo, hi in zip(names, [0] + ends, ends)}
+    flat = np.empty(sum(math.prod(s) for s in shapes.values()), dtype=dtype)
+    for lo in range(0, flat.size, CHUNK):
+        flat[lo:lo + CHUNK] = rng.uniform(-0.08, 0.08, size=min(CHUNK, flat.size - lo))
+    return {k: Tensor(v, requires_grad=True, name=k) for k, v in flat_views(flat, shapes).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -23,20 +23,16 @@ class DivergenceError(RuntimeError):
     pass
 
 
-# Adam runs over the flat arrays this many elements at a time, so that its
-# two scratch buffers stay small and in cache
-CHUNK = 65536
-
-
 def arena(params):
     """(weights, grads): the two flat arrays that every .data and .grad of a
-    name -> Tensor dict are views into, in sorted-name order.
+    name -> Tensor dict are views into, laid out by model.flat_views.
 
     The dict counts as packed when its .data are contiguous views that fill
     one array and its .grad views that fill another, as this function
-    leaves them.  Otherwise (not packed yet, or a .data or .grad rebound
-    since) it is packed again into new arrays by copying its values, a
-    missing gradient as zeros."""
+    leaves them.  .data already laid out so (as init_params leaves them)
+    are kept and only the gradients are made.  Otherwise (not packed yet,
+    or a .data or .grad rebound since) it is packed again into new arrays
+    by copying its values, a missing gradient as zeros."""
     ps = [params[k] for k in sorted(params)]
     n = sum(p.data.size for p in ps)
     W = ps[0].data.base if ps else None
@@ -48,16 +44,20 @@ def arena(params):
     dtypes = sorted({str(p.data.dtype) for p in ps})
     if len(dtypes) > 1:
         raise ContractError(f"one arena holds one dtype, got {', '.join(dtypes)}")
-    W = np.empty(n, dtype=dtypes[0] if dtypes else np.float32)
+    shapes = {k: p.data.shape for k, p in params.items()}
+    if not (W is not None and W.ndim == 1 and W.size == n
+            and all(params[k].data.base is W
+                    and params[k].data.__array_interface__ == v.__array_interface__
+                    for k, v in M.flat_views(W, shapes).items())):
+        W = np.empty(n, dtype=dtypes[0] if dtypes else np.float32)
+        for k, v in M.flat_views(W, shapes).items():
+            v[...] = params[k].data
+            params[k].data = v
     G = np.zeros_like(W)
-    lo = 0
-    for p in ps:
-        data, grad = (x[lo:lo + p.data.size].reshape(p.data.shape) for x in (W, G))
-        lo += p.data.size
-        data[...] = p.data
-        if p.grad is not None:
-            grad[...] = p.grad
-        p.data, p.grad = data, grad
+    for k, v in M.flat_views(G, shapes).items():
+        if params[k].grad is not None:
+            v[...] = params[k].grad
+        params[k].grad = v
     return W, G
 
 
@@ -85,7 +85,7 @@ def clip_gradients(params, max_norm):
 
 def adam_step(params, state):
     """Bias-corrected Adam (Kingma & Ba, arXiv:1412.6980) in place over the
-    flat arena, CHUNK elements at a time.  The gradient is checked before any
+    flat arena, M.CHUNK elements at a time.  The gradient is checked before any
     weight or moment changes.  A parameter no gradient reached has a zero
     gradient, which leaves it unchanged while its moments are still zero."""
     W, G = arena(params)
@@ -100,13 +100,13 @@ def adam_step(params, state):
     state.step += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     c1, c2 = 1 - b1 ** state.step, 1 - b2 ** state.step
-    scratch = np.empty((2, min(CHUNK, W.size)), dtype=W.dtype)
+    scratch = np.empty((2, min(M.CHUNK, W.size)), dtype=W.dtype)
     # the per-parameter step's operation order, with Python-float scalars,
     # so that every result is bitwise unchanged:
     #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
     #   w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
-    for lo in range(0, W.size, CHUNK):
-        w, g, m, v = (x[lo:lo + CHUNK] for x in (W, G, state.m, state.v))
+    for lo in range(0, W.size, M.CHUNK):
+        w, g, m, v = (x[lo:lo + M.CHUNK] for x in (W, G, state.m, state.v))
         s, u = scratch[:, :g.size]
         np.multiply(g, 1 - b1, out=s)
         m *= b1

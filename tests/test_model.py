@@ -102,8 +102,8 @@ def test_init_params_draws_per_tensor_values_without_temporaries(dtype):
         want = rng.uniform(-0.08, 0.08, size=params[k].shape).astype(dtype)
         assert params[k].data.dtype == dtype and params[k].data.tobytes() == want.tobytes(), k
     total = sum(p.data.nbytes for p in params.values())
-    assert max(p.data.nbytes for p in params.values()) > 4 * M._INIT_PIECE * 8
-    assert peak < total + 4 * M._INIT_PIECE * 8, (peak, total)
+    assert max(p.data.nbytes for p in params.values()) > 4 * M.CHUNK * 8
+    assert peak < total + 4 * M.CHUNK * 8, (peak, total)
 
 
 def test_encode_shapes_and_mask():

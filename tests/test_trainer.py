@@ -97,7 +97,7 @@ def test_clip_gradients():
 def _mixed_params(rng):
     # one chunk and a part of another: the total is not a multiple of CHUNK
     shapes = {"big": (300, 251), "bias": (7,), "cube": (13, 5, 3), "late": (4, 6)}
-    assert T.CHUNK < sum(np.prod(s) for s in shapes.values()) < 2 * T.CHUNK
+    assert M.CHUNK < sum(np.prod(s) for s in shapes.values()) < 2 * M.CHUNK
     params = {k: Tensor(rng.uniform(-0.08, 0.08, s).astype(np.float32), requires_grad=True)
               for k, s in shapes.items()}
     return shapes, params
@@ -151,6 +151,18 @@ def test_adam_packs_arrays_it_did_not_make_by_value():
     np_oracle.adam_step_np(want, {"w": p.grad.copy()}, {}, {}, 1, lr=0.1)
     adam_step({"w": p}, AdamState(lr=0.1))
     assert p.data.tobytes() == want["w"].tobytes()
+
+
+def test_arena_keeps_the_weights_init_params_laid_out():
+    params = M.init_params(toy_config(), seed=3)
+    flat = params["out_W"].data.base
+    W, G = T.arena(params)
+    assert W is flat and G.shape == W.shape and not G.any()
+    # views of one array that fill it, but not in sorted-name order: copied
+    flat = np.arange(4.0)
+    params = {"a": Tensor(flat[2:], requires_grad=True), "b": Tensor(flat[:2], requires_grad=True)}
+    W, _ = T.arena(params)
+    assert W is not flat and W.tolist() == [2.0, 3.0, 0.0, 1.0]
 
 
 def test_adam_rejects_mixed_dtypes():
