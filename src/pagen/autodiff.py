@@ -536,16 +536,19 @@ _EXP_BLOCK_BYTES = 1 << 20
 
 def affine_log_softmax_pick(x, W, b, targets, bias=None):
     """pick(log_softmax(matmul(x, W, b) [+ matmul(u, P)]), targets), one
-    target per row of x, as one node bitwise equal to those ops apart: the
-    output layer and the reconstruction loss's log-probabilities.  bias is
-    an optional pair (u, P), u with a row per row of x: FACT_BIAS's
-    low-rank user bias.
+    target per row of x, as one node bitwise equal to those ops apart on
+    the rows that have a target: the output layer and the reconstruction
+    loss's log-probabilities.  A negative target means none: that row reads
+    0, gets a zero gradient and never reaches the output layer (in teacher
+    forcing, the steps after a reply's EOS).  bias is an optional pair
+    (u, P), u with a row per row of x: FACT_BIAS's low-rank user bias.
 
-    Its one (rows, V) buffer takes the logits (u @ P is added into it, not
-    kept), then their log-softmax in place (the exp-sums run over row
-    blocks of a small scratch array), then in the backward their gradient,
-    0 - softmax * g plus g at the targets (bitwise the ops apart, signed
-    zeros included: they sum g over a row of zeros, which gives g + 0)."""
+    Its one (N, V) buffer, for the N rows with a target, takes the logits
+    (u @ P is added into it, not kept), then their log-softmax in place
+    (the exp-sums run over row blocks of a small scratch array), then in
+    the backward their gradient, 0 - softmax * g plus g at the targets
+    (bitwise the ops apart, signed zeros included: they sum g over a row of
+    zeros, which gives g + 0)."""
     idx = np.asarray(targets)
     u, P = (None, None) if bias is None else bias
     if (x.data.ndim < 2 or W.data.ndim != 2 or x.data.shape[-1] != W.data.shape[0]
@@ -555,11 +558,12 @@ def affine_log_softmax_pick(x, W, b, targets, bias=None):
         raise ShapeError(f"affine_log_softmax_pick: {x.data.shape} @ {W.data.shape} + "
                          f"{b.data.shape}, targets {idx.shape}, bias "
                          f"{None if bias is None else (u.data.shape, P.data.shape)}")
-    rows = x.data.reshape(-1, W.data.shape[0])
+    scored = np.flatnonzero(idx >= 0)  # the rows with a target, in row-major order
+    rows = x.data.reshape(-1, W.data.shape[0])[scored]
     logp = rows @ W.data
     logp += b.data
     n, V = logp.shape
-    u_rows = None if bias is None else u.data.reshape(n, -1)
+    u_rows = None if bias is None else u.data.reshape(idx.size, -1)[scored]
     if bias is not None:  # one GEMM: a column block of it may round differently
         logp += u_rows @ P.data
     logp -= logp.max(axis=-1, keepdims=True)
@@ -570,23 +574,30 @@ def affine_log_softmax_pick(x, W, b, targets, bias=None):
         e = np.exp(logp[lo:lo + block], out=scratch[:min(block, n - lo)])
         e.sum(axis=-1, keepdims=True, out=sums[lo:lo + block])
     logp -= np.log(sums, out=sums)
-    at = np.arange(n), idx.reshape(-1)
+    at = np.arange(n), idx.reshape(-1)[scored]
+
+    def spread(a, shape):
+        """a's N rows at the scored rows of zeros shaped as an input."""
+        full = np.zeros((idx.size, shape[-1]), dtype=a.dtype)
+        full[scored] = a
+        return full.reshape(shape)
 
     def bwd(g):
-        g = g.reshape(-1)
+        g = g.reshape(-1)[scored]
         grad = np.exp(logp, out=logp)
         grad *= (g + 0.0)[:, None]
         np.subtract(0.0, grad, out=grad)
         grad[at] += g
-        _accum(x, (grad @ W.data.T).reshape(x.data.shape))
+        _accum(x, spread(grad @ W.data.T, x.data.shape))
         _accum_product(W, rows.T, grad)
         _accum(b, grad.sum(axis=0))
         if bias is not None:
-            _accum(u, (grad @ P.data.T).reshape(u.data.shape))
+            _accum(u, spread(grad @ P.data.T, u.data.shape))
             _accum_product(P, u_rows.T, grad)
 
-    return _result(logp[at].reshape(idx.shape), (x, W, b) + (() if bias is None else (u, P)),
-                   bwd)
+    out = np.zeros(idx.shape, dtype=logp.dtype)
+    out.reshape(-1)[scored] = logp[at]
+    return _result(out, (x, W, b) + (() if bias is None else (u, P)), bwd)
 
 
 def embedding(table, indices):
@@ -608,37 +619,6 @@ def embedding(table, indices):
         np.add.at(_grad_buffer(table).reshape(-1), flat, g.reshape(-1))
 
     return _result(table.data[idx], (table,), bwd)
-
-
-def gather_rows(a, mask):
-    """The rows of a where a boolean mask over its leading axes is set, in
-    row-major order: (T, B, d) with a (T, B) mask gives (N, d)."""
-    mask = np.asarray(mask, dtype=bool)
-    if a.data.shape[:mask.ndim] != mask.shape:
-        raise ShapeError(f"gather_rows: {a.data.shape} with mask {mask.shape}")
-
-    def bwd(g):
-        full = np.zeros(a.data.shape, dtype=g.dtype)
-        full[mask] = g
-        _accum(a, full)
-
-    return _result(a.data[mask], (a,), bwd)
-
-
-def scatter_rows(a, mask):
-    """gather_rows' inverse: the N rows of a placed where the boolean mask
-    is set, in row-major order, and zeros elsewhere; (N, ...) with a (T, B)
-    mask gives (T, B, ...)."""
-    mask = np.asarray(mask, dtype=bool)
-    if a.data.ndim < 1 or a.data.shape[0] != np.count_nonzero(mask):
-        raise ShapeError(f"scatter_rows: {a.data.shape} with mask {mask.shape}")
-    out = np.zeros(mask.shape + a.data.shape[1:], dtype=a.data.dtype)
-    out[mask] = a.data
-
-    def bwd(g):
-        _accum(a, g[mask])
-
-    return _result(out, (a,), bwd)
 
 
 def hinge_floor(a, floor):

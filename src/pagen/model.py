@@ -371,29 +371,25 @@ def decoder_cell(prev_idx, state, z, e_u, params, config):
     return decoder_lstm(np.asarray(prev_idx)[None], state, z, e_u, params, config)[1]
 
 
-def output_logits(h, enc, params, config, user_idx=None, rows=None, targets=None):
+def output_logits(h, enc, params, config, user_idx=None, targets=None):
     """Vocabulary logits from decoder states h: attention, the output
     projection and FACT_BIAS's per-user bias (which needs user_idx, one
     user per batch row).  Nothing here feeds back.
 
-    h is one step (B, Hd), giving (B, V) logits, or every step (T, B, Hd)
-    with rows, a (T, B) boolean mask: attention reads all T steps, and only
-    the N masked states, in time-major order, reach the output layer, giving
-    (N, V) logits.  With targets, one per output row, the layer ends in
-    ad.affine_log_softmax_pick and gives each row's log-probability of its
-    target instead of the logits."""
+    h is one step (B, Hd) or every step (T, B, Hd), and the logits have its
+    leading axes; attention reads every encoder step.  With targets, one per
+    state, the layer ends in ad.affine_log_softmax_pick and gives each
+    state's log-probability of its target instead of the logits, and 0 for
+    a state whose target is negative (none), which skips the output layer."""
     if config.use_attention:
         ctx = _attention_context(h, enc, params)
         h = ad.tanh(ad.matmul(ad.concat([h, ctx], axis=-1), params["att_comb_W"],
                               params["att_comb_b"]))
-    if rows is not None:
-        h = ad.gather_rows(h, rows)
-        user_idx = None if user_idx is None else np.broadcast_to(user_idx, rows.shape)[rows]
     bias = None
     if config.variant == "FACT_BIAS":
         if user_idx is None:
             raise ContractError("FACT_BIAS decode requires user_idx")
-        bias = fact_bias(user_idx, params)
+        bias = fact_bias(np.broadcast_to(user_idx, h.data.shape[:-1]), params)
     if targets is not None:
         return ad.affine_log_softmax_pick(h, params["out_W"], params["out_b"], targets, bias)
     logits = ad.matmul(h, params["out_W"], params["out_b"])
@@ -438,9 +434,8 @@ def teacher_forced_log_probs(reply_idx, reply_lengths, state, z, e_u, enc, param
     targets = np.where(t < reply_lengths, np.pad(reply_idx.T, ((0, 1), (0, 0))), EOS)
     inputs = np.concatenate([np.full((1, B), BOS), targets[:-1]])
     hs, _ = decoder_lstm(inputs, state, z, e_u, params, config)
-    scored = t <= reply_lengths
-    picked = ad.scatter_rows(output_logits(hs, enc, params, config, user_idx=user_idx,
-                                           rows=scored, targets=targets[scored]), scored)
+    picked = output_logits(hs, enc, params, config, user_idx=user_idx,
+                           targets=np.where(t <= reply_lengths, targets, -1))
     # a sum over axis 0 adds the steps one by one in time order (numpy
     # sums along the last axis pairwise, which would round differently)
     return ad.reduce_sum(picked, axis=0)

@@ -82,6 +82,7 @@ def primitive_cases(seed=0):
     cases.append(("hinge_floor", lambda: ad.reduce_sum(ad.hinge_floor(far, 0.0)),
                   {"x": far}))
     cases.append(("scale", lambda: ad.reduce_sum(ad.scale(x, -1.7)), {"x": x}))
+    cases.append(("add_const", lambda: ad.reduce_sum(ad.tanh(ad.add_const(x, 0.7))), {"x": x}))
 
     # leading axes are rows: (T, B, .) operands as in teacher forcing
     steps = _param(rng, 2, 3, 4)
@@ -126,27 +127,20 @@ def primitive_cases(seed=0):
                   {"x": x, "w": w, "b": b_w}))
     cases.append(("matmul_bias_3d", lambda: ad.reduce_sum(ad.tanh(ad.matmul(steps, w, b_w))),
                   {"steps": steps, "w": w, "b": b_w}))
-    # the scored rows of a (T, B, .) tensor, and the scatter back, as in
-    # teacher forcing: a ragged (T, B) mask, time-major order
-    scored = np.arange(2)[:, None] <= np.array([1, 0, 1])
-    rows_w = ad.constant(rng.standard_normal((5, 4)))
-    cases.append(("gather_rows", lambda: ad.reduce_sum(ad.mul(ad.gather_rows(steps, scored),
-                                                              rows_w)), {"steps": steps}))
-    vals = _param(rng, 5)
-    cases.append(("scatter_rows", lambda: ad.reduce_sum(ad.tanh(ad.reduce_sum(
-        ad.scatter_rows(vals, scored), axis=0))), {"vals": vals}))
     # (T, B) indices that repeat rows within and across steps
     lookup2 = np.array([[1, 4, 1], [4, 4, 0]])
     cases.append(("embedding_2d", lambda: ad.reduce_sum(ad.mul(ad.embedding(table, lookup2),
                                                                steps)),
                   {"table": table, "steps": steps}))
-    # the output layer with FACT_BIAS's bias rows, on (T, B, .) rows; drawn
-    # last, so that the cases above keep their inputs for every seed
+    # the output layer with FACT_BIAS's bias rows, on (T, B, .) rows as in
+    # teacher forcing: one row has no target (-1); drawn last, so that the
+    # cases above keep their inputs for every seed
     out_x, out_W, out_b, bias_u, bias_P = (_param(rng, 2, 3, 4), _param(rng, 4, 5), _param(rng, 5),
                                            _param(rng, 2, 3, 2), _param(rng, 2, 5))
     weights = ad.constant(rng.standard_normal((2, 3)))
+    out_idx = np.array([[0, 2, 1], [3, -1, 0]])
     cases.append(("affine_log_softmax_pick", lambda: ad.reduce_sum(ad.mul(
-        ad.affine_log_softmax_pick(out_x, out_W, out_b, idx3, (bias_u, bias_P)), weights)),
+        ad.affine_log_softmax_pick(out_x, out_W, out_b, out_idx, (bias_u, bias_P)), weights)),
         {"x": out_x, "W": out_W, "b": out_b, "bias_u": bias_u, "bias_P": bias_P}))
     return cases
 

@@ -74,40 +74,66 @@ def test_shape_errors_name_the_op():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_affine_log_softmax_pick_is_bitwise_the_ops_apart(monkeypatch, dtype):
-    """The fused output node equals matmul (plus add of the bias rows'
-    matmul), log_softmax and pick bitwise: the picked values and the
-    gradients of h, W, b and the bias factors, with N below, equal to and
-    above one row block of the exp-sums.  The mask zeroes the first and last rows, whose gradients arrive as
-    +0.0 and -0.0, and the first row's softmax underflows to 0 away from
-    its largest logit."""
-    V, r = 11, 4
+    """On a (T, B, d) grid whose N scored rows have a target and the others
+    -1, the fused output node equals matmul (plus add of the bias rows'
+    matmul), log_softmax and pick applied to the N gathered rows bitwise:
+    the picked values and the gradients of x, W, b and the bias pair, with
+    N below, equal to and above one row block of the exp-sums.  A row
+    without a target reads 0 and gets zero gradients in x and the factor
+    rows.  The mask zeroes the first and last scored rows, whose gradients
+    arrive as +0.0 and -0.0, and the first one's softmax underflows to 0
+    away from its largest logit."""
+    V, r, grid = 11, 4, (3, 4)
     monkeypatch.setattr(ad, "_EXP_BLOCK_BYTES", 3 * V * np.dtype(dtype).itemsize)
     rng = np.random.default_rng(5)
     W0, b0, P0 = (rng.standard_normal(s).astype(dtype) for s in ((6, V), (V,), (r, V)))
     for n in (2, 3, 7):
-        x0, U0 = (rng.standard_normal(s).astype(dtype) for s in ((n, 6), (n, r)))
-        x0[0] *= 300
-        targets = rng.integers(0, V, n)
-        mask = Tensor(np.r_[0, np.ones(n - 2), 0].astype(dtype))
+        x0, U0 = (rng.standard_normal(grid + (s,)).astype(dtype) for s in (6, r))
+        scored = np.sort(rng.choice(x0[..., 0].size, n, replace=False))
+        x0.reshape(-1, 6)[scored[0]] *= 300
+        targets = np.full(grid, -1)
+        targets.reshape(-1)[scored] = rng.integers(0, V, n)
+        mask = np.r_[0, np.ones(n - 2), 0].astype(dtype)
         weights = rng.standard_normal(n).astype(dtype)
         weights[0], weights[-1] = abs(weights[0]), -abs(weights[-1])
 
+        def grid_of(rows):  # the N per-row values on the grid, 0 elsewhere
+            full = np.zeros(grid, dtype=dtype)
+            full.reshape(-1)[scored] = rows
+            return Tensor(full)
+
         def run(fused, with_bias):
-            x, W, b, U, P = (Tensor(a.copy(), requires_grad=True) for a in (x0, W0, b0, U0, P0))
+            if fused:
+                x, U = (Tensor(a.copy(), requires_grad=True) for a in (x0, U0))
+            else:
+                x, U = (Tensor(a.reshape(-1, a.shape[-1])[scored], requires_grad=True)
+                        for a in (x0, U0))
+            W, b, P = (Tensor(a.copy(), requires_grad=True) for a in (W0, b0, P0))
             h, bias = ad.scale(x, 1.0), (ad.scale(U, 1.0), P) if with_bias else None
             if fused:
                 out = ad.affine_log_softmax_pick(h, W, b, targets, bias)
+                m, w = grid_of(mask), grid_of(weights)
             else:
                 logits = ad.matmul(h, W, b)
                 out = ad.pick(ad.log_softmax(logits if bias is None
-                                             else ad.add(logits, ad.matmul(*bias))), targets)
-            backward(ad.reduce_sum(ad.mul(ad.mul(out, mask), Tensor(weights))))
+                                             else ad.add(logits, ad.matmul(*bias))),
+                              targets.reshape(-1)[scored])
+                m, w = Tensor(mask), Tensor(weights)
+            backward(ad.reduce_sum(ad.mul(ad.mul(out, m), w)))
             assert out.data.dtype == x.grad.dtype == dtype
-            return [None if a is None else a.tobytes()
-                    for a in (out.data, x.grad, W.grad, b.grad, U.grad, P.grad)]
+            if not fused:
+                return out.data, x.grad, W.grad, b.grad, U.grad, P.grad
+            unscored = np.setdiff1d(np.arange(targets.size), scored)
+            for a in (out.data.reshape(-1), x.grad.reshape(-1, 6),
+                      U.grad.reshape(-1, r) if with_bias else np.zeros((targets.size, r))):
+                assert not a[unscored].any() and not np.signbit(a[unscored]).any()
+            return (out.data.reshape(-1)[scored], x.grad.reshape(-1, 6)[scored], W.grad, b.grad,
+                    None if U.grad is None else U.grad.reshape(-1, r)[scored], P.grad)
 
         for with_bias in (False, True):
-            assert run(True, with_bias) == run(False, with_bias), (n, with_bias)
+            got, want = run(True, with_bias), run(False, with_bias)
+            assert [None if a is None else a.tobytes() for a in got] == \
+                [None if a is None else a.tobytes() for a in want], (n, with_bias)
 
 
 def test_affine_log_softmax_pick_takes_one_target_per_row():
@@ -125,6 +151,11 @@ def test_affine_log_softmax_pick_takes_one_target_per_row():
         ad.affine_log_softmax_pick(Tensor(np.ones(4)), W, b, np.zeros((), dtype=np.int64))
     assert ad.affine_log_softmax_pick(x, W, b, targets).shape == (2, 3)
     assert ad.affine_log_softmax_pick(x, W, b, targets, (u, P)).shape == (2, 3)
+    # no row with a target: zeros, and zero gradients for every input
+    x, W, b, u, P = (Tensor(t.data, requires_grad=True) for t in (x, W, b, u, P))
+    out = ad.affine_log_softmax_pick(x, W, b, np.full((2, 3), -1), (u, P))
+    backward(ad.reduce_sum(out))
+    assert not out.data.any() and not any(t.grad.any() for t in (x, W, b, u, P))
 
 
 def test_embedding_index_contract():
