@@ -17,9 +17,10 @@ is marked stale_grad: the first gradient to reach it is written into the
 buffer (matmul computes its weight gradient straight into it), and only
 later ones are added.
 
-The output layer: affine_log_softmax_pick keeps one (rows, V) buffer,
-which holds the logits (low-rank bias rows added in), then their
-log-softmax, then in the backward their gradient.  An lstm keeps, for
+The output layer: affine_log_softmax_pick runs only on the N rows that
+have a target (a negative one means none, and such a row reads 0) and
+keeps one (N, V) buffer, which holds their logits (low-rank bias rows
+added in), then their log-softmax, then in the backward their gradient.  An lstm keeps, for
 BPTT, its gate activations and the (T, B, H) states and cells each step
 leaves; the backward rebuilds from them the state entering each step and
 tanh of each cell.

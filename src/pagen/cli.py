@@ -152,15 +152,18 @@ def write_report(out_dir, results, rows, manifest):
 
 
 def read_report(path):
+    """A report's key=value lines as a dict, floats where they parse; a line
+    that is not UTF-8, or neither blank nor key=value, fails naming path:line."""
     results = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            k, _, v = line.strip().partition("=")
-            if k:
-                try:
-                    results[k] = float(v)
-                except ValueError:
-                    results[k] = v
+    for lineno, line in enumerate(C.read_lines(path), 1):
+        k, sep, v = line.strip().partition("=")
+        if line.strip() and not (k and sep):
+            raise C.CorpusError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
+        if k:
+            try:
+                results[k] = float(v)
+            except ValueError:
+                results[k] = v
     return results
 
 
@@ -218,6 +221,11 @@ def cmd_generate(args):
 
 
 def cmd_evaluate(args):
+    metric_list = tuple(args.metrics.split(","))
+    try:  # before anything is loaded or decoded
+        E.check_metrics(metric_list, args.vectors)
+    except M.ConfigError as e:
+        raise ValueError(f"--{e}") from None
     model, vocab, users = load_model_dir(args.model, args.vocab, args.users_file)
     ref_model = M.load_checkpoint(args.ref_model)
     test_set = C.read_triples(args.data)
@@ -225,7 +233,6 @@ def cmd_evaluate(args):
         users.index(t.user_id, f"{args.data}: ")
     train_set = C.read_triples(args.train_data)
     vectors = MX.load_word_vectors(args.vectors) if args.vectors else None
-    metric_list = tuple(args.metrics.split(","))
     cfg = MX.MetricConfig(rounds=args.rounds, n_distractors=args.distractors,
                           beam_width=args.beam)
     results, rows = E.evaluate_model(model, ref_model, train_set, test_set, vocab,
@@ -271,12 +278,18 @@ def cmd_compare(args):
     if len(variants) < 2:
         print("error: compare needs at least 2 variants", file=sys.stderr)
         return 2
-    run_dirs = {}
-    for variant in variants:
-        run_dirs[variant] = os.path.join(args.out, variant)
-        run_training(args.data, args.config, run_dirs[variant], args.seed, variant=variant)
+    known = M.VARIANTS + tuple(ABLATIONS)
+    for variant in variants:  # every name is checked before the first training
+        if variant not in known:
+            raise ValueError(f"--variants: unknown variant {variant!r} "
+                             f"(expected some of {', '.join(known)})")
+    ref_name = args.reference or ("S2SA" if "S2SA" in variants else variants[0])
+    if ref_name not in variants:
+        raise ValueError(f"--reference: {ref_name!r} is not one of --variants")
+    run_dirs = {variant: os.path.join(args.out, variant) for variant in variants}
+    for variant, run_dir in run_dirs.items():
+        run_training(args.data, args.config, run_dir, args.seed, variant=variant)
 
-    ref_name = args.reference if args.reference in run_dirs else variants[0]
     ref_dir = run_dirs[ref_name]
     ref_model, vocab, users = load_model_dir(os.path.join(ref_dir, "model.ckpt"))
     train_set = C.read_triples(os.path.join(ref_dir, "train.tsv"))
@@ -292,7 +305,7 @@ def cmd_compare(args):
         results, per_item = E.evaluate_model(
             model, ref_model, train_set, test_set, vocab, users,
             metric_config=metric_config, seed=args.seed,
-            metrics=("bleu1", "urank", "uppl", "udistinct"), distractors=distractors)
+            metrics=E.DEFAULT_METRICS, distractors=distractors)
         write_report(os.path.join(args.out, variant, "eval"), results, per_item, {
             "command": "compare",
             "variant": variant,
@@ -359,7 +372,7 @@ def build_parser():
     e.add_argument("--vocab", default=None)
     e.add_argument("--users-file", default=None)
     e.add_argument("--vectors", default=None)
-    e.add_argument("--metrics", default="urank,uppl,udistinct,bleu1")
+    e.add_argument("--metrics", default=",".join(E.DEFAULT_METRICS))
     e.add_argument("--rounds", type=int, default=10)
     e.add_argument("--distractors", type=int, default=10)
     e.add_argument("--beam", type=int, default=10)
@@ -380,7 +393,7 @@ def build_parser():
     c.add_argument("--data", required=True)
     c.add_argument("--variants", required=True,
                    help="comma list, e.g. PAGENERATOR,CVAE,PAGENERATOR_NO_UE")
-    c.add_argument("--reference", default="S2SA")
+    c.add_argument("--reference", default=None, help="default: S2SA if listed, else the first")
     c.add_argument("--rounds", type=int, default=10)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True)

@@ -9,9 +9,11 @@ import numpy as np
 from . import generation as G
 from . import metrics as MX
 from .corpus import UNSPECIFIED_USER_ID
+from .model import ConfigError
 from .trainer import encode_triples
 
 ALL_METRICS = ("bleu1", "embed", "urank", "uppl", "udistinct")
+DEFAULT_METRICS = ("bleu1", "urank", "uppl", "udistinct")  # embed needs word vectors
 UDISTINCT_QUERIES = 20  # distinct test queries that udistinct decodes for every user
 
 
@@ -26,11 +28,23 @@ def generate_responses(model, test_triples, vocab, users, seed=0, beam_width=10,
             for hs in G.generate_many(reqs, *model)]
 
 
+def check_metrics(metrics, vectors):
+    """Raise ConfigError("metrics") for a name not in ALL_METRICS, or for
+    embed without word vectors."""
+    for name in metrics:
+        if name not in ALL_METRICS:
+            raise ConfigError("metrics", f"unknown metric {name!r} "
+                                         f"(expected some of {', '.join(ALL_METRICS)})")
+        if name == "embed" and vectors is None:
+            raise ConfigError("metrics", "embed needs word vectors")
+
+
 def evaluate_model(model, reference, train_triples, test_triples, vocab, users,
-                   metric_config=None, seed=0, metrics=ALL_METRICS, vectors=None,
+                   metric_config=None, seed=0, metrics=DEFAULT_METRICS, vectors=None,
                    distractors=None):
     """Returns (results dict, per-item rows).  `distractors` may carry the
     reference beam-search outputs to reuse across evaluated models."""
+    check_metrics(metrics, vectors)
     cfg = metric_config or MX.MetricConfig()
     results = {}
     rows = []
@@ -50,7 +64,7 @@ def evaluate_model(model, reference, train_triples, test_triples, vocab, users,
         for i, v in enumerate(vals):
             rows.append((i, "bleu1", v))
 
-    if "embed" in metrics and vectors is not None:
+    if "embed" in metrics:
         triples_vals = [MX.embedding_metrics(resp, t.reply, vectors)
                         for resp, t in zip(responses, test_triples)]
         kept = [v for v in triples_vals if v is not None]

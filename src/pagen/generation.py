@@ -41,6 +41,8 @@ class GenRequest:
     def __post_init__(self):
         if self.beam_width < 1:
             raise ContractError("beam width must be >= 1")
+        if self.max_length < 0:
+            raise ContractError(f"max_length must be >= 0, got {self.max_length}")
         if self.z_mode not in ("sample", "mean"):
             raise ContractError(f"unknown z mode {self.z_mode!r}")
 

@@ -451,14 +451,29 @@ def test_concat_slice_roundtrip_gradient():
     assert np.allclose(b.grad, expect_b)
 
 
-def test_every_graph_op_has_a_caller_in_the_model():
-    """Every public graph op of the engine is called from the model, the
-    objective or decoding: an op that only tests or self-checks use
-    belongs on their side."""
+def _graph_ops():
+    """The names of the engine's public graph ops."""
     not_ops = {"backward", "grad_check", "no_grad", "grad_enabled"}
     ops = [name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and fn.__module__ == ad.__name__
            and not name.startswith("_") and name not in not_ops]
-    source = "".join(inspect.getsource(m) for m in (model, objective, generation))
-    assert "lstm" in ops and "contract" in ops
-    assert [op for op in ops if not re.search(rf"\bad\.{op}\(", source)] == []
+    assert "lstm" in ops and "contract" in ops and "add_const" in ops
+    return ops
+
+
+def _ops_not_called_in(source):
+    return [op for op in _graph_ops() if not re.search(rf"\bad\.{op}\(", source)]
+
+
+def test_every_graph_op_has_a_caller_in_the_model():
+    """Every public graph op of the engine is called from the model, the
+    objective or decoding: an op that only tests or self-checks use
+    belongs on their side."""
+    assert _ops_not_called_in("".join(inspect.getsource(m)
+                                      for m in (model, objective, generation))) == []
+
+
+def test_every_graph_op_has_a_finite_difference_case():
+    """Every public graph op is called in selfcheck.primitive_cases, so
+    `pagen selfcheck` checks its backward by finite differences."""
+    assert _ops_not_called_in(inspect.getsource(primitive_cases)) == []

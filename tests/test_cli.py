@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from pagen import cli
@@ -306,6 +308,33 @@ def test_evaluate_rejects_unknown_users(workdir, capsys, monkeypatch):
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("metrics, bad", [("urank,blue1", "'blue1'"), ("bleu1,embed", "embed")])
+def test_evaluate_rejects_bad_metrics_before_loading(tmp_path, capsys, metrics, bad):
+    """An unknown metric name, or embed without --vectors, fails before
+    the model is even loaded (here it does not exist), from the CLI and
+    from evaluate_model alike."""
+    missing = str(tmp_path / "none")
+    assert cli.main(["evaluate", "--model", missing, "--ref-model", missing,
+                     "--data", missing, "--train-data", missing, "--metrics", metrics,
+                     "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert "--metrics" in err and bad in err
+    assert not (tmp_path / "eval").exists()
+    with pytest.raises(M.ConfigError, match=bad):
+        E.evaluate_model(None, None, [], [], None, None, metrics=tuple(metrics.split(",")))
+
+
+@pytest.mark.parametrize("body, lineno", [(b"bleu1=0.5\n\nuppl 3.0\n", 3),
+                                          (b"bleu1=0.5\nuppl=\xff\n", 2), (b"=0.5\n", 1)])
+def test_report_names_the_line_it_cannot_read(tmp_path, capsys, body, lineno):
+    path = tmp_path / "report.txt"
+    path.write_bytes(body)
+    with pytest.raises(C.CorpusError, match=f"report.txt:{lineno}: "):
+        cli.read_report(path)
+    assert cli.main(["report", str(path)]) == 1
+    assert f"{path}:{lineno}: " in capsys.readouterr().err
+
+
 def test_report_formats_missing_metrics_as_dash(capsys):
     print(cli.format_table([("partial", {"bleu1": 0.5})]))
     table = capsys.readouterr().out
@@ -368,6 +397,37 @@ def test_compare_rejects_single_variant(workdir, capsys):
     tmp_path, data, config = workdir
     assert cli.main(["compare", "--config", str(config), "--data", str(data),
                      "--variants", "S2SA", "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("flags, flag, bad", [
+    (["--variants", "S2SA,CVAE,PAGENERATR"], "--variants", "'PAGENERATR'"),
+    (["--variants", "S2SA,CVAE", "--reference", "VAE"], "--reference", "'VAE'")])
+def test_compare_checks_its_names_before_training(workdir, capsys, monkeypatch, flags, flag, bad):
+    tmp_path, data, config = workdir
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *a, **k: trained.append(a))
+    assert cli.main(["compare", "--config", str(config), "--data", str(data), *flags,
+                     "--out", str(tmp_path / "cmp")]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and bad in err
+    assert not trained and not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("variants, reference", [("CVAE,S2SA", "S2SA"), ("CVAE,VAE", "CVAE")])
+def test_compare_reference_defaults_to_s2sa_else_the_first(tmp_path, monkeypatch, variants,
+                                                           reference):
+    class Loaded(Exception):
+        pass
+
+    def load(path):
+        raise Loaded(path)
+
+    monkeypatch.setattr(cli, "run_training", lambda *a, **k: None)
+    monkeypatch.setattr(cli, "load_model_dir", load)
+    with pytest.raises(Loaded) as e:
+        cli.main(["compare", "--config", "c", "--data", "d", "--variants", variants,
+                  "--out", str(tmp_path)])
+    assert e.value.args[0] == os.path.join(str(tmp_path), reference, "model.ckpt")
 
 
 def test_selfcheck_exit_code(capsys):

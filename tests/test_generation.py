@@ -24,6 +24,9 @@ def test_request_validation():
         GenRequest(query=[5], beam_width=0)
     with pytest.raises(ContractError):
         GenRequest(query=[5], z_mode="argmax")
+    with pytest.raises(ContractError, match="max_length"):
+        GenRequest(query=[5], max_length=-2)
+    assert GenRequest(query=[5], max_length=0).max_length == 0
     with pytest.raises(ContractError):
         generate(GenRequest(query=[]), *_model())
 
