@@ -17,10 +17,10 @@ is marked stale_grad: the first gradient to reach it is written into the
 buffer (matmul computes its weight gradient straight into it), and only
 later ones are added.
 
-The output layer: affine_log_softmax_pick runs only on the N rows that
-have a target (a negative one means none, and such a row reads 0) and
-keeps one (N, V) buffer, which holds their logits (low-rank bias rows
-added in), then their log-softmax, then in the backward their gradient.  An lstm keeps, for
+The output layer: affine_log_softmax_pick keeps one (N, V) buffer for
+the N rows with a target (a row whose target is negative reads 0), which
+holds their logits (low-rank bias rows added in), then their
+log-softmax, then in the backward their gradient.  An lstm keeps, for
 BPTT, its gate activations and the (T, B, H) states and cells each step
 leaves; the backward rebuilds from them the state entering each step and
 tanh of each cell.
@@ -578,7 +578,7 @@ def affine_log_softmax_pick(x, W, b, targets, bias=None):
     at = np.arange(n), idx.reshape(-1)[scored]
 
     def spread(a, shape):
-        """a's N rows at the scored rows of zeros shaped as an input."""
+        """The N rows of a placed at the scored rows of zeros of this shape."""
         full = np.zeros((idx.size, shape[-1]), dtype=a.dtype)
         full[scored] = a
         return full.reshape(shape)
