@@ -28,7 +28,7 @@ with tempfile.TemporaryDirectory() as out_dir:
 
 query = te[0].query
 print(f"\nquery: {' '.join(query)}\n")
-for uid in sorted(users.user_to_index):
+for uid in users.names:
     u = users.index(uid)
     req = G.GenRequest(query=vocab.encode(query), user_index=u, beam_width=1,
                        max_length=12, z_mode="sample", seed=100 + u)

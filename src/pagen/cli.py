@@ -35,6 +35,9 @@ ABLATIONS = {
     "PAGENERATOR_NO_UE": ("PAGENERATOR", {"decode_with_user": False}),
 }
 
+# the flag that sets each MetricConfig field, named by its range errors
+METRIC_FLAGS = {"rounds": "--rounds", "n_distractors": "--distractors", "beam_width": "--beam"}
+
 
 def file_hash(path):
     """16 hex digits of BLAKE2b (provenance for the manifest)."""
@@ -96,8 +99,8 @@ def run_training(data_path, config_path, out_dir, seed, variant=None, log_every=
     os.makedirs(out_dir, exist_ok=True)
     C.write_corpus(os.path.join(out_dir, "train.tsv"), train_set)
     C.write_corpus(os.path.join(out_dir, "test.tsv"), test_set)
-    C.save_vocab(os.path.join(out_dir, "vocab.txt"), vocab)
-    C.save_users(os.path.join(out_dir, "users.txt"), users)
+    vocab.save(os.path.join(out_dir, "vocab.txt"))
+    users.save(os.path.join(out_dir, "users.txt"))
     ckpt, history = train(train_set, vocab, users, config, tcfg, seed, out_dir,
                           log_every=log_every)
     write_manifest(os.path.join(out_dir, "manifest.txt"), {
@@ -112,10 +115,16 @@ def run_training(data_path, config_path, out_dir, seed, variant=None, log_every=
 
 
 def load_model_dir(ckpt_path, vocab_path=None, users_path=None):
+    """A checkpoint with the vocabulary and user table that name its
+    embedding rows, by default the vocab.txt and users.txt beside it."""
     params, config = M.load_checkpoint(ckpt_path)
-    base = os.path.dirname(ckpt_path)
-    vocab = C.load_vocab(vocab_path or os.path.join(base, "vocab.txt"))
-    users = C.load_users(users_path or os.path.join(base, "users.txt"))
+    vocab_path = vocab_path or os.path.join(os.path.dirname(ckpt_path), "vocab.txt")
+    users_path = users_path or os.path.join(os.path.dirname(ckpt_path), "users.txt")
+    vocab, users = C.Vocabulary.load(vocab_path), C.UserTable.load(users_path)
+    for path, table, size in ((vocab_path, vocab, "vocab_size"), (users_path, users, "num_users")):
+        if len(table) != getattr(config, size):
+            raise C.CorpusError(f"{path}: {len(table)} names, but {ckpt_path} has "
+                                f"{size}={getattr(config, size)}")
     return (params, config), vocab, users
 
 
@@ -226,6 +235,8 @@ def cmd_evaluate(args):
         E.check_metrics(metric_list, args.vectors)
     except M.ConfigError as e:
         raise ValueError(f"--{e}") from None
+    cfg = M.checked(MX.MetricConfig, dict(rounds=args.rounds, n_distractors=args.distractors,
+                                          beam_width=args.beam), METRIC_FLAGS)
     model, vocab, users = load_model_dir(args.model, args.vocab, args.users_file)
     ref_model = M.load_checkpoint(args.ref_model)
     test_set = C.read_triples(args.data)
@@ -233,8 +244,6 @@ def cmd_evaluate(args):
         users.index(t.user_id, f"{args.data}: ")
     train_set = C.read_triples(args.train_data)
     vectors = MX.load_word_vectors(args.vectors) if args.vectors else None
-    cfg = MX.MetricConfig(rounds=args.rounds, n_distractors=args.distractors,
-                          beam_width=args.beam)
     results, rows = E.evaluate_model(model, ref_model, train_set, test_set, vocab,
                                      users, metric_config=cfg, seed=args.seed,
                                      metrics=metric_list, vectors=vectors)
@@ -286,6 +295,7 @@ def cmd_compare(args):
     ref_name = args.reference or ("S2SA" if "S2SA" in variants else variants[0])
     if ref_name not in variants:
         raise ValueError(f"--reference: {ref_name!r} is not one of --variants")
+    metric_config = M.checked(MX.MetricConfig, {"rounds": args.rounds}, METRIC_FLAGS)
     run_dirs = {variant: os.path.join(args.out, variant) for variant in variants}
     for variant, run_dir in run_dirs.items():
         run_training(args.data, args.config, run_dir, args.seed, variant=variant)
@@ -295,7 +305,6 @@ def cmd_compare(args):
     train_set = C.read_triples(os.path.join(ref_dir, "train.tsv"))
     test_set = C.read_triples(os.path.join(ref_dir, "test.tsv"))
 
-    metric_config = MX.MetricConfig(rounds=args.rounds)
     # the reference's beam-search distractors are the same for every variant
     distractors = MX.make_distractors(encode_triples(test_set, vocab, users), ref_model,
                                       metric_config, metric_config.n_distractors)

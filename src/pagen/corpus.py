@@ -14,7 +14,8 @@ import contextlib
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,63 +43,77 @@ class DialogueTriple:
             raise CorpusError("query and reply must be nonempty")
 
 
-@dataclass
-class Vocabulary:
-    token_to_index: dict = field(default_factory=dict)
+class NameTable:
+    """Names in index order: row i of an embedding belongs to names[i], and
+    ids maps each name back to i.  The class's RESERVED names come first and
+    each name appears once; an entry that breaks either rule raises
+    CorpusError naming its place, where(i)."""
 
-    def __post_init__(self):
-        for i, tok in enumerate(RESERVED):
-            self.token_to_index.setdefault(tok, i)
-        self.index_to_token = {i: t for t, i in self.token_to_index.items()}
+    RESERVED = []
+
+    def __init__(self, names=None, where=lambda i: f"index {i}"):
+        self.names = list(self.RESERVED if names is None else names)
+        k = len(os.path.commonprefix([self.names, self.RESERVED]))  # reserved names in place
+        if k < len(self.RESERVED):
+            raise CorpusError(f"{where(k)}: expected reserved name {self.RESERVED[k]!r}")
+        self.ids = {}
+        for i, name in enumerate(self.names):
+            if self.ids.setdefault(name, i) != i:
+                raise CorpusError(f"{where(i)}: {name!r} repeats {where(self.ids[name])}")
 
     def __len__(self):
-        return len(self.token_to_index)
+        return len(self.names)
+
+    def save(self, path):
+        with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.writelines(name + "\n" for name in self.names)
+
+    @classmethod
+    def load(cls, path):
+        """The table in a one-name-per-line file; blank lines are skipped."""
+        kept = [(n, s) for n, s in enumerate((line.rstrip("\r\n") for line in read_lines(path)),
+                                             start=1) if s]
+        return cls([s for _, s in kept], lambda i: f"{path}:{kept[i][0]}" if i < len(kept)
+                   else f"{path}: end of file")
+
+
+class Vocabulary(NameTable):
+    RESERVED = RESERVED
 
     def index(self, token):
-        return self.token_to_index.get(token, UNK)
+        return self.ids.get(token, UNK)
 
     def encode(self, tokens):
-        return [self.index(t) for t in tokens]
+        return [self.ids.get(t, UNK) for t in tokens]
 
     def decode(self, indices):
-        return [self.index_to_token.get(i, RESERVED[UNK]) for i in indices]
+        return [self.names[i] if 0 <= i < len(self.names) else self.names[UNK]
+                for i in indices]
 
     @classmethod
     def build(cls, triples, max_size=20000):
         """Frequency-ranked vocabulary over queries and replies, top max_size
-        non-reserved tokens, ties broken lexicographically for determinism."""
-        counts = {}
-        for t in triples:
-            for tok in t.query + t.reply:
-                counts[tok] = counts.get(tok, 0) + 1
+        non-reserved tokens, ties broken lexicographically for determinism; a
+        token spelled like a reserved name keeps that name's reserved index."""
+        counts = Counter(tok for t in triples for tok in t.query + t.reply)
+        for tok in cls.RESERVED:
+            del counts[tok]  # a Counter ignores a missing key
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
-        mapping = {tok: i + len(RESERVED) for i, (tok, _) in enumerate(ranked)}
-        return cls(token_to_index={**{t: i for i, t in enumerate(RESERVED)}, **mapping})
+        return cls(cls.RESERVED + [tok for tok, _ in ranked])
 
 
-@dataclass
-class UserTable:
-    user_to_index: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.user_to_index.setdefault(UNSPECIFIED_USER_ID, UNSPECIFIED_USER)
-        self.index_to_user = {i: u for u, i in self.user_to_index.items()}
-
-    def __len__(self):
-        return len(self.user_to_index)
+class UserTable(NameTable):
+    RESERVED = [UNSPECIFIED_USER_ID]
 
     def index(self, user_id, where=""):
         """Row of a user id; an id not in the table raises CorpusError."""
-        if user_id not in self.user_to_index:
+        if user_id not in self.ids:
             raise CorpusError(f"{where}unknown user {user_id!r}")
-        return self.user_to_index[user_id]
+        return self.ids[user_id]
 
     @classmethod
     def build(cls, user_ids):
-        mapping = {UNSPECIFIED_USER_ID: UNSPECIFIED_USER}
-        for u in sorted(set(user_ids) - {UNSPECIFIED_USER_ID}):
-            mapping[u] = len(mapping)
-        return cls(user_to_index=mapping)
+        return cls(cls.RESERVED + sorted(set(user_ids) - {UNSPECIFIED_USER_ID}))
 
 
 def parse_line(line, lineno):
@@ -178,36 +193,6 @@ def write_corpus(path, triples):
             f.write(f"{t.user_id}\t{' '.join(t.query)}\t{' '.join(t.reply)}\n")
 
 
-def save_vocab(path, vocab):
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
-        for i in range(len(vocab)):
-            f.write(vocab.index_to_token[i] + "\n")
-
-
-def _nonblank_lines(path):
-    return [s for s in (line.rstrip("\r\n") for line in read_lines(path)) if s]
-
-
-def load_vocab(path):
-    tokens = _nonblank_lines(path)
-    if tokens[:4] != RESERVED:
-        raise CorpusError(f"{path}: reserved tokens missing or misplaced")
-    return Vocabulary(token_to_index={t: i for i, t in enumerate(tokens)})
-
-
-def save_users(path, users):
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
-        for i in range(len(users)):
-            f.write(users.index_to_user[i] + "\n")
-
-
-def load_users(path):
-    ids = _nonblank_lines(path)
-    if not ids or ids[0] != UNSPECIFIED_USER_ID:
-        raise CorpusError(f"{path}: user table must start with the unspecified user")
-    return UserTable(user_to_index={u: i for i, u in enumerate(ids)})
-
-
 def split(triples, train_ratio, seed=0):
     """Per-user stratified split so every evaluated user appears in train.
 
@@ -242,6 +227,8 @@ def generate_synthetic(num_users, triples_per_user, signature_strength, seed):
     """
     if num_users < 2:
         raise CorpusError("num_users must be >= 2")
+    if triples_per_user < 1:
+        raise CorpusError("triples_per_user must be >= 1")
     if not (0.5 < signature_strength < 1.0):
         raise CorpusError("signature_strength must be in (0.5, 1)")
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as M
 from .autodiff import ContractError, no_grad
-from .corpus import BOS, EOS, UNSPECIFIED_USER
+from .corpus import BOS, EOS, PAD, UNK, UNSPECIFIED_USER
 
 # Most decoder rows (live beams) in one batched beam search: generate_many
 # splits longer request lists into groups whose beam widths sum to at most
@@ -138,7 +138,7 @@ def _beam_search(requests, params, config):
                                                  z, e_u, enc_k, params, config,
                                                  user_idx=u_idx)
             logp = logp.data
-            logp[:, [0, 1, 2]] = -np.inf  # never emit PAD/UNK/BOS
+            logp[:, [PAD, UNK, BOS]] = -np.inf
             if step == 0:
                 logp[:, EOS] = -np.inf  # no empty replies
             still, keep_rows, start = [], [], 0

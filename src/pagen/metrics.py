@@ -24,7 +24,8 @@ class MetricConfig:
     max_length: int = 30
 
     def __post_init__(self):
-        check_range(self, ("n_distractors", "rounds"), lambda v: v >= 1, ">= 1")
+        check_range(self, ("n_distractors", "rounds", "beam_width"), lambda v: v >= 1, ">= 1")
+        check_range(self, ("max_length",), lambda v: v >= 0, ">= 0")
 
 
 # ---------------------------------------------------------------------------

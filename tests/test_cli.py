@@ -66,6 +66,13 @@ def test_gen_corpus(tmp_path, capsys):
     assert "wrote 15 triples" in capsys.readouterr().out
 
 
+def test_gen_corpus_rejects_no_triples(tmp_path, capsys):
+    out = tmp_path / "c.tsv"
+    assert cli.main(["gen-corpus", "--out", str(out), "--triples-per-user", "0"]) == 1
+    assert "triples_per_user must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_outputs(workdir):
     out = _trained(workdir)
     for name in ("model.ckpt", "train.tsv", "test.tsv", "vocab.txt", "users.txt",
@@ -75,6 +82,36 @@ def test_train_outputs(workdir):
                     (out / "manifest.txt").read_text().splitlines())
     assert manifest["command"] == "train"
     assert manifest["checkpoint_hash"] == cli.file_hash(out / "model.ckpt")
+
+
+def test_train_keeps_reserved_spellings_reserved(workdir):
+    """A corpus whose text holds reserved spellings trains, and vocab.txt
+    lists each reserved name once, at its reserved index."""
+    _, data, _ = workdir
+    lines = data.read_text(encoding="utf-8").splitlines()
+    data.write_text("".join(f"{u}\t{q} <eos>\t<unk> {r} <pad>\n"
+                            for u, q, r in (line.split("\t") for line in lines)),
+                    encoding="utf-8")
+    names = (_trained(workdir) / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    assert names[:len(C.RESERVED)] == C.RESERVED
+    assert all(names.count(name) == 1 for name in C.RESERVED)
+
+
+def test_tables_must_fit_the_checkpoint(workdir, capsys):
+    """A vocab.txt or users.txt whose size differs from the checkpoint's
+    embedding (a table from another run) fails naming both files."""
+    tmp_path, _, _ = workdir
+    out = _trained(workdir)
+    model = str(out / "model.ckpt")
+    for flag, name, size in (("--vocab", "vocab.txt", "vocab_size"),
+                             ("--users-file", "users.txt", "num_users")):
+        other = tmp_path / f"other_{name}"
+        other.write_text((out / name).read_text(encoding="utf-8") + "extra\n",
+                         encoding="utf-8")
+        assert cli.main(["generate", "--model", model, flag, str(other), "--user", "user0",
+                         "--query", "topic0 q1"]) == 1
+        n = len((out / name).read_text(encoding="utf-8").splitlines())
+        assert f"{other}: {n + 1} names, but {model} has {size}={n}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("every", [None, 1])
@@ -308,6 +345,16 @@ def test_evaluate_rejects_unknown_users(workdir, capsys, monkeypatch):
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("flag", ["--rounds", "--distractors", "--beam"])
+def test_evaluate_checks_metric_flags_before_loading(tmp_path, capsys, flag):
+    missing = str(tmp_path / "none")
+    assert cli.main(["evaluate", "--model", missing, "--ref-model", missing,
+                     "--data", missing, "--train-data", missing, flag, "0",
+                     "--out", str(tmp_path / "eval")]) == 1
+    assert f"{flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("metrics, bad", [("urank,blue1", "'blue1'"), ("bleu1,embed", "embed")])
 def test_evaluate_rejects_bad_metrics_before_loading(tmp_path, capsys, metrics, bad):
     """An unknown metric name, or embed without --vectors, fails before
@@ -401,7 +448,8 @@ def test_compare_rejects_single_variant(workdir, capsys):
 
 @pytest.mark.parametrize("flags, flag, bad", [
     (["--variants", "S2SA,CVAE,PAGENERATR"], "--variants", "'PAGENERATR'"),
-    (["--variants", "S2SA,CVAE", "--reference", "VAE"], "--reference", "'VAE'")])
+    (["--variants", "S2SA,CVAE", "--reference", "VAE"], "--reference", "'VAE'"),
+    (["--variants", "S2SA,CVAE", "--rounds", "0"], "--rounds", "must be >= 1, got 0")])
 def test_compare_checks_its_names_before_training(workdir, capsys, monkeypatch, flags, flag, bad):
     tmp_path, data, config = workdir
     trained = []

@@ -120,37 +120,88 @@ def test_user_table_skips_the_unspecified_id(tmp_path):
     """An id list that holds the unspecified user (as a corpus with
     remapped sparse users does) still gives one row per user."""
     u = UserTable.build([UNSPECIFIED_USER_ID, "alice"])
-    assert u.user_to_index == {UNSPECIFIED_USER_ID: UNSPECIFIED_USER, "alice": 1}
-    C.save_users(tmp_path / "users.txt", u)
-    assert C.load_users(tmp_path / "users.txt").user_to_index == u.user_to_index
+    assert u.names == [UNSPECIFIED_USER_ID, "alice"]
+    assert u.ids == {UNSPECIFIED_USER_ID: UNSPECIFIED_USER, "alice": 1}
+    u.save(tmp_path / "users.txt")
+    assert UserTable.load(tmp_path / "users.txt").names == u.names
 
 
 def test_vocab_and_users_file_roundtrip(tmp_path, tiny_triples):
     v = Vocabulary.build(tiny_triples)
     u = UserTable.build({t.user_id for t in tiny_triples})
-    C.save_vocab(tmp_path / "vocab.txt", v)
-    C.save_users(tmp_path / "users.txt", u)
-    v2 = C.load_vocab(tmp_path / "vocab.txt")
-    u2 = C.load_users(tmp_path / "users.txt")
-    assert v2.token_to_index == v.token_to_index
-    assert u2.user_to_index == u.user_to_index
+    v.save(tmp_path / "vocab.txt")
+    u.save(tmp_path / "users.txt")
+    assert (tmp_path / "vocab.txt").read_text(encoding="utf-8") == "".join(
+        name + "\n" for name in v.names)
+    v2 = Vocabulary.load(tmp_path / "vocab.txt")
+    u2 = UserTable.load(tmp_path / "users.txt")
+    assert (v2.names, v2.ids) == (v.names, v.ids)
+    assert (u2.names, u2.ids) == (u.names, u.ids)
 
 
-@pytest.mark.parametrize("reader", ["load_vocab", "load_users"])
-def test_vocab_and_users_not_utf8_name_the_line(tmp_path, tiny_triples, reader):
-    C.save_vocab(tmp_path / "load_vocab.txt", Vocabulary.build(tiny_triples))
-    C.save_users(tmp_path / "load_users.txt", UserTable.build({"alice", "bob"}))
-    path = tmp_path / f"{reader}.txt"
+@pytest.mark.parametrize("table", [Vocabulary, UserTable], ids=["load_vocab", "load_users"])
+def test_vocab_and_users_not_utf8_name_the_line(tmp_path, table):
+    path = tmp_path / "table.txt"
+    table.build([]).save(path)
     lines = path.read_bytes().split(b"\n")
     path.write_bytes(b"\n".join(lines[:1] + [b"caf\xff"] + lines[1:]))
     with pytest.raises(CorpusError, match=re.escape(f"{path}:2: not UTF-8")):
-        getattr(C, reader)(path)
+        table.load(path)
 
 
 def test_load_vocab_missing_reserved(tmp_path):
-    (tmp_path / "vocab.txt").write_text("hello\nworld\n", encoding="utf-8")
-    with pytest.raises(CorpusError):
-        C.load_vocab(tmp_path / "vocab.txt")
+    path = tmp_path / "vocab.txt"
+    path.write_text("hello\nworld\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(f"{path}:1: expected reserved name '<pad>'")):
+        Vocabulary.load(path)
+    path.write_text("<pad>\n\n<unk>\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: end of file: expected "
+                                                    "reserved name '<bos>'")):
+        Vocabulary.load(path)
+    path.write_text("\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(f"{path}: end of file: expected "
+                                                    "reserved name '<unk_user>'")):
+        UserTable.load(path)
+
+
+@pytest.mark.parametrize("table, names", [
+    (Vocabulary, RESERVED + ["a", "b"]),
+    (UserTable, [UNSPECIFIED_USER_ID, "alice", "bob"]),
+])
+def test_a_repeated_line_names_the_file_and_line(tmp_path, table, names):
+    """A table file with one name twice fails naming the line of the
+    repeat and the line of the first one (blank lines still count)."""
+    path = tmp_path / "table.txt"
+    path.write_text("\n".join(names + ["", names[-2]]) + "\n", encoding="utf-8")
+    n = len(names)
+    with pytest.raises(CorpusError, match=re.escape(
+            f"{path}:{n + 2}: {names[-2]!r} repeats {path}:{n - 1}")):
+        table.load(path)
+
+
+@pytest.mark.parametrize("names, message", [
+    (RESERVED + ["a", "b", "a"], "index 6: 'a' repeats index 4"),
+    (RESERVED + ["<unk>"], "index 4: '<unk>' repeats index 1"),
+    (["<unk>", "<pad>", "<bos>", "<eos>"], "index 0: expected reserved name '<pad>'"),
+    (RESERVED[:3], "index 3: expected reserved name '<eos>'"),
+    ([], "index 0: expected reserved name '<pad>'"),
+])
+def test_a_table_with_gaps_cannot_be_built(names, message):
+    """Index = position holds for every table: a repeated name or a missing
+    or misplaced reserved name, which would leave an index without a name
+    or a name with two indices, raises."""
+    with pytest.raises(CorpusError, match=re.escape(message)):
+        Vocabulary(names)
+
+
+def test_reserved_spellings_keep_their_reserved_index():
+    """A corpus token spelled like a reserved name is not ranked as a word:
+    every index keeps one name and the token encodes to its reserved id."""
+    triples = [DialogueTriple("u", ["<eos>", "a", "<pad>"], ["<unk>", "<eos>", "b"])]
+    v = Vocabulary.build(triples)
+    assert v.names == RESERVED + ["a", "b"]
+    assert v.encode(["<pad>", "<unk>", "<bos>", "<eos>", "a"]) == [PAD, UNK, BOS, EOS, 4]
+    assert len(Vocabulary.build(triples, max_size=1)) == len(RESERVED) + 1
 
 
 def test_load_corpus_remaps_sparse_users(tmp_path):
@@ -159,8 +210,7 @@ def test_load_corpus_remaps_sparse_users(tmp_path):
     triples = C.load_corpus(tmp_path / "c.tsv", min_utterances=2)
     users = UserTable.build(t.user_id for t in triples)
     assert sum(1 for t in triples if t.user_id == UNSPECIFIED_USER_ID) == 1
-    assert "small" not in users.user_to_index
-    assert "big" in users.user_to_index
+    assert users.names == [UNSPECIFIED_USER_ID, "big"]
 
 
 def test_split_keeps_every_user_in_train():
@@ -239,22 +289,27 @@ def test_synthetic_argument_validation():
         C.generate_synthetic(1, 10, 0.9, seed=0)
     with pytest.raises(CorpusError):
         C.generate_synthetic(4, 10, 0.4, seed=0)
+    with pytest.raises(CorpusError, match="triples_per_user must be >= 1"):
+        C.generate_synthetic(4, 0, 0.9, seed=0)
 
 
 def test_a_failed_write_leaves_the_previous_file(tmp_path, tiny_triples):
     """The corpus, vocabulary, user-table and word-vector writers replace
     their file only once complete: each, failing on its last entry, leaves
     the previous file and no temporary file behind."""
-    def failing_on_last(table, names):
-        getattr(table, names)[len(table) - 1] = None
+    def failing_on_last(table):
+        table.names[-1] = None
         return table
+
+    def save_table(path, table):
+        table.save(path)
 
     writers = [
         (C.write_corpus, tiny_triples[:2], tiny_triples + [None]),
-        (C.save_vocab, Vocabulary.build(tiny_triples[:2]),
-         failing_on_last(Vocabulary.build(tiny_triples), "index_to_token")),
-        (C.save_users, UserTable.build(["alice"]),
-         failing_on_last(UserTable.build(["alice", "bob", "carol"]), "index_to_user")),
+        (save_table, Vocabulary.build(tiny_triples[:2]),
+         failing_on_last(Vocabulary.build(tiny_triples))),
+        (save_table, UserTable.build(["alice"]),
+         failing_on_last(UserTable.build(["alice", "bob", "carol"]))),
         (MX.save_word_vectors, {"a": np.ones(2)}, {"a": np.ones(2), "b": [1.0, "x"]}),
     ]
     for i, (write, good, bad) in enumerate(writers):

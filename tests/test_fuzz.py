@@ -1,7 +1,8 @@
 """Property tests for the readers of outside input: config lines, corpus
-files, checkpoints and word vectors.  Each input either parses, and then round-trips
-through the matching writer, or raises the reader's own error naming the
-source; no bare codec, numpy or struct error gets through."""
+files, vocabulary and user tables, checkpoints and word vectors.  Each
+input either parses, and then round-trips through the matching writer, or
+raises the reader's own error naming the source; no bare codec, numpy or
+struct error gets through."""
 
 import re
 
@@ -109,6 +110,31 @@ def test_corpus_file_round_trips_or_names_the_file(scratch, blob):
         return
     C.write_corpus(again, triples)
     assert C.read_triples(again) == triples
+
+
+name_line = st.one_of(st.sampled_from(C.RESERVED + [C.UNSPECIFIED_USER_ID, "", "a", "a\r"]),
+                      st.text(max_size=5))
+
+
+@pytest.mark.parametrize("table", [C.Vocabulary, C.UserTable])
+@FUZZ
+@given(data=st.data())
+def test_name_table_round_trips_or_names_the_line(scratch, table, data):
+    valid = "\n".join(table.RESERVED + ["zoë", "a"]).encode()
+    blob = data.draw(st.one_of(
+        st.binary(max_size=40), cut_or_flip(valid),
+        st.lists(name_line, max_size=8).map(lambda ls: "\n".join(ls).encode())))
+    path, again = scratch / "fuzz.txt", scratch / "again.txt"
+    path.write_bytes(blob)
+    try:
+        names = table.load(path)
+    except C.CorpusError as e:
+        assert re.match(re.escape(str(path)) + r"(:\d+|: end of file): ", str(e)), e
+        return
+    assert names.names[:len(table.RESERVED)] == table.RESERVED
+    assert [names.ids[n] for n in names.names] == list(range(len(names)))
+    names.save(again)
+    assert table.load(again).names == names.names
 
 
 @pytest.fixture(scope="module")

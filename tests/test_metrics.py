@@ -23,6 +23,11 @@ def test_metric_config_validation():
         MetricConfig(n_distractors=0)
     with pytest.raises(ValueError, match="^rounds: must be >= 1, got -1$"):
         MetricConfig(rounds=-1)
+    with pytest.raises(ValueError, match="^beam_width: must be >= 1, got 0$"):
+        MetricConfig(beam_width=0)
+    with pytest.raises(ValueError, match="^max_length: must be >= 0, got -3$"):
+        MetricConfig(max_length=-3)
+    assert MetricConfig(max_length=0).max_length == 0
 
 
 # ---------------------------------------------------------------------------
