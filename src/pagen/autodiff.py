@@ -20,10 +20,10 @@ later ones are added.
 The output layer: affine_log_softmax_pick keeps one (N, V) buffer for
 the N rows with a target (a row whose target is negative reads 0), which
 holds their logits (low-rank bias rows added in), then their
-log-softmax, then in the backward their gradient.  An lstm keeps, for
-BPTT, its gate activations and the (T, B, H) states and cells each step
-leaves; the backward rebuilds from them the state entering each step and
-tanh of each cell.
+log-softmax, then in the backward their gradient.  An lstm is one node,
+its states hs, from which a caller indexes the final state; for BPTT it
+keeps its gate activations and the (T, B, H) states and cells each step
+leaves, and rebuilds the state entering each step and tanh of each cell.
 
 Graph lifetime: a graph is backpropagated once and freed as it goes.
 After each node's backward has run, backward() drops its closure, its
@@ -330,19 +330,18 @@ def concat(tensors, axis=-1):
     return _result(out_data, tuple(tensors), bwd)
 
 
-def slice_cols(a, start, stop):
-    """Columns [start, stop) of a 2-D tensor (or entries of a 1-D one)."""
-    ax = a.data.ndim - 1
-    idx = [slice(None)] * a.data.ndim
-    idx[ax] = slice(start, stop)
-    idx = tuple(idx)
+def index(a, key):
+    """a[key] for a basic index: an int, slice or Ellipsis, or a tuple of
+    them.  The backward adds g into a's gradient buffer at key, so an array
+    index is refused: a repeated entry would be added to once."""
+    parts = key if isinstance(key, tuple) else (key,)
+    if not all(type(k) in (int, slice, type(Ellipsis)) or isinstance(k, np.integer) for k in parts):
+        raise ShapeError(f"index: {key!r} is not a basic index")
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        _accum(a, full)
+        _grad_buffer(a)[key] += g
 
-    return _result(a.data[idx], (a,), bwd)
+    return _result(a.data[key], (a,), bwd)
 
 
 def lstm(x, W, b, h0, c0, static=None, mask=None, reverse=False):
@@ -357,8 +356,9 @@ def lstm(x, W, b, h0, c0, static=None, mask=None, reverse=False):
 
     The input projection x @ W_x + static @ W_s + b runs once for all T*B
     rows; only h @ W_h runs per step, and the backward forms dW, db and dx
-    as matmuls over all steps at once.  Returns (hs, (h, c)): the (T, B, H)
-    state after each step, and the final state.
+    as matmuls over all steps at once.  Returns (hs, c): the (T, B, H)
+    state after each step, the one graph node, and the final cell as a
+    plain array (no gradient).
     """
     if x.data.ndim != 3 or h0.data.ndim != 2:
         raise ShapeError(f"lstm: inputs {x.data.shape} with state {h0.data.shape}")
@@ -409,7 +409,6 @@ def lstm(x, W, b, h0, c0, static=None, mask=None, reverse=False):
         hs[t] = h
         if record:
             cs[t] = c
-    final_dc = [None]  # the final cell's gradient, left here by its node
 
     def entering(states, first):
         """The state entering each step: the one the step before it left."""
@@ -422,8 +421,7 @@ def lstm(x, W, b, h0, c0, static=None, mask=None, reverse=False):
         h_in, c_in, tanh_c = entering(hs, h0.data), entering(cs, c0.data), np.tanh(cs)
         dZ = np.empty_like(pre)  # gradient of every step's gate pre-activations
         dh = np.zeros_like(h0.data)
-        dc = np.zeros_like(c0.data) if final_dc[0] is None else final_dc[0]
-        final_dc[0] = None
+        dc = np.zeros_like(c0.data)
         for t in reversed(steps):
             a, tc = pre[t], tanh_c[t]
             i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
@@ -455,16 +453,7 @@ def lstm(x, W, b, h0, c0, static=None, mask=None, reverse=False):
         _accum(h0, dh)
         _accum(c0, dc)
 
-    def h_bwd(g):
-        _grad_buffer(out)[last] += g
-
-    def c_bwd(g):
-        final_dc[0] = g
-        _grad_buffer(out)  # so that the BPTT pass runs even if hs is unused
-
-    out = _result(hs, parents, bwd)
-    last = steps[-1]
-    return out, (_result(hs[last], (out,), h_bwd), _result(c, (out,), c_bwd))
+    return _result(hs, parents, bwd), c
 
 
 def contract(spec, a, b):

@@ -36,7 +36,8 @@ ABLATIONS = {
 }
 
 # the flag that sets each MetricConfig field, named by its range errors
-METRIC_FLAGS = {"rounds": "--rounds", "n_distractors": "--distractors", "beam_width": "--beam"}
+METRIC_FLAGS = {"rounds": "--rounds", "n_distractors": "--distractors", "beam_width": "--beam",
+                "max_length": "--max-length"}
 
 
 def file_hash(path):
@@ -195,6 +196,9 @@ def cmd_train(args):
 
 
 def cmd_generate(args):
+    # the decoding flags' ranges, before any file is opened
+    M.checked(MX.MetricConfig, dict(beam_width=args.beam, max_length=args.max_length),
+              METRIC_FLAGS)
     model, vocab, users = load_model_dir(args.model, args.vocab, args.users_file)
     params, config = model
 
@@ -292,6 +296,8 @@ def cmd_compare(args):
         if variant not in known:
             raise ValueError(f"--variants: unknown variant {variant!r} "
                              f"(expected some of {', '.join(known)})")
+        if variants.count(variant) > 1:
+            raise ValueError(f"--variants: {variant!r} is listed twice")
     ref_name = args.reference or ("S2SA" if "S2SA" in variants else variants[0])
     if ref_name not in variants:
         raise ValueError(f"--reference: {ref_name!r} is not one of --variants")

@@ -117,7 +117,7 @@ def _beam_search(requests, params, config):
         enc = M.encode_batch(*M.pad_batch([r.query for r in requests]), params, config)
         z_all = _draw_z(enc.final, users, params, config,
                         [(i, r.z_mode, r.seed) for i, r in enumerate(requests)])
-        h, c = (s.data for s in M.decoder_init_state(enc.final, params, config, n))
+        h, c = (s.data for s in M.decoder_init_state(enc.final, params, config))
         # per request: its live beams as rows of BOS + tokens and their summed
         # log-probs; the live rows of the requests in `live` are contiguous
         # and in order in h, c and src (each live row's request)
@@ -198,7 +198,7 @@ def score_rounds(query, replies, user_index, params, config, seeds):
         z = np.repeat(z_all, len(replies), axis=0) if z_all is not None else None
         src = np.zeros(n, dtype=np.int64)
         enc_n, z, e_u = _rows(enc, src, z, users, params, config)
-        state = M.decoder_init_state(ad.constant(enc.final.data[src]), params, config, n)
+        state = M.decoder_init_state(ad.constant(enc.final.data[src]), params, config)
         r_idx, r_len = M.pad_batch(replies)
         lp = M.teacher_forced_log_probs(np.concatenate([r_idx] * len(seeds)),
                                         np.concatenate([r_len] * len(seeds)), state, z, e_u,

@@ -285,11 +285,10 @@ def encode_batch(idx, lengths, params, config):
     dtype = emb.dtype
     valid = (np.arange(T)[None, :] < lengths[:, None]).astype(dtype)
     zeros = ad.constant(np.zeros((B, H), dtype=dtype))
-    fwd, (h_fwd, _) = ad.lstm(emb, params["enc_fwd_W"], params["enc_fwd_b"], zeros, zeros,
-                              mask=valid.T)
-    bwd, (h_bwd, _) = ad.lstm(emb, params["enc_bwd_W"], params["enc_bwd_b"], zeros, zeros,
-                              mask=valid.T, reverse=True)
-    return EncoderOutput(final=ad.concat([h_fwd, h_bwd], axis=1),
+    fwd, _ = ad.lstm(emb, params["enc_fwd_W"], params["enc_fwd_b"], zeros, zeros, mask=valid.T)
+    bwd, _ = ad.lstm(emb, params["enc_bwd_W"], params["enc_bwd_b"], zeros, zeros,
+                     mask=valid.T, reverse=True)
+    return EncoderOutput(final=ad.concat([ad.index(fwd, T - 1), ad.index(bwd, 0)], axis=1),
                          states=ad.concat([fwd, bwd], axis=2), mask=valid)
 
 
@@ -297,8 +296,8 @@ def encode_batch(idx, lengths, params, config):
 # prior / posterior
 
 def _split_gaussian(out, z_dim):
-    return GaussianParams(mu=ad.slice_cols(out, 0, z_dim),
-                          log_var=ad.slice_cols(out, z_dim, 2 * z_dim))
+    return GaussianParams(mu=ad.index(out, np.s_[:, :z_dim]),
+                          log_var=ad.index(out, np.s_[:, z_dim:2 * z_dim]))
 
 
 def prior_net(h_q, e_u, params, config):
@@ -331,9 +330,9 @@ def prior_user_index(user_idx, config):
 # ---------------------------------------------------------------------------
 # decoder
 
-def decoder_init_state(h_q, params, config, batch):
+def decoder_init_state(h_q, params, config):
     h0 = ad.tanh(ad.matmul(h_q, params["dec_init_W"], params["dec_init_b"]))
-    c0 = ad.constant(np.zeros((batch, config.decoder_hidden), dtype=h0.dtype))
+    c0 = ad.constant(np.zeros((h_q.shape[0], config.decoder_hidden), dtype=h0.dtype))
     return h0, c0
 
 
@@ -359,16 +358,11 @@ def decoder_lstm(prev_idx, state, z, e_u, params, config):
     """The decoder's recurrence over time-major (T, B) previous tokens: one
     LSTM on [embedding of prev; z; e_u], where [z; e_u] is the same at
     every step.  Only (h, c) carries from one step to the next.  Returns
-    (hs (T, B, Hd), final (h, c))."""
+    (hs (T, B, Hd), final cell c)."""
     parts = [t for t, used in ((z, config.is_latent), (e_u, config.decoder_uses_user)) if used]
     static = ad.concat(parts, axis=1) if len(parts) > 1 else (parts[0] if parts else None)
     x = ad.embedding(params["word_emb"], np.asarray(prev_idx))
     return ad.lstm(x, params["dec_W"], params["dec_b"], *state, static=static)
-
-
-def decoder_cell(prev_idx, state, z, e_u, params, config):
-    """One decoder step from the (B,) previous tokens; returns (h, c)."""
-    return decoder_lstm(np.asarray(prev_idx)[None], state, z, e_u, params, config)[1]
 
 
 def output_logits(h, enc, params, config, user_idx=None, targets=None):
@@ -397,9 +391,10 @@ def output_logits(h, enc, params, config, user_idx=None, targets=None):
 
 
 def decode_logits(prev_idx, state, z, e_u, enc, params, config, user_idx=None):
-    """One decoder step; returns (logits, new_state)."""
-    h, c = decoder_cell(prev_idx, state, z, e_u, params, config)
-    return output_logits(h, enc, params, config, user_idx=user_idx), (h, c)
+    """One decoder step from the (B,) previous tokens; returns (logits, new_state)."""
+    hs, c = decoder_lstm(np.asarray(prev_idx)[None], state, z, e_u, params, config)
+    h = ad.index(hs, 0)
+    return output_logits(h, enc, params, config, user_idx=user_idx), (h, ad.constant(c))
 
 
 def decode_step(prev_idx, state, z, e_u, enc, params, config, user_idx=None):

@@ -110,7 +110,7 @@ def total_loss(batch, params, config, noise=None, batch_index=0):
     user_idx, q_idx, q_len, r_idx, r_len = batch
     B = len(user_idx)
     enc_q = M.encode_batch(q_idx, q_len, params, config)
-    state = M.decoder_init_state(enc_q.final, params, config, B)
+    state = M.decoder_init_state(enc_q.final, params, config)
 
     w = anneal_weight(batch_index, config.anneal_batches) if config.is_latent else 0.0
     z = None

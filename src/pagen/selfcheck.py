@@ -53,11 +53,13 @@ def primitive_cases(seed=0):
                   {"x": x, "y": y}))
     cases.append(("concat", lambda: ad.reduce_sum(ad.tanh(ad.concat([x, y], axis=1))),
                   {"x": x, "y": y}))
-    cases.append(("slice", lambda: ad.reduce_sum(ad.mul(ad.slice_cols(x, 1, 3),
-                                                        ad.slice_cols(y, 0, 2))),
-                  {"x": x, "y": y}))
-
     seq = _param(rng, 3, 2, 4)
+    cases.append(("index_cols", lambda: ad.reduce_sum(ad.mul(ad.index(x, np.s_[:, 1:3]),
+                                                             ad.index(y, np.s_[:, 0:2]))),
+                  {"x": x, "y": y}))
+    cases.append(("index_step", lambda: ad.reduce_sum(ad.mul(ad.index(seq, 0),
+                                                             ad.tanh(ad.index(seq, -1)))),
+                  {"seq": seq}))
     # attention-shaped: scores over the steps, then their weighted sum
     cases.append(("contract", lambda: ad.reduce_sum(ad.tanh(ad.contract(
         "bt,btd->bd", ad.softmax(ad.contract("btd,bd->bt", seq, x)), seq))),
@@ -94,8 +96,8 @@ def primitive_cases(seed=0):
     cases.append(("pick_3d", lambda: ad.reduce_sum(ad.exp(ad.pick(steps, idx3))),
                   {"steps": steps}))
 
-    # the fused LSTM: every output (states, final h and final c) reaches
-    # the loss through its own random weights
+    # the fused LSTM: its states and the final state indexed from them
+    # reach the loss through their own random weights
     T, B, n_in, n_s, H = 4, 3, 3, 2, 2
     seq_x = _param(rng, T, B, n_in)
     static = _param(rng, B, n_s)
@@ -103,14 +105,15 @@ def primitive_cases(seed=0):
     bias = _param(rng, 4 * H)
     W_plain = _param(rng, n_in + H, 4 * H)
     W_static = _param(rng, n_in + n_s + H, 4 * H)
+    # mix[2] is unused, but drawn so that the cases below keep their inputs
     mix = [rng.standard_normal(s) for s in ((T, B, H), (B, H), (B, H))]
     ragged = np.arange(T)[:, None] < np.array([4, 1, 2])[None, :]
 
     def lstm_loss(W, **kw):
-        hs, (h, c) = ad.lstm(seq_x, W, bias, h0, c0, **kw)
-        return ad.add(ad.add(ad.reduce_sum(ad.mul(ad.tanh(hs), ad.constant(mix[0]))),
-                             ad.reduce_sum(ad.mul(h, ad.constant(mix[1])))),
-                      ad.reduce_sum(ad.mul(c, ad.constant(mix[2]))))
+        hs, _ = ad.lstm(seq_x, W, bias, h0, c0, **kw)
+        h = ad.index(hs, 0 if kw.get("reverse") else -1)
+        return ad.add(ad.reduce_sum(ad.mul(ad.tanh(hs), ad.constant(mix[0]))),
+                      ad.reduce_sum(ad.mul(h, ad.constant(mix[1]))))
 
     state = {"x": seq_x, "h0": h0, "c0": c0, "b": bias}
     cases.append(("lstm", lambda: lstm_loss(W_plain), dict(state, W=W_plain)))

@@ -287,7 +287,7 @@ def generate_one(request, params, config):
         enc = M.encode_batch(*M.pad_batch([request.query]), params, config)
         z_vec = draw_z(enc.final, request.user_index, params, config,
                        request.z_mode, request.seed)
-        h, c = (s.data for s in M.decoder_init_state(enc.final, params, config, 1))
+        h, c = (s.data for s in M.decoder_init_state(enc.final, params, config))
         tokens, scores = np.full((1, 1), BOS), np.zeros(1, dtype=h.dtype)
         finished = []
         for step in range(request.max_length):
@@ -321,7 +321,7 @@ def score_one(query, replies, user_index, params, config, seed=0):
         enc = M.encode_batch(*M.pad_batch([query]), params, config)
         z_vec = draw_z(enc.final, user_index, params, config, "sample", seed)
         enc_n, z, e_u, u_idx = _rows(enc, z_vec, user_index, n, params, config)
-        state = M.decoder_init_state(enc_n.final, params, config, n)
+        state = M.decoder_init_state(enc_n.final, params, config)
         r_idx, r_len = M.pad_batch(replies)
         lp = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc_n, params,
                                         config, user_idx=u_idx)

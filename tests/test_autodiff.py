@@ -226,13 +226,31 @@ def test_lstm_under_no_grad_keeps_no_backward():
     args = [Tensor(rng.standard_normal(s), requires_grad=True)
             for s in ((3, 2, 4), (4 + 5, 20), (20,), (2, 5), (2, 5))]
     with ad.no_grad():
-        hs, (h, c) = ad.lstm(*args, mask=np.ones((3, 2)), reverse=True)
+        hs, c = ad.lstm(*args, mask=np.ones((3, 2)), reverse=True)
+        h = ad.index(hs, 0)
     assert hs.shape == (3, 2, 5) and h.shape == c.shape == (2, 5)
-    for t in (hs, h, c):
+    for t in (hs, h):
         assert not t.requires_grad and t._backward is None and t._parents == ()
-    hs_rec, (h_rec, c_rec) = ad.lstm(*args, mask=np.ones((3, 2)), reverse=True)
+    hs_rec, c_rec = ad.lstm(*args, mask=np.ones((3, 2)), reverse=True)
     assert np.array_equal(hs.data, hs_rec.data) and np.array_equal(h.data, hs.data[0])
-    assert np.array_equal(c.data, c_rec.data) and h_rec._backward is not None
+    assert np.array_equal(c, c_rec) and hs_rec._backward is not None
+
+
+def test_one_lstm_call_adds_one_graph_node(monkeypatch):
+    """ad.lstm records its states hs as its only node; the final cell is a
+    plain array beside it."""
+    rng = np.random.default_rng(1)
+    args = [Tensor(rng.standard_normal(s), requires_grad=True)
+            for s in ((3, 2, 4), (4 + 5, 20), (20,), (2, 5), (2, 5))]
+    nodes, real = [], ad._result
+
+    def spy(*a):
+        nodes.append(real(*a))
+        return nodes[-1]
+
+    monkeypatch.setattr(ad, "_result", spy)
+    hs, c = ad.lstm(*args)
+    assert nodes == [hs] and isinstance(c, np.ndarray) and c.shape == (2, 5)
 
 
 def _lstm_step_by_step(xs, W, b, h0, c0, static, mask, reverse):
@@ -246,8 +264,8 @@ def _lstm_step_by_step(xs, W, b, h0, c0, static, mask, reverse):
     for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
         inputs = [xs[t]] + ([static] if static is not None else []) + [h]
         z = ad.add(ad.matmul(ad.concat(inputs, axis=1), W), b)
-        i, f, o = (sigmoid(ad.slice_cols(z, k * H, (k + 1) * H)) for k in range(3))
-        g = ad.tanh(ad.slice_cols(z, 3 * H, 4 * H))
+        i, f, o = (sigmoid(ad.index(z, np.s_[:, k * H:(k + 1) * H])) for k in range(3))
+        g = ad.tanh(ad.index(z, np.s_[:, 3 * H:]))
         c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
         h_new = ad.mul(o, ad.tanh(c_new))
         if mask is not None:
@@ -262,8 +280,9 @@ def _lstm_step_by_step(xs, W, b, h0, c0, static, mask, reverse):
 
 @pytest.mark.parametrize("variant", ["plain", "masked", "reverse", "static"])
 def test_lstm_matches_step_by_step_graph(variant):
-    """Loss and every gradient (through the states, the final h and the
-    final c) agree with the step-by-step reference to float64 rounding."""
+    """Loss, final cell and every gradient (through the states and the
+    final h, an index of them) agree with the step-by-step reference to
+    float64 rounding."""
     rng = np.random.default_rng(5)
     T, B, n_in, H = 5, 3, 4, 6
     n_s = 3 if variant == "static" else 0
@@ -280,23 +299,26 @@ def test_lstm_matches_step_by_step_graph(variant):
         static, reverse = (p["static"] if n_s else None), variant == "reverse"
         if fused:
             xs = Tensor(x.copy(), requires_grad=True)
-            hs, (h, c) = ad.lstm(xs, *args, static=static, mask=mask, reverse=reverse)
+            hs, c = ad.lstm(xs, *args, static=static, mask=mask, reverse=reverse)
+            h = ad.index(hs, 0 if reverse else T - 1)
             terms = [ad.mul(ad.tanh(hs), Tensor(mix))]
         else:
             xs = [Tensor(x[t].copy(), requires_grad=True) for t in range(T)]
             hs, h, c = _lstm_step_by_step(xs, *args, static, mask, reverse)
+            c = c.data
             terms = [ad.mul(ad.tanh(hs[t]), Tensor(mix[t])) for t in range(T)]
-        loss = ad.reduce_sum(ad.mul(h, c))
+        loss = ad.reduce_sum(ad.mul(h, h))
         for term in terms:
             loss = ad.add(loss, ad.reduce_sum(term))
         backward(loss)
         grads = {k: v.grad for k, v in p.items() if k != "static" or n_s}
         grads["x"] = xs.grad if fused else np.stack([t.grad for t in xs])
-        return float(loss.data), grads
+        return float(loss.data), c, grads
 
-    loss, grads = run(fused=True)
-    ref_loss, ref_grads = run(fused=False)
+    loss, c, grads = run(fused=True)
+    ref_loss, ref_c, ref_grads = run(fused=False)
     assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert np.allclose(c, ref_c, rtol=1e-12, atol=1e-15)
     assert grads.keys() == ref_grads.keys()
     for k in grads:
         assert np.allclose(grads[k], ref_grads[k], rtol=1e-10, atol=1e-12), k
@@ -398,6 +420,8 @@ def _aliasing_graphs():
         "add reused by mul, swapped": (reused_by_mul(True), (x, y)),
         "matmul reusing w": (lambda: ad.reduce_sum(ad.tanh(ad.matmul(
             ad.tanh(ad.matmul(x, w)), w))), (x, w)),
+        "index(x) twice": (lambda: ad.reduce_sum(ad.tanh(ad.add(
+            ad.mul(ad.index(x, 0), ad.index(x, np.s_[-1, :])), ad.index(y, 1)))), (x, y)),
     }
 
 
@@ -441,7 +465,7 @@ def test_concat_slice_roundtrip_gradient():
     a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     b = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
     cat = ad.concat([a, b], axis=1)
-    backward(ad.reduce_sum(ad.mul(ad.slice_cols(cat, 2, 4), ad.slice_cols(cat, 2, 4))))
+    backward(ad.reduce_sum(ad.mul(ad.index(cat, np.s_[:, 2:4]), ad.index(cat, np.s_[..., 2:4]))))
     # only column 2 of `a` and column 0 of `b` take gradient
     expect_a = np.zeros((2, 3))
     expect_a[:, 2] = 2.0 * a.data[:, 2]
@@ -449,6 +473,23 @@ def test_concat_slice_roundtrip_gradient():
     expect_b[:, 0] = 2.0 * b.data[:, 0]
     assert np.allclose(a.grad, expect_a)
     assert np.allclose(b.grad, expect_b)
+
+
+def test_index_takes_basic_indices_only():
+    """ad.index is a[key] for an int, a slice, Ellipsis or a tuple of them;
+    an array index, whose repeated entries the backward's buffer[key] += g
+    would add to once, raises ShapeError."""
+    a = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    for key in ([0, 0], np.array([1, 0]), (0, [1, 1]), np.array([True, False]), True, None,
+                (slice(None), None)):
+        with pytest.raises(ShapeError, match="index"):
+            ad.index(a, key)
+    out = ad.index(a, (-1, ..., np.int64(1)))
+    assert np.array_equal(out.data, a.data[-1, :, 1])
+    backward(ad.reduce_sum(ad.mul(out, out)))
+    expect = np.zeros_like(a.data)
+    expect[-1, :, 1] = 2.0 * a.data[-1, :, 1]
+    assert np.array_equal(a.grad, expect)
 
 
 def _graph_ops():

@@ -300,6 +300,15 @@ def test_generate_rejects_all_oov_queries(workdir, capsys):
     assert cli.main(base + ["--user", "user0", "--query", "zzz topic0"]) == 0
 
 
+@pytest.mark.parametrize("flags, flag", [(["--beam", "0"], "--beam"),
+                                         (["--max-length", "-1"], "--max-length")])
+def test_generate_checks_its_flags_before_opening_a_file(tmp_path, capsys, flags, flag):
+    assert cli.main(["generate", "--model", str(tmp_path / "missing.ckpt"), "--query", "q",
+                     *flags]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "missing.ckpt" not in err
+
+
 def test_generate_without_query_exits_2(workdir, capsys):
     out = _trained(workdir)
     assert cli.main(["generate", "--model", str(out / "model.ckpt")]) == 2
@@ -449,7 +458,8 @@ def test_compare_rejects_single_variant(workdir, capsys):
 @pytest.mark.parametrize("flags, flag, bad", [
     (["--variants", "S2SA,CVAE,PAGENERATR"], "--variants", "'PAGENERATR'"),
     (["--variants", "S2SA,CVAE", "--reference", "VAE"], "--reference", "'VAE'"),
-    (["--variants", "S2SA,CVAE", "--rounds", "0"], "--rounds", "must be >= 1, got 0")])
+    (["--variants", "S2SA,CVAE", "--rounds", "0"], "--rounds", "must be >= 1, got 0"),
+    (["--variants", "S2SA,S2SA"], "--variants", "'S2SA' is listed twice")])
 def test_compare_checks_its_names_before_training(workdir, capsys, monkeypatch, flags, flag, bad):
     tmp_path, data, config = workdir
     trained = []

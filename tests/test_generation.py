@@ -40,7 +40,7 @@ def _greedy_reference(query, params, cfg, max_length):
     """Independent greedy loop: argmax step by step with the same
     forbidden-token rules as the beam (no PAD/UNK/BOS, no EOS first)."""
     enc = M.encode_batch(*M.pad_batch([query]), params, cfg)
-    state = M.decoder_init_state(enc.final, params, cfg, 1)
+    state = M.decoder_init_state(enc.final, params, cfg)
     tokens = []
     prev = BOS
     for step in range(max_length):
@@ -77,7 +77,7 @@ def _beam_reference(request, params, cfg):
         z_vec = np_oracle.draw_z(enc.final, request.user_index, params, cfg, request.z_mode,
                                  request.seed)
         beams, finished = [Hypothesis()], []
-        h0, c0 = M.decoder_init_state(enc.final, params, cfg, 1)
+        h0, c0 = M.decoder_init_state(enc.final, params, cfg)
         states = [(h0.data[0], c0.data[0])]
         for step in range(request.max_length):
             k = len(beams)

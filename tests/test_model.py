@@ -185,7 +185,7 @@ def test_decode_step_is_distribution():
     params = M.init_params(cfg)
     _, q_idx, q_len, _, _ = toy_batch()
     enc = M.encode_batch(q_idx, q_len, params, cfg)
-    state = M.decoder_init_state(enc.final, params, cfg, 3)
+    state = M.decoder_init_state(enc.final, params, cfg)
     logp, _ = M.decode_step(np.array([2, 2, 2]), state, None, None, enc, params, cfg)
     assert logp.shape == (3, cfg.vocab_size)
     assert np.all(logp.data <= 0.0)
@@ -198,7 +198,7 @@ def test_teacher_forced_log_probs_negative():
     batch = toy_batch()
     user_idx, q_idx, q_len, r_idx, r_len = batch
     enc = M.encode_batch(q_idx, q_len, params, cfg)
-    state = M.decoder_init_state(enc.final, params, cfg, len(user_idx))
+    state = M.decoder_init_state(enc.final, params, cfg)
     lp = M.teacher_forced_log_probs(r_idx, r_len, state, None, None, enc, params, cfg)
     assert lp.shape == (3,)
     assert np.all(lp.data < 0.0)
@@ -217,7 +217,7 @@ def test_attention_log_probs_match_numpy_oracle(variant):
     e_u = params["user_emb"].data[user_idx] if cfg.decoder_uses_user else None
 
     enc = M.encode_batch(q_idx, q_len, params, cfg)
-    state = M.decoder_init_state(enc.final, params, cfg, 3)
+    state = M.decoder_init_state(enc.final, params, cfg)
     got = M.teacher_forced_log_probs(
         r_idx, r_len, state, None if z is None else ad.constant(z),
         None if e_u is None else ad.constant(e_u), enc, params, cfg, user_idx=user_idx).data
@@ -251,7 +251,7 @@ def test_teacher_forcing_matches_decode_step_loop(variant, use_attention):
     z = ad.constant(rng.standard_normal((3, cfg.z_dim))) if cfg.is_latent else None
     e_u = M.user_embedding(user_idx, params, cfg) if cfg.decoder_uses_user else None
     enc = M.encode_batch(q_idx, q_len, params, cfg)
-    state = M.decoder_init_state(enc.final, params, cfg, 3)
+    state = M.decoder_init_state(enc.final, params, cfg)
     got = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc, params, cfg,
                                      user_idx=user_idx).data
 
@@ -290,7 +290,7 @@ def test_teacher_forcing_is_padding_invariant(variant, use_attention):
         if trim:
             q, r = q[:, :q_len[rows].max()], r[:, :r_len[rows].max()]
         enc = M.encode_batch(q, q_len[rows], params, cfg)
-        state = M.decoder_init_state(enc.final, params, cfg, len(rows))
+        state = M.decoder_init_state(enc.final, params, cfg)
         e_u = M.user_embedding(user_idx[rows], params, cfg) if cfg.decoder_uses_user else None
         return M.teacher_forced_log_probs(r, r_len[rows], state, ad.constant(z[rows]) if
                                           cfg.is_latent else None, e_u, enc, params, cfg,
@@ -520,7 +520,7 @@ def test_fact_bias_requires_user_idx():
     params = M.init_params(cfg)
     _, q_idx, q_len, _, _ = toy_batch()
     enc = M.encode_batch(q_idx, q_len, params, cfg)
-    state = M.decoder_init_state(enc.final, params, cfg, 3)
+    state = M.decoder_init_state(enc.final, params, cfg)
     with pytest.raises(ContractError):
         M.decode_step(np.array([2, 2, 2]), state, None, None, enc, params, cfg)
     with pytest.raises(ContractError):
