@@ -129,6 +129,19 @@ def load_model_dir(ckpt_path, vocab_path=None, users_path=None):
     return (params, config), vocab, users
 
 
+def check_same_names(flag, ckpt_path, tables, ref_tables):
+    """Raise ValueError naming flag and ckpt_path at the first row where a
+    table beside that checkpoint, (vocabulary, users), differs from the
+    model's."""
+    for name, mine, ref in zip(("vocab.txt", "users.txt"), tables, ref_tables):
+        n = max(len(mine), len(ref))
+        i = next((i for i in range(n) if mine.names[i:i + 1] != ref.names[i:i + 1]), n)
+        if i < n:
+            got, want = (repr(t.names[i]) if i < len(t) else "missing" for t in (ref, mine))
+            raise ValueError(f"{flag} {ckpt_path}: row {i} of its {name} is {got}, "
+                             f"the model's is {want}")
+
+
 REPORT_COLUMNS = ("BLEU", "Average", "Extreme", "Greedy", "uRank", "uPPL",
                   "uDist-1", "uDist-2")
 REPORT_KEYS = ("bleu1", "embed_average", "embed_extrema", "embed_greedy",
@@ -242,7 +255,8 @@ def cmd_evaluate(args):
     cfg = M.checked(MX.MetricConfig, dict(rounds=args.rounds, n_distractors=args.distractors,
                                           beam_width=args.beam), METRIC_FLAGS)
     model, vocab, users = load_model_dir(args.model, args.vocab, args.users_file)
-    ref_model = M.load_checkpoint(args.ref_model)
+    ref_model, *ref_tables = load_model_dir(args.ref_model)
+    check_same_names("--ref-model", args.ref_model, (vocab, users), ref_tables)
     test_set = C.read_triples(args.data)
     for t in test_set:  # every user is checked before any decoding
         users.index(t.user_id, f"{args.data}: ")
@@ -311,16 +325,19 @@ def cmd_compare(args):
     train_set = C.read_triples(os.path.join(ref_dir, "train.tsv"))
     test_set = C.read_triples(os.path.join(ref_dir, "test.tsv"))
 
-    # the reference's beam-search distractors are the same for every variant
+    # the reference's beam-search distractors and its ranks of the truth
+    # among them are the same for every variant
     distractors = MX.make_distractors(encode_triples(test_set, vocab, users), ref_model,
                                       metric_config, metric_config.n_distractors)
+    ref_ranks = MX.rank_counts(distractors, ref_model, metric_config, seed=args.seed)
     rows = []
     for variant in variants:
-        model = M.load_checkpoint(os.path.join(run_dirs[variant], "model.ckpt"))
+        model = (ref_model if variant == ref_name
+                 else M.load_checkpoint(os.path.join(run_dirs[variant], "model.ckpt")))
         results, per_item = E.evaluate_model(
             model, ref_model, train_set, test_set, vocab, users,
-            metric_config=metric_config, seed=args.seed,
-            metrics=E.DEFAULT_METRICS, distractors=distractors)
+            metric_config=metric_config, seed=args.seed, metrics=E.DEFAULT_METRICS,
+            distractors=distractors, reference_ranks=ref_ranks)
         write_report(os.path.join(args.out, variant, "eval"), results, per_item, {
             "command": "compare",
             "variant": variant,

@@ -41,9 +41,10 @@ def check_metrics(metrics, vectors):
 
 def evaluate_model(model, reference, train_triples, test_triples, vocab, users,
                    metric_config=None, seed=0, metrics=DEFAULT_METRICS, vectors=None,
-                   distractors=None):
+                   distractors=None, reference_ranks=None):
     """Returns (results dict, per-item rows).  `distractors` may carry the
-    reference beam-search outputs to reuse across evaluated models."""
+    reference beam-search outputs, and `reference_ranks` the reference's
+    metrics.rank_counts on them, to reuse across evaluated models."""
     check_metrics(metrics, vectors)
     cfg = metric_config or MX.MetricConfig()
     results = {}
@@ -93,7 +94,8 @@ def evaluate_model(model, reference, train_triples, test_triples, vocab, users,
     if "urank" in metrics:
         if distractors is None:
             distractors = MX.make_distractors(indexed, reference, cfg, cfg.n_distractors)
-        report = MX.urank(distractors, model, reference, cfg, seed=seed)
+        report = MX.urank(distractors, model, reference, cfg, seed=seed,
+                          reference_ranks=reference_ranks)
         results["urank"] = report.value
         results["urank_spread"] = report.spread
         results["urank_skipped"] = report.skipped

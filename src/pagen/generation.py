@@ -1,10 +1,11 @@
 """Response generation: prior z sampling at inference time, greedy
-decoding as beam width 1, and one batched beam search with a single z per
-request."""
+decoding as beam width 1, one batched beam search with a single z per
+request, and batched teacher-forced scoring of candidate replies."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -13,11 +14,18 @@ from . import model as M
 from .autodiff import ContractError, no_grad
 from .corpus import BOS, EOS, PAD, UNK, UNSPECIFIED_USER
 
-# Most decoder rows (live beams) in one batched beam search: generate_many
-# splits longer request lists into groups whose beam widths sum to at most
-# this.  Each step holds a few (rows, V) float32 buffers, so at the paper's
-# V=20004 a full group costs about 20 MB per buffer.
+# Most decoder rows in one batch: generate_many splits longer request lists
+# into groups whose beam widths sum to at most this, and score_many groups
+# items by their len(seeds) x len(replies) rows.  Each step holds a few
+# (rows, V) float32 buffers, so at the paper's V=20004 a full group costs
+# about 20 MB per buffer.
 MAX_ROWS = 256
+# Most floats in the output buffer (scored tokens x V) of one score_many
+# group, 16 MB of float32.  At V=20004 one item of 10 seeds x 11 replies
+# (at least 220 scored tokens) is over it, so there every item runs alone:
+# the output GEMMs dominate and grouping would only multiply the buffer.
+# At toy sizes MAX_ROWS binds first.
+MAX_SCORED = 1 << 22
 
 
 @dataclass
@@ -84,6 +92,21 @@ def _check(query, user_index, config):
         raise ContractError(f"unknown user index {user_index}")
 
 
+def _groups(items, costs, caps):
+    """Consecutive runs of items whose costs (one tuple per item) sum to at
+    most caps in every component; an item over a cap runs alone."""
+    group, total = [], None
+    for item, cost in zip(items, costs):
+        summed = tuple(map(sum, zip(total, cost))) if group else cost
+        if group and any(t > cap for t, cap in zip(summed, caps)):
+            yield group
+            group, summed = [], cost
+        group.append(item)
+        total = summed
+    if group:
+        yield group
+
+
 def generate(request, params, config):
     """Beam search for one request; returns hypotheses sorted by
     length-normalized score."""
@@ -100,14 +123,8 @@ def generate_many(requests, params, config):
     selection.  Every request is checked before any decoding."""
     for r in requests:
         _check(r.query, r.user_index, config)
-    out, group, rows = [], [], 0
-    for r in requests:
-        if group and rows + r.beam_width > MAX_ROWS:
-            out += _beam_search(group, params, config)
-            group, rows = [], 0
-        group.append(r)
-        rows += r.beam_width
-    return out + _beam_search(group, params, config) if group else out
+    return [hyps for group in _groups(requests, [(r.beam_width,) for r in requests], (MAX_ROWS,))
+            for hyps in _beam_search(group, params, config)]
 
 
 def _beam_search(requests, params, config):
@@ -174,33 +191,54 @@ def _beam_search(requests, params, config):
 
 def score_responses(query, replies, user_index, params, config, seed=0):
     """Teacher-forced log-probability of each reply given (q, u) and one
-    shared z drawn from the prior with the request seed.  Raw sums, no
-    length normalization (the ranking metric depends on raw scores)."""
-    return score_rounds(query, replies, user_index, params, config, [seed])[0]
+    shared z drawn from the prior with the request seed: score_many of one
+    item and one seed."""
+    return score_many([(query, replies, user_index)], params, config, [seed])[0][0]
 
 
-def score_rounds(query, replies, user_index, params, config, seeds):
-    """score_responses for every seed in one teacher-forced pass: the query
-    is encoded once, one z is drawn from the prior per seed, and all
-    len(seeds) x len(replies) rows are scored together.  Returns a
-    (len(seeds), len(replies)) float64 array."""
-    if not replies or any(not r for r in replies):
-        raise ContractError("replies must be nonempty")
+def score_many(items, params, config, seeds):
+    """Teacher-forced log-probabilities of the replies of many items, each
+    item a (query, replies, user_index), under one z per seed drawn from the
+    prior with default_rng(seed).  Raw sums, no length normalization (the
+    ranking metric depends on raw scores).  Returns one
+    (len(seeds), len(replies)) float64 array per item.
+
+    Every item is checked before any decoding.  An item is len(seeds) x
+    len(replies) decoder rows; items run in groups of at most MAX_ROWS rows
+    whose output buffer holds at most MAX_SCORED floats, and an item over
+    either cap runs alone.  Each group makes one encoder pass, one prior,
+    one decoder initial state and one teacher-forced pass."""
     if not seeds:
         raise ContractError("no seeds to score with")
-    _check(query, user_index, config)
-    n = len(seeds) * len(replies)
+    for query, replies, user_index in items:
+        if not replies or any(not r for r in replies):
+            raise ContractError("replies must be nonempty")
+        _check(query, user_index, config)
+    costs = [(len(seeds) * len(replies),
+              len(seeds) * sum(len(r) + 1 for r in replies) * config.vocab_size)  # +1: EOS
+             for _, replies, _ in items]
+    return [scores for group in _groups(items, costs, (MAX_ROWS, MAX_SCORED))
+            for scores in _score_group(group, params, config, seeds)]
+
+
+def _score_group(items, params, config, seeds):
+    """score_many of one group: its rows run item by item, within an item
+    seed by seed, within a seed reply by reply."""
+    widths = [len(replies) for _, replies, _ in items]
+    rows = [len(seeds) * w for w in widths]
+    users = np.array([u for _, _, u in items], dtype=np.int64)
+    src = np.repeat(np.arange(len(items)), rows)  # each row's item
     with no_grad():
-        enc = M.encode_batch(*M.pad_batch([query]), params, config)
-        users = np.full(n, user_index, dtype=np.int64)
-        z_all = _draw_z(enc.final, users[:1], params, config,
-                        [(0, "sample", seed) for seed in seeds])
-        z = np.repeat(z_all, len(replies), axis=0) if z_all is not None else None
-        src = np.zeros(n, dtype=np.int64)
-        enc_n, z, e_u = _rows(enc, src, z, users, params, config)
+        enc = M.encode_batch(*M.pad_batch([q for q, _, _ in items]), params, config)
+        z_all = _draw_z(enc.final, users, params, config,
+                        [(i, "sample", seed) for i in range(len(items)) for seed in seeds])
+        z = None if z_all is None else np.repeat(z_all, [w for w in widths for _ in seeds], axis=0)
+        u_rows = users[src]
+        enc_n, z, e_u = _rows(enc, src, z, u_rows, params, config)
         state = M.decoder_init_state(ad.constant(enc.final.data[src]), params, config)
-        r_idx, r_len = M.pad_batch(replies)
-        lp = M.teacher_forced_log_probs(np.concatenate([r_idx] * len(seeds)),
-                                        np.concatenate([r_len] * len(seeds)), state, z, e_u,
-                                        enc_n, params, config, user_idx=users)
-        return lp.data.astype(np.float64).reshape(len(seeds), len(replies))
+        r_idx, r_len = M.pad_batch([r for _, replies, _ in items for _ in seeds for r in replies])
+        lp = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc_n, params, config,
+                                        user_idx=u_rows)
+    scores = lp.data.astype(np.float64)
+    return [scores[end - n:end].reshape(len(seeds), w)
+            for end, n, w in zip(accumulate(rows), rows, widths)]

@@ -137,7 +137,25 @@ def rank_count(scores):
     return int((scores[1:] > scores[0]).sum())
 
 
-def urank(eval_items, model, reference, config, seed=0):
+def _usable(eval_items, config):
+    return [(u, q, r, d) for u, q, r, d in eval_items if len(d) >= config.n_distractors]
+
+
+def rank_counts(eval_items, model, config, seed=0):
+    """One model's ranks of the ground truth on the usable items of
+    eval_items (those with at least config.n_distractors distractors), as a
+    (seeds, items) int array: config.rounds seeds seed*1000 + rnd for a
+    latent model, and the one seed seed*1000 for a non-latent model, which
+    ignores it.  All items go through one score_many call."""
+    params, cfg = model
+    seeds = [seed * 1000 + rnd for rnd in range(config.rounds if cfg.is_latent else 1)]
+    scores = G.score_many([(q, [r] + list(d[:config.n_distractors]), u)
+                           for u, q, r, d in _usable(eval_items, config)], params, cfg, seeds)
+    return np.array([[rank_count(s) for s in item] for item in scores],
+                    dtype=np.int64).reshape(-1, len(seeds)).T
+
+
+def urank(eval_items, model, reference, config, seed=0, reference_ranks=None):
     """Rate of rank-promoted ground-truth replies.
 
     eval_items: list of (user_index, query ids, reply ids, distractor id
@@ -146,26 +164,21 @@ def urank(eval_items, model, reference, config, seed=0):
     1 when the evaluated model ranks the truth strictly better than the
     reference does.  Latent models are averaged over config.rounds z seeds;
     a non-latent model ignores the seed, so it is scored once per item.
-    With no item that has enough distractors, uRank is nan.
+    reference_ranks may carry the reference's rank_counts of the same items,
+    config and seed, to reuse across evaluated models.  With no item that
+    has enough distractors, uRank is nan.
     """
-    rounds = config.rounds if model[1].is_latent or reference[1].is_latent else 1
-    usable = [(u, q, r, d) for u, q, r, d in eval_items if len(d) >= config.n_distractors]
-    skipped = len(eval_items) - len(usable)
-    if not usable:
+    n_usable = len(_usable(eval_items, config))
+    skipped = len(eval_items) - n_usable
+    if not n_usable:
         return URankReport(value=float("nan"), spread=float("nan"), skipped=skipped)
-
-    def ranks(params, cfg):
-        """(rounds, items) rank counts, all rounds of an item in one call."""
-        seeds = [seed * 1000 + rnd for rnd in range(rounds if cfg.is_latent else 1)]
-        out = np.empty((rounds, len(usable)), dtype=np.int64)
-        for j, (u, q, r, d) in enumerate(usable):
-            scores = G.score_rounds(q, [r] + list(d[: config.n_distractors]), u,
-                                    params, cfg, seeds)
-            out[:, j] = [rank_count(s) for s in scores]  # one seed fills every round
-        return out
-
-    hits = (ranks(*model) < ranks(*reference)).sum(axis=1)
-    per_round = [h / len(usable) for h in hits.tolist()]
+    if reference_ranks is None:
+        reference_ranks = rank_counts(eval_items, reference, config, seed)
+    ranks = (reference_ranks if model is reference
+             else rank_counts(eval_items, model, config, seed))
+    # a non-latent model's one row of ranks stands for every round
+    hits = (ranks < reference_ranks).sum(axis=1)
+    per_round = [h / n_usable for h in hits.tolist()]
     value = float(np.mean(per_round))
     spread = float(np.max(per_round) - np.min(per_round)) if len(per_round) > 1 else 0.0
     return URankReport(value=value, per_round=per_round, spread=spread, skipped=skipped)

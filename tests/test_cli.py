@@ -354,6 +354,46 @@ def test_evaluate_rejects_unknown_users(workdir, capsys, monkeypatch):
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("table, edit, expect", [
+    ("vocab.txt", lambda names: names[:4] + names[5:6] + names[4:5] + names[6:],
+     lambda names: f"row 4 of its vocab.txt is {names[5]!r}, the model's is {names[4]!r}"),
+    ("vocab.txt", lambda names: names[:-4],
+     lambda names: f"row {len(names) - 4} of its vocab.txt is missing, "
+                   f"the model's is {names[-4]!r}"),
+    ("users.txt", lambda names: names + ["ghost"],
+     lambda names: f"row {len(names)} of its users.txt is 'ghost', the model's is missing"),
+])
+def test_evaluate_checks_the_reference_tables_before_decoding(workdir, capsys, monkeypatch,
+                                                              table, edit, expect):
+    """A reference whose vocabulary or user table names other rows than the
+    model's fails naming --ref-model and the first differing row, even at
+    the same size, where its token ids would silently mean other words."""
+    tmp_path, _, _ = workdir
+    out = _trained(workdir)
+    names = (out / table).read_text(encoding="utf-8").splitlines()
+    ref_dir = tmp_path / "ref"
+    ref_dir.mkdir()
+    (ref_dir / table).write_text("\n".join(edit(names)) + "\n", encoding="utf-8")
+    other = "users.txt" if table == "vocab.txt" else "vocab.txt"
+    (ref_dir / other).write_bytes((out / other).read_bytes())
+    # a checkpoint whose sizes match its edited table
+    params, config = M.load_checkpoint(out / "model.ckpt")
+    key = "vocab_size" if table == "vocab.txt" else "num_users"
+    config = M.ModelConfig.from_text(config.to_text().replace(
+        f"{key}={getattr(config, key)}", f"{key}={len(edit(names))}"))
+    M.save_checkpoint(ref_dir / "model.ckpt", M.init_params(config, seed=1), config)
+    decoded = []
+    monkeypatch.setattr(cli.G, "generate_many", lambda *a, **k: decoded.append(a))
+    assert cli.main(["evaluate", "--model", str(out / "model.ckpt"),
+                     "--ref-model", str(ref_dir / "model.ckpt"), "--data", str(out / "test.tsv"),
+                     "--train-data", str(out / "train.tsv"), "--metrics", "bleu1",
+                     "--out", str(tmp_path / "eval")]) == 1
+    err = capsys.readouterr().err
+    assert f"--ref-model {ref_dir / 'model.ckpt'}: {expect(names)}" in err
+    assert not decoded
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("flag", ["--rounds", "--distractors", "--beam"])
 def test_evaluate_checks_metric_flags_before_loading(tmp_path, capsys, flag):
     missing = str(tmp_path / "none")
@@ -427,12 +467,21 @@ def test_compare_builds_the_reference_distractors_once(workdir, monkeypatch):
         calls.append(args)
         return real(*args)
 
+    score, scored = G.score_many, []
+
+    def counted_scores(items, params, config, seeds):
+        scored.append(config.variant)
+        return score(items, params, config, seeds)
+
     monkeypatch.setattr(MX, "make_distractors", counted)
+    monkeypatch.setattr(G, "score_many", counted_scores)
     variants = ("S2SA", "CVAE", "PAGENERATOR")
     assert cli.main(["compare", "--config", str(config), "--data", str(data),
                      "--variants", ",".join(variants), "--reference", "S2SA",
                      "--rounds", "2", "--seed", "1", "--out", str(out)]) == 0
     assert len(calls) == 1
+    # the reference's uRank scores are one pass, shared by every row
+    assert sorted(scored) == sorted(variants)
     # every row is what evaluate_model gives with distractors of its own
     ref, vocab, users = cli.load_model_dir(out / "S2SA" / "model.ckpt")
     train_set, test_set = (C.read_triples(out / "S2SA" / f) for f in ("train.tsv", "test.tsv"))

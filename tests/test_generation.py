@@ -10,8 +10,8 @@ from pagen import generation as G
 from pagen import model as M
 from pagen.autodiff import ContractError
 from pagen.corpus import BOS, EOS, PAD, UNK
-from pagen.generation import (GenRequest, Hypothesis, generate, generate_many, score_responses,
-                              score_rounds)
+from pagen.generation import (GenRequest, Hypothesis, generate, generate_many, score_many,
+                              score_responses)
 
 
 def _model(variant="S2SA", seed=0, **overrides):
@@ -173,7 +173,7 @@ def test_score_responses_contract():
     with pytest.raises(ContractError):
         score_responses([5], [[6], []], 0, params, cfg)
     with pytest.raises(ContractError):
-        score_rounds([5], [[6]], 0, params, cfg, [])
+        score_many([([5], [[6]], 0)], params, cfg, [])
     with pytest.raises(ContractError):
         score_responses([5], [[6]], 4, params, cfg)  # toy_config has 4 users
 
@@ -295,12 +295,93 @@ def test_generate_many_does_not_depend_on_the_row_cap(variant, extra, monkeypatc
 
 @pytest.mark.parametrize("variant,extra", BATCHED + (("CVAE", {}), ("VAE", {})))
 def test_score_rounds_is_bitwise_per_seed_scoring(variant, extra):
+    """All rounds of one item in one score_many call give, seed by seed, the
+    bits of scoring that seed alone."""
     params, cfg = _model(variant=variant, seed=3, **extra)
     query, replies, seeds = [5, 9, 14, 6], [[6, 7, 8], [10, 11], [12], [13, 5, 7, 9]], [0, 7, 3]
-    got = score_rounds(query, replies, 2, params, cfg, seeds)
+    [got] = score_many([(query, replies, 2)], params, cfg, seeds)
     assert got.shape == (3, 4) and got.dtype == np.float64
     for row, seed in zip(got, seeds):
         want = np_oracle.score_one(query, replies, 2, params, cfg, seed=seed)
         assert row.tobytes() == want.tobytes()
         single = score_responses(query, replies, 2, params, cfg, seed=seed)
         assert single.tobytes() == want.tobytes()
+
+
+def _mixed_items(seed=0, n=9):
+    """Score items with mixed query and reply lengths, reply counts and
+    users."""
+    rng = np.random.default_rng(seed)
+
+    def tokens(hi):
+        return [int(t) for t in rng.integers(4, 30, rng.integers(1, hi))]
+
+    return [(tokens(7), [tokens(9) for _ in range(rng.integers(1, 6))], int(rng.integers(0, 4)))
+            for _ in range(n)]
+
+
+def _ranks(scores):
+    return [[np.sum(row[1:] > row[0]) for row in s] for s in scores]
+
+
+@pytest.mark.parametrize("variant,extra", BATCHED)
+def test_score_many_matches_per_item_scoring(variant, extra):
+    seeds = [4, 0, 9]
+    for seed in range(3):
+        params, cfg = _model(variant=variant, seed=seed, **extra)
+        items = _mixed_items(seed)
+        got = score_many(items, params, cfg, seeds)
+        want = [np.stack([np_oracle.score_one(q, r, u, params, cfg, seed=s) for s in seeds])
+                for q, r, u in items]
+        assert [s.shape for s in got] == [(len(seeds), len(r)) for _, r, _ in items]
+        assert _ranks(got) == _ranks(want)
+        # the batched GEMMs may round the last bits differently
+        for g, w in zip(got, want):
+            assert np.allclose(g, w, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("caps", [(1, G.MAX_SCORED), (7, G.MAX_SCORED), (10 ** 6, G.MAX_SCORED),
+                                  (10 ** 6, 1), (10 ** 6, 2500)])
+def test_score_many_groups_stay_under_both_caps(caps, monkeypatch):
+    """Row caps of 1, 7 and 10**6 and output-buffer caps give the same
+    ranks; no group goes above a cap unless it is one item."""
+    params, cfg = _model(variant="PAGENERATOR", seed=1)
+    items, seeds = _mixed_items(seed=6, n=12), [3]
+    want = _ranks(score_many(items, params, cfg, seeds))
+    groups, tf, unbounded = [], M.teacher_forced_log_probs, (10 ** 6, G.MAX_SCORED)
+
+    def spy(reply_idx, reply_lengths, *a, **k):
+        groups.append((len(reply_lengths), int((reply_lengths + 1).sum()) * cfg.vocab_size))
+        return tf(reply_idx, reply_lengths, *a, **k)
+
+    monkeypatch.setattr(M, "teacher_forced_log_probs", spy)
+    monkeypatch.setattr(G, "MAX_ROWS", caps[0])
+    monkeypatch.setattr(G, "MAX_SCORED", caps[1])
+    assert _ranks(score_many(items, params, cfg, seeds)) == want
+    alone = [(len(seeds) * len(r), len(seeds) * sum(len(x) + 1 for x in r) * cfg.vocab_size)
+             for _, r, _ in items]
+    assert sum(rows for rows, _ in groups) == sum(rows for rows, _ in alone)
+    for group in groups:
+        assert group in alone or all(g <= cap for g, cap in zip(group, caps))
+    if 1 in caps:  # one item per group
+        assert groups == alone
+    elif caps == unbounded:  # at these sizes, one group
+        assert len(groups) == 1
+    else:
+        assert 1 < len(groups) < len(items)
+
+
+@pytest.mark.parametrize("bad", [([], [[6]], 0), ([5], [], 0), ([5], [[6], []], 0),
+                                 ([5], [[6]], 4), ([5], [[6]], -1)])
+def test_score_many_checks_every_item_before_decoding(bad, monkeypatch):
+    params, cfg = _model(variant="PAGENERATOR")
+    encoded = []
+    monkeypatch.setattr(M, "encode_batch", lambda *a: encoded.append(a))
+    monkeypatch.setattr(G, "MAX_ROWS", 1)
+    with pytest.raises(ContractError):
+        score_many([([5, 6], [[7]], 1), bad, ([7], [[8, 9]], 2)], params, cfg, [0])
+    assert not encoded
+
+
+def test_score_many_of_no_items_is_empty():
+    assert score_many([], *_model(), [0]) == []

@@ -59,10 +59,10 @@ def test_urank_promotion_logic(monkeypatch):
         ("s", 1): [-1.0, -2.0, -3.0],   # rank 0 -> not promoted
     }
 
-    def fake_scores(query, replies, user, params, config, seeds):
-        return np.array([table[(params, query[0])]] * len(seeds))
+    def fake_scores(items, params, config, seeds):
+        return [np.array([table[(params, query[0])]] * len(seeds)) for query, _, _ in items]
 
-    monkeypatch.setattr(MX.G, "score_rounds", fake_scores)
+    monkeypatch.setattr(MX.G, "score_many", fake_scores)
     items = [(1, [0], [9], [[1], [2]]), (1, [1], [9], [[1], [2]])]
     cfg = MetricConfig(n_distractors=2, rounds=3)
     fake_cfg = type("Cfg", (), {"is_latent": True})()
@@ -73,8 +73,8 @@ def test_urank_promotion_logic(monkeypatch):
 
 
 def test_urank_skips_items_without_enough_distractors(monkeypatch):
-    monkeypatch.setattr(MX.G, "score_rounds",
-                        lambda q, r, u, p, c, seeds: np.array([[-1.0, -0.5]] * len(seeds)))
+    monkeypatch.setattr(MX.G, "score_many", lambda items, p, c, seeds:
+                        [np.array([[-1.0, -0.5]] * len(seeds))] * len(items))
     fake_cfg = type("Cfg", (), {"is_latent": False})()
     items = [(1, [0], [9], [[1]]), (1, [1], [9], [])]
     report = urank(items, ("m", fake_cfg), ("s", fake_cfg),
@@ -85,8 +85,9 @@ def test_urank_skips_items_without_enough_distractors(monkeypatch):
 
 def test_urank_scores_a_non_latent_reference_once_per_item(monkeypatch):
     """The S2SA reference ignores the seed, so it is scored once per item
-    with one seed, the latent model once per item with every round's seed;
-    the report equals scoring both models in every round."""
+    with one seed, the latent model once per item with every round's seed,
+    each model in one score_many call over all items; the report equals
+    scoring both models item by item in every round."""
     cfg_m, cfg_s = toy_config(), toy_config(variant="S2SA")
     model, reference = (M.init_params(cfg_m, seed=1), cfg_m), (M.init_params(cfg_s, seed=2), cfg_s)
     rng = np.random.default_rng(3)
@@ -103,24 +104,24 @@ def test_urank_scores_a_non_latent_reference_once_per_item(monkeypatch):
         expect.append(hits / len(items))
 
     calls = {}
-    score = MX.G.score_rounds
+    score = MX.G.score_many
 
-    def counted(query, replies, user, params, config, seeds):
-        calls.setdefault(config.variant, []).append(list(seeds))
-        return score(query, replies, user, params, config, seeds)
+    def counted(items, params, config, seeds):
+        calls.setdefault(config.variant, []).append((len(items), list(seeds)))
+        return score(items, params, config, seeds)
 
-    monkeypatch.setattr(MX.G, "score_rounds", counted)
+    monkeypatch.setattr(MX.G, "score_many", counted)
     report = urank(items, model, reference, MetricConfig(n_distractors=3, rounds=3), seed=7)
     assert report.per_round == expect
     assert report.value == float(np.mean(expect))
-    assert calls == {"PAGENERATOR": [[7000, 7001, 7002]] * len(items),
-                     "S2SA": [[7000]] * len(items)}
+    assert calls == {"PAGENERATOR": [(len(items), [7000, 7001, 7002])],
+                     "S2SA": [(len(items), [7000])]}
 
 
 def test_urank_over_no_usable_item_is_nan(monkeypatch):
     """Like uppl and udistinct, uRank over nothing is nan, not "never
     promoted"."""
-    monkeypatch.setattr(MX.G, "score_rounds", lambda *a: pytest.fail("nothing to score"))
+    monkeypatch.setattr(MX.G, "score_many", lambda *a: pytest.fail("nothing to score"))
     fake_cfg = type("Cfg", (), {"is_latent": True})()
     report = urank([(1, [0], [9], [[1]]), (1, [1], [9], [])], ("m", fake_cfg), ("s", fake_cfg),
                    MetricConfig(n_distractors=2, rounds=3), seed=0)
@@ -227,8 +228,8 @@ def test_udistinct_needs_two_users():
 def test_evaluate_model_decodes_in_batches(monkeypatch):
     """Each of the three beam searches of a pass (responses, distractors,
     uDistinct) is one generate_many call of at most max_length decoder
-    steps, and uRank scores each item once per model, so a per-request loop
-    cannot come back unnoticed."""
+    steps, and uRank scores all items in one score_many call per model, so
+    a per-request loop cannot come back unnoticed."""
     triples = C.generate_synthetic(3, 20, 0.9, seed=4)
     train, test = C.split(triples, 0.8, seed=4)
     vocab, users = C.Vocabulary.build(train), C.UserTable.build({t.user_id for t in triples})
@@ -236,8 +237,9 @@ def test_evaluate_model_decodes_in_batches(monkeypatch):
                     for v in ("PAGENERATOR", "S2SA"))
     model, reference = (M.init_params(cfg_m, seed=1), cfg_m), (M.init_params(cfg_s, seed=2), cfg_s)
     mc = MetricConfig(n_distractors=3, rounds=3, beam_width=4, max_length=6)
-    counts = {"generate_many": 0, "decode_step": 0, "score_rounds": 0}
-    for owner, name in ((MX.G, "generate_many"), (M, "decode_step"), (MX.G, "score_rounds")):
+    counts = {"generate_many": 0, "decode_step": 0, "score_many": 0, "encode_batch": 0}
+    for owner, name in ((MX.G, "generate_many"), (M, "decode_step"), (MX.G, "score_many"),
+                        (M, "encode_batch")):
         def counted(*a, _inner=getattr(owner, name), _name=name, **k):
             counts[_name] += 1
             return _inner(*a, **k)
@@ -247,7 +249,9 @@ def test_evaluate_model_decodes_in_batches(monkeypatch):
     assert len(test) > 10 and results["urank_skipped"] < len(test)
     assert counts["generate_many"] == 3
     assert 3 <= counts["decode_step"] <= 3 * mc.max_length
-    assert counts["score_rounds"] == 2 * (len(test) - results["urank_skipped"])
+    assert counts["score_many"] == 2
+    # one encoder pass per search and per score_many group, here one group per model
+    assert counts["encode_batch"] == 3 + 2
 
 
 # ---------------------------------------------------------------------------
