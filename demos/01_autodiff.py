@@ -28,7 +28,8 @@ def loss_fn():
 
 
 print("gradient check against central finite differences:")
-print(grad_check(loss_fn, params, max_coords=8).summary())
+for name, err in grad_check(loss_fn, params, max_coords=8).items():
+    print(f"  {name}: max_rel_err={err:.3e}")
 
 print("\ntraining with plain gradient descent:")
 for step in range(400):

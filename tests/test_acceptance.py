@@ -42,10 +42,10 @@ def _verdict(num, ok, detail):
 def test_criterion_1_gradient_checks():
     start = time.perf_counter()
     prim_ok, _ = SC.check_primitives(seed=0, h=1e-4, tol=1e-4)
-    e2e = SC.check_end_to_end(seed=0, h=1e-4, tol=1e-4)
+    e2e = SC.check_end_to_end(seed=0, h=1e-4)
     elapsed = time.perf_counter() - start
-    worst = max(e.max_rel_error for e in e2e.entries)
-    _verdict(1, prim_ok and e2e.passed and elapsed < 60.0,
+    worst = max(e2e.values())
+    _verdict(1, prim_ok and worst < 1e-4 and elapsed < 60.0,
              f"primitives={'ok' if prim_ok else 'fail'} "
              f"end_to_end_max_rel_err={worst:.2e} runtime={elapsed:.1f}s")
 

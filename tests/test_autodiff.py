@@ -337,8 +337,9 @@ def test_primitive_gradients_many_seeds():
     # finite differences against every primitive across 100 random draws
     for seed in range(100):
         for name, fn, params in primitive_cases(seed):
-            report = grad_check(fn, params, h=1e-4, tol=1e-4)
-            assert report.passed, f"seed {seed} primitive {name}: {report.summary()}"
+            errors = grad_check(fn, params, h=1e-4)
+            assert all(err < 1e-4 for err in errors.values()), \
+                f"seed {seed} primitive {name}: {errors}"
 
 
 def test_check_primitives_summary_lines():
@@ -361,9 +362,9 @@ def test_grad_check_flags_wrong_derivative():
         out._backward = bwd
         return out
 
-    report = grad_check(lambda: ad.reduce_sum(bad_tanh(x)), {"x": x})
-    assert not report.passed
-    assert report.failures() == ["x"]
+    errors = grad_check(lambda: ad.reduce_sum(bad_tanh(x)), {"x": x})
+    assert list(errors) == ["x"]
+    assert not errors["x"] < 1e-4
 
 
 def test_backward_determinism():
@@ -439,8 +440,8 @@ def test_no_gradient_buffer_reaches_two_tensors(name):
     existing views into one flat array, as in the trainer's arena, both
     zeroed and holding stale values that the first gradient overwrites."""
     loss_fn, leaves = _aliasing_graphs()[name]
-    report = grad_check(loss_fn, {f"p{i}": t for i, t in enumerate(leaves)}, h=1e-6, tol=1e-6)
-    assert report.passed, report.summary()
+    errors = grad_check(loss_fn, {f"p{i}": t for i, t in enumerate(leaves)}, h=1e-6)
+    assert all(err < 1e-6 for err in errors.values()), errors
     _assert_no_shared_grads(leaves)
     expect = [t.grad.copy() for t in leaves]
     flat = np.zeros(sum(t.data.size for t in leaves))

@@ -252,9 +252,8 @@ def test_total_loss_gradients_match_finite_differences(variant, use_attention):
     def loss_fn():
         return total_loss(batch, params, cfg, noise=noise, batch_index=7)[0]
 
-    report = grad_check(loss_fn, params, h=1e-4, tol=1e-4, max_coords=6,
-                        rng=np.random.default_rng(24))
-    assert report.passed, report.summary()
+    errors = grad_check(loss_fn, params, h=1e-4, max_coords=6, rng=np.random.default_rng(24))
+    assert all(err < 1e-4 for err in errors.values()), errors
 
 
 def _graph_nodes(root):
