@@ -630,7 +630,10 @@ def grad_check(loss_fn, params, h=1e-4, max_coords=None, rng=None):
     loss_fn: () -> scalar Tensor, closed over `params` (name -> Tensor).
     Checks every parameter; with max_coords set, a random subset of
     coordinates per parameter.  Run in float64.  Returns name -> the
-    largest relative error over that parameter's checked coordinates.
+    largest relative error over that parameter's checked coordinates (NaN
+    if any is NaN).  Each loss value is off by a few eps * |L| of
+    round-off, which the difference quotient divides by 2h; an error below
+    4 * eps * (|L(p+h)| + |L(p-h)|) / 2h is not counted.
     """
     rng = rng or np.random.default_rng(0)
     for p in params.values():
@@ -656,8 +659,8 @@ def grad_check(loss_fn, params, h=1e-4, max_coords=None, rng=None):
             flat[c] = orig
             numeric = (up - down) / (2.0 * h)
             a = analytic[name].reshape(-1)[c]
-            denom = max(abs(a) + abs(numeric), 1e-8)
-            rel = abs(a - numeric) / denom
-            worst = max(worst, rel)
-        errors[name] = worst
+            roundoff = 4 * np.finfo(np.float64).eps * (abs(up) + abs(down)) / (2.0 * h)
+            rel = max(abs(a - numeric) - roundoff, 0.0) / max(abs(a) + abs(numeric), 1e-8)
+            worst = np.maximum(worst, rel)  # keeps a NaN
+        errors[name] = float(worst)
     return errors

@@ -10,7 +10,7 @@ import pytest
 from pagen import autodiff as ad
 from pagen import generation, model, objective
 from pagen.autodiff import ContractError, ShapeError, Tensor, backward, grad_check
-from pagen.selfcheck import check_primitives, primitive_cases
+from pagen.selfcheck import check_end_to_end, check_primitives, primitive_cases
 
 
 def test_forward_values():
@@ -350,21 +350,38 @@ def test_check_primitives_summary_lines():
 
 
 def test_grad_check_flags_wrong_derivative():
-    # an op whose recorded backward rule is deliberately off by 10%
+    # an op whose recorded backward rule is deliberately off by 10%, or NaN
     x = Tensor(np.random.default_rng(0).standard_normal(4), requires_grad=True)
 
-    def bad_tanh(t):
+    def bad_tanh(t, one=1.1):
         out = Tensor(np.tanh(t.data), requires_grad=True)
         out._parents = (t,)
 
         def bwd(g):
-            t.grad = (t.grad if t.grad is not None else 0) + g * (1.1 - out.data ** 2)
+            t.grad = (t.grad if t.grad is not None else 0) + g * (one - out.data ** 2)
         out._backward = bwd
         return out
 
     errors = grad_check(lambda: ad.reduce_sum(bad_tanh(x)), {"x": x})
     assert list(errors) == ["x"]
     assert not errors["x"] < 1e-4
+    assert np.isnan(grad_check(lambda: ad.reduce_sum(bad_tanh(x, np.nan)), {"x": x})["x"])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_end_to_end_check_passes_and_flags_a_planted_error(seed, monkeypatch):
+    """The full loss's gradients pass at h=1e-4, tol=1e-4 (round-off of the
+    loss is not counted as error), and a 0.1% error in the LSTM weight
+    gradient is still caught."""
+    assert max(check_end_to_end(seed).values()) < 1e-4
+    lstm = ad.lstm
+
+    def planted(x, W, b, h0, c0, **kw):  # W's gradient scaled by 1.001
+        W_off = ad._result(W.data, (W,), lambda g: ad._accum(W, g * 1.001))
+        return lstm(x, W_off, b, h0, c0, **kw)
+
+    monkeypatch.setattr(ad, "lstm", planted)
+    assert not max(check_end_to_end(seed).values()) < 1e-4
 
 
 def test_backward_determinism():
