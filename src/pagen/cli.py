@@ -40,6 +40,15 @@ METRIC_FLAGS = {"rounds": "--rounds", "n_distractors": "--distractors", "beam_wi
                 "max_length": "--max-length"}
 
 
+def non_negative_int(text):
+    """argparse type of --seed and --log-every: a bad value exits 2 naming
+    the flag, before any file is read or written."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 def file_hash(path):
     """16 hex digits of BLAKE2b (provenance for the manifest)."""
     with open(path, "rb") as f:
@@ -369,16 +378,16 @@ def build_parser():
     g.add_argument("--users", type=int, default=8)
     g.add_argument("--triples-per-user", type=int, default=400)
     g.add_argument("--strength", type=float, default=0.9)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=non_negative_int, default=0)
     g.set_defaults(fn=cmd_gen_corpus)
 
     t = sub.add_parser("train", help="train one model variant")
     t.add_argument("--config", required=True)
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=non_negative_int, default=0)
     t.add_argument("--variant", default=None)
-    t.add_argument("--log-every", type=int, default=0, metavar="N",
+    t.add_argument("--log-every", type=non_negative_int, default=0, metavar="N",
                    help="print the losses every N batches (0: never)")
     t.set_defaults(fn=cmd_train)
 
@@ -393,7 +402,7 @@ def build_parser():
     d.add_argument("--beam", type=int, default=10)
     d.add_argument("--max-length", type=int, default=30)
     d.add_argument("--mode", choices=("sample", "mean"), default="sample")
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=non_negative_int, default=0)
     d.set_defaults(fn=cmd_generate)
 
     e = sub.add_parser("evaluate", help="run metrics for a checkpoint")
@@ -408,12 +417,12 @@ def build_parser():
     e.add_argument("--rounds", type=int, default=10)
     e.add_argument("--distractors", type=int, default=10)
     e.add_argument("--beam", type=int, default=10)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=non_negative_int, default=0)
     e.add_argument("--out", required=True)
     e.set_defaults(fn=cmd_evaluate)
 
     s = sub.add_parser("selfcheck", help="gradient checks and metric oracles")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=non_negative_int, default=0)
     s.set_defaults(fn=cmd_selfcheck)
 
     r = sub.add_parser("report", help="format evaluation reports as a table")
@@ -427,7 +436,7 @@ def build_parser():
                    help="comma list, e.g. PAGENERATOR,CVAE,PAGENERATOR_NO_UE")
     c.add_argument("--reference", default=None, help="default: S2SA if listed, else the first")
     c.add_argument("--rounds", type=int, default=10)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=non_negative_int, default=0)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_compare)
     return p

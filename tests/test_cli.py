@@ -141,6 +141,29 @@ def test_train_missing_data_exits_2(workdir, capsys):
     assert "usage:" in err and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-corpus", "--seed", "-1", "--out", "{out}"],
+    ["train", "--config", "{config}", "--data", "{data}", "--seed", "-1", "--out", "{out}"],
+    ["train", "--config", "{config}", "--data", "{data}", "--log-every", "-1", "--out", "{out}"],
+    ["generate", "--model", "{out}/model.ckpt", "--query", "q", "--seed", "-1",
+     "--output", "{out}"],
+    ["evaluate", "--model", "{out}/model.ckpt", "--ref-model", "{out}/model.ckpt",
+     "--data", "{data}", "--train-data", "{data}", "--seed", "-1", "--out", "{out}"],
+    ["compare", "--config", "{config}", "--data", "{data}", "--variants", "S2SA,CVAE",
+     "--seed", "-1", "--out", "{out}"],
+], ids=["gen-corpus", "train", "train-log-every", "generate", "evaluate", "compare"])
+def test_negative_seed_or_log_every_exits_2_before_any_file(workdir, capsys, argv):
+    tmp_path, data, config = workdir
+    out = tmp_path / "out"
+    argv = [a.format(out=out, data=data, config=config) for a in argv]
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    flag = argv[argv.index("-1") - 1]
+    assert f"argument {flag}: expected an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_key_exits_1(workdir, capsys):
     tmp_path, data, _ = workdir
     bad = tmp_path / "bad.cfg"
