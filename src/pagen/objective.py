@@ -50,7 +50,6 @@ def gaussian_kl(a, b):
     if a.mu.shape != b.mu.shape:
         raise ShapeError(f"gaussian_kl: {a.mu.shape} vs {b.mu.shape}")
     var_a = ad.exp(a.log_var)
-    var_b = ad.exp(b.log_var)
     diff = ad.sub(a.mu, b.mu)
     # log var_b - log var_a + (var_a + diff^2) / var_b - 1
     ratio = ad.mul(ad.add(var_a, ad.mul(diff, diff)), ad.exp(ad.scale(b.log_var, -1.0)))

@@ -267,6 +267,41 @@ def _graph_nodes(root):
 
 
 @pytest.mark.parametrize("use_attention", [False, True])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_training_batch_builds_no_unreachable_node(variant, use_attention, monkeypatch):
+    """Every graph node a training batch builds (KL weight above 0) reaches
+    the loss, apart from the encoder's per-step states, which only
+    attention over the query reads."""
+    cfg = toy_config(variant=variant, use_attention=use_attention)
+    made, states = [], []
+    result, encode_batch = ad._result, M.encode_batch
+
+    def spy_result(data, parents, backward_fn):
+        out = result(data, parents, backward_fn)
+        if out.requires_grad:
+            made.append(out)
+        return out
+
+    def spy_encode_batch(*args):
+        enc = encode_batch(*args)
+        states.append(enc.states)
+        return enc
+
+    monkeypatch.setattr(ad, "_result", spy_result)
+    monkeypatch.setattr(M, "encode_batch", spy_encode_batch)
+    loss, _ = total_loss(toy_batch(seed=4), M.init_params(cfg), cfg,
+                         noise=np.zeros((3, cfg.z_dim)), batch_index=1)
+    reached, todo = set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) not in reached:
+            reached.add(id(node))
+            todo.extend(node._parents)
+    dead = [t for t in made if id(t) not in reached and not any(t is s for s in states)]
+    assert not dead, [t.data.shape for t in dead]
+
+
+@pytest.mark.parametrize("use_attention", [False, True])
 def test_graph_size_does_not_grow_with_sequence_length(use_attention):
     cfg = toy_config("PAGENERATOR", use_attention=use_attention)
     params = M.init_params(cfg)
