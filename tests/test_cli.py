@@ -2,14 +2,18 @@
 
 import os
 
+import numpy as np
 import pytest
 
+from pagen import autodiff as ad
 from pagen import cli
 from pagen import corpus as C
 from pagen import evaluate as E
 from pagen import generation as G
 from pagen import metrics as MX
 from pagen import model as M
+from pagen import selfcheck
+from pagen.autodiff import Tensor
 
 TOY_CONFIG = """\
 variant=CVAE
@@ -565,3 +569,27 @@ def test_selfcheck_exit_code(capsys):
     out = capsys.readouterr().out
     assert "selfcheck: PASS" in out
     assert "end-to-end" in out
+
+
+def test_selfcheck_fails_on_a_wrong_end_to_end_gradient(monkeypatch, capsys):
+    monkeypatch.setattr(selfcheck, "check_end_to_end",
+                        lambda seed: {"enc_fwd_W": 1e-9, "dec_W": 1.0, "out_W": 2e-9})
+    assert cli.main(["selfcheck"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL end-to-end loss gradients: max_rel_err=1.000e+00\n"
+            "  failing parameters: dec_W\n") in out
+    assert out.endswith("selfcheck: FAIL\n")
+
+
+def test_selfcheck_fails_on_a_wrong_primitive_gradient(monkeypatch, capsys):
+    x = Tensor(np.linspace(-1.0, 1.0, 4), requires_grad=True)
+    # forward 2x, backward as if x: relative error |1 - 2| / (1 + 2)
+    wrong = ("double", lambda: ad.reduce_sum(ad._result(2.0 * x.data, (x,),
+                                                         lambda g: ad._accum(x, g))), {"x": x})
+    cases = selfcheck.primitive_cases
+    monkeypatch.setattr(selfcheck, "primitive_cases", lambda seed: cases(seed) + [wrong])
+    assert cli.main(["selfcheck"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL primitive double: max_rel_err=3.333e-01\n" in out
+    assert "ok   end-to-end loss gradients" in out
+    assert out.endswith("selfcheck: FAIL\n")
