@@ -41,12 +41,10 @@ METRIC_FLAGS = {"rounds": "--rounds", "n_distractors": "--distractors", "beam_wi
 
 
 def non_negative_int(text):
-    """argparse type of --seed and --log-every: a bad value exits 2 naming
-    the flag, before any file is read or written."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
-    return value
+    """argparse type of --seed and --log-every, checked before any file is read."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
+    return int(text)
 
 
 def file_hash(path):

@@ -131,9 +131,12 @@ def test_train_log_every(workdir, capsys, every):
 
 def test_train_rejects_negative_log_every(workdir, capsys):
     tmp_path, data, config = workdir
-    assert cli.main(["train", "--config", str(config), "--data", str(data),
-                     "--out", str(tmp_path / "r"), "--log-every", "-1"]) == 1
-    assert "log_every" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        cli.main(["train", "--config", str(config), "--data", str(data),
+                  "--out", str(tmp_path / "r"), "--log-every", "-1"])
+    assert e.value.code == 2
+    assert "argument --log-every: expected an integer >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_train_missing_data_exits_2(workdir, capsys):
@@ -148,23 +151,21 @@ def test_train_missing_data_exits_2(workdir, capsys):
 @pytest.mark.parametrize("argv", [
     ["gen-corpus", "--seed", "-1", "--out", "{out}"],
     ["train", "--config", "{config}", "--data", "{data}", "--seed", "-1", "--out", "{out}"],
-    ["train", "--config", "{config}", "--data", "{data}", "--log-every", "-1", "--out", "{out}"],
     ["generate", "--model", "{out}/model.ckpt", "--query", "q", "--seed", "-1",
      "--output", "{out}"],
     ["evaluate", "--model", "{out}/model.ckpt", "--ref-model", "{out}/model.ckpt",
      "--data", "{data}", "--train-data", "{data}", "--seed", "-1", "--out", "{out}"],
     ["compare", "--config", "{config}", "--data", "{data}", "--variants", "S2SA,CVAE",
      "--seed", "-1", "--out", "{out}"],
-], ids=["gen-corpus", "train", "train-log-every", "generate", "evaluate", "compare"])
-def test_negative_seed_or_log_every_exits_2_before_any_file(workdir, capsys, argv):
+], ids=["gen-corpus", "train", "generate", "evaluate", "compare"])
+def test_negative_seed_exits_2_before_any_file(workdir, capsys, argv):
     tmp_path, data, config = workdir
     out = tmp_path / "out"
     argv = [a.format(out=out, data=data, config=config) for a in argv]
     with pytest.raises(SystemExit) as e:
         cli.main(argv)
     assert e.value.code == 2
-    flag = argv[argv.index("-1") - 1]
-    assert f"argument {flag}: expected an integer >= 0, got -1" in capsys.readouterr().err
+    assert "argument --seed: expected an integer >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
