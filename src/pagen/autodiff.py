@@ -631,21 +631,17 @@ def grad_check(loss_fn, params, h=1e-4, max_coords=None, rng=None):
     Checks every parameter; with max_coords set, a random subset of
     coordinates per parameter.  Run in float64.  Returns name -> the
     largest relative error over that parameter's checked coordinates (NaN
-    if any is NaN).  Each loss value is off by a few eps * |L| of
-    round-off, which the difference quotient divides by 2h; an error below
-    4 * eps * (|L(p+h)| + |L(p-h)|) / 2h is not counted.
+    if any is NaN), not counting error within the loss's round-off,
+    4 * eps * (|L(p+h)| + |L(p-h)|) / 2h.
     """
     rng = rng or np.random.default_rng(0)
     for p in params.values():
         p.zero_grad()
-    loss = loss_fn()
-    backward(loss)
-    analytic = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for k, p in params.items()}
-
+    backward(loss_fn())  # the forwards below leave each .grad as it is
     errors = {}
     for name, p in params.items():
         flat = p.data.reshape(-1)
+        analytic = np.zeros(flat.size) if p.grad is None else p.grad.reshape(-1)
         coords = np.arange(flat.size)
         if max_coords is not None and flat.size > max_coords:
             coords = rng.choice(flat.size, size=max_coords, replace=False)
@@ -658,7 +654,7 @@ def grad_check(loss_fn, params, h=1e-4, max_coords=None, rng=None):
             down = float(loss_fn().data)
             flat[c] = orig
             numeric = (up - down) / (2.0 * h)
-            a = analytic[name].reshape(-1)[c]
+            a = analytic[c]
             roundoff = 4 * np.finfo(np.float64).eps * (abs(up) + abs(down)) / (2.0 * h)
             rel = max(abs(a - numeric) - roundoff, 0.0) / max(abs(a) + abs(numeric), 1e-8)
             worst = np.maximum(worst, rel)  # keeps a NaN

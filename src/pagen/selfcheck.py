@@ -15,9 +15,10 @@ from collections import Counter
 import numpy as np
 
 from . import autodiff as ad
+from . import metrics as MX
 from . import model as M
 from .autodiff import Tensor, grad_check
-from .objective import total_loss
+from .objective import gaussian_kl, total_loss
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +171,16 @@ def check_end_to_end(seed=0, h=1e-4, max_coords=4):
                            decoder_hidden=8, z_dim=3, bow_hidden=7, fact_rank=3,
                            anneal_batches=10)
     params = M.init_params(config, seed=seed, dtype=np.float64)
-    rng = np.random.default_rng(seed + 1)
     user_idx = np.array([1, 2], dtype=np.int64)
     q_idx = np.array([[5, 7, 9], [6, 8, 0]], dtype=np.int64)
     q_len = np.array([3, 2])
     r_idx = np.array([[10, 11, 12, 13], [14, 15, 0, 0]], dtype=np.int64)
     r_len = np.array([4, 2])
-    noise = rng.standard_normal((2, config.z_dim))
+    noise = np.random.default_rng(seed + 1).standard_normal((2, config.z_dim))
     batch = (user_idx, q_idx, q_len, r_idx, r_len)
 
     def loss_fn():
-        loss, _ = total_loss(batch, params, config, noise=noise, batch_index=7)
-        return loss
+        return total_loss(batch, params, config, noise=noise, batch_index=7)[0]
 
     return grad_check(loss_fn, params, h=h, max_coords=max_coords,
                       rng=np.random.default_rng(seed + 2))
@@ -191,10 +190,8 @@ def check_end_to_end(seed=0, h=1e-4, max_coords=4):
 # Monte Carlo oracle for the closed-form KL
 
 def kl_closed_form(mu_a, lv_a, mu_b, lv_b):
-    from .model import GaussianParams
-    from .objective import gaussian_kl
-    g_a = GaussianParams(mu=Tensor(mu_a), log_var=Tensor(lv_a))
-    g_b = GaussianParams(mu=Tensor(mu_b), log_var=Tensor(lv_b))
+    g_a = M.GaussianParams(mu=Tensor(mu_a), log_var=Tensor(lv_a))
+    g_b = M.GaussianParams(mu=Tensor(mu_b), log_var=Tensor(lv_b))
     return float(gaussian_kl(g_a, g_b).data)
 
 
@@ -212,8 +209,7 @@ def kl_monte_carlo(mu_a, lv_a, mu_b, lv_b, samples=1_000_000, seed=0):
 def check_kl(pairs=20, dim=4, samples=1_000_000, rel_tol=0.01, seed=0):
     rng = np.random.default_rng(seed)
     lines, ok = [], True
-    done = 0
-    while done < pairs:
+    while len(lines) < pairs:
         mu_a = rng.uniform(-2, 2, dim)
         mu_b = rng.uniform(-2, 2, dim)
         lv_a = rng.uniform(-1, 1, dim)
@@ -225,9 +221,8 @@ def check_kl(pairs=20, dim=4, samples=1_000_000, rel_tol=0.01, seed=0):
         rel = abs(mc - exact) / exact
         passed = rel < rel_tol
         ok = ok and passed
-        lines.append(f"{'ok' if passed else 'FAIL':4s} kl pair {done}: "
+        lines.append(f"{'ok' if passed else 'FAIL':4s} kl pair {len(lines)}: "
                      f"exact={exact:.4f} mc={mc:.4f} rel={rel:.4%}")
-        done += 1
     return ok, lines
 
 
@@ -269,8 +264,6 @@ def distinct_n_oracle(responses, n):
 def check_metric_oracles(seed=0):
     """BLEU-1 and distinct-1/2 against their brute-force oracles on random
     token lists; returns (ok, lines)."""
-    from . import metrics as MX
-
     rng = np.random.default_rng(seed)
     vocab = [f"t{i}" for i in range(20)]
     worst = 0.0
