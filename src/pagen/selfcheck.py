@@ -284,9 +284,9 @@ def check_metric_oracles(seed=0):
 
 def run_all(seed=0):
     """Full self-check, printing one line per check; True when all pass."""
-    def end_to_end(seed, tol=1e-4):
+    def end_to_end(seed):
         errors = check_end_to_end(seed)
-        failing = [name for name, err in errors.items() if not err < tol]
+        failing = [name for name, err in errors.items() if not err < 1e-4]
         lines = [f"{'FAIL' if failing else 'ok':4s} end-to-end loss gradients: "
                  f"max_rel_err={max(errors.values()):.3e}"]
         if failing:

@@ -45,7 +45,7 @@ def test_criterion_1_gradient_checks():
     e2e = SC.check_end_to_end(seed=0, h=1e-4)
     elapsed = time.perf_counter() - start
     worst = max(e2e.values())
-    _verdict(1, prim_ok and worst < 1e-4 and elapsed < 60.0,
+    _verdict(1, prim_ok and all(err < 1e-4 for err in e2e.values()) and elapsed < 60.0,
              f"primitives={'ok' if prim_ok else 'fail'} "
              f"end_to_end_max_rel_err={worst:.2e} runtime={elapsed:.1f}s")
 
