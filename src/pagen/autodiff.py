@@ -19,11 +19,11 @@ later ones are added.
 
 The output layer: affine_log_softmax_pick keeps one (N, V) buffer for
 the N rows with a target (a row whose target is negative reads 0), which
-holds their logits (low-rank bias rows added in), then their
-log-softmax, then in the backward their gradient.  An lstm is one node,
-its states hs, from which a caller indexes the final state; for BPTT it
-keeps its gate activations and the (T, B, H) states and cells each step
-leaves, and rebuilds the state entering each step and tanh of each cell.
+holds their logits, then their log-softmax, then in the backward their
+gradient.  An lstm is one node, its states hs, from which a caller
+indexes the final state; for BPTT it keeps its gate activations and the
+(T, B, H) states and cells each step leaves, and rebuilds the state
+entering each step and tanh of each cell.
 
 Graph lifetime: a graph is backpropagated once and freed as it goes.
 After each node's backward has run, backward() drops its closure, its
@@ -523,38 +523,29 @@ def pick(a, indices):
 _EXP_BLOCK_BYTES = 1 << 20
 
 
-def affine_log_softmax_pick(x, W, b, targets, bias=None):
-    """pick(log_softmax(matmul(x, W, b) [+ matmul(u, P)]), targets), one
-    target per row of x, as one node bitwise equal to those ops apart on
-    the rows that have a target: the output layer and the reconstruction
-    loss's log-probabilities.  A negative target means none: that row reads
-    0, gets a zero gradient and never reaches the output layer (in teacher
-    forcing, the steps after a reply's EOS).  bias is an optional pair
-    (u, P), u with a row per row of x: FACT_BIAS's low-rank user bias.
+def affine_log_softmax_pick(x, W, b, targets):
+    """pick(log_softmax(matmul(x, W, b)), targets), one target per row of
+    x, as one node bitwise equal to those ops apart on the rows that have a
+    target: the output layer and the reconstruction loss's
+    log-probabilities.  A negative target means none: that row reads 0,
+    gets a zero gradient and never reaches the output layer (in teacher
+    forcing, the steps after a reply's EOS).
 
-    Its one (N, V) buffer, for the N rows with a target, takes the logits
-    (u @ P is added into it, not kept), then their log-softmax in place
-    (the exp-sums run over row blocks of a small scratch array), then in
-    the backward their gradient, 0 - softmax * g plus g at the targets
-    (bitwise the ops apart, signed zeros included: they sum g over a row of
-    zeros, which gives g + 0)."""
+    Its one (N, V) buffer, for the N rows with a target, takes the logits,
+    then their log-softmax in place (the exp-sums run over row blocks of a
+    small scratch array), then in the backward their gradient, 0 - softmax
+    * g plus g at the targets (bitwise the ops apart, signed zeros
+    included: they sum g over a row of zeros, which gives g + 0)."""
     idx = np.asarray(targets)
-    u, P = (None, None) if bias is None else bias
     if (x.data.ndim < 2 or W.data.ndim != 2 or x.data.shape[-1] != W.data.shape[0]
-            or b.data.shape != W.data.shape[1:] or idx.shape != x.data.shape[:-1]
-            or (bias is not None and (P.data.ndim != 2 or P.data.shape[1:] != b.data.shape
-                                      or u.data.shape != idx.shape + P.data.shape[:1]))):
+            or b.data.shape != W.data.shape[1:] or idx.shape != x.data.shape[:-1]):
         raise ShapeError(f"affine_log_softmax_pick: {x.data.shape} @ {W.data.shape} + "
-                         f"{b.data.shape}, targets {idx.shape}, bias "
-                         f"{None if bias is None else (u.data.shape, P.data.shape)}")
+                         f"{b.data.shape}, targets {idx.shape}")
     scored = np.flatnonzero(idx >= 0)  # the rows with a target, in row-major order
     rows = x.data.reshape(-1, W.data.shape[0])[scored]
     logp = rows @ W.data
     logp += b.data
     n, V = logp.shape
-    u_rows = None if bias is None else u.data.reshape(idx.size, -1)[scored]
-    if bias is not None:  # one GEMM: a column block of it may round differently
-        logp += u_rows @ P.data
     logp -= logp.max(axis=-1, keepdims=True)
     block = max(1, _EXP_BLOCK_BYTES // (V * logp.itemsize))
     scratch = np.empty((min(block, n), V), dtype=logp.dtype)
@@ -565,28 +556,21 @@ def affine_log_softmax_pick(x, W, b, targets, bias=None):
     logp -= np.log(sums, out=sums)
     at = np.arange(n), idx.reshape(-1)[scored]
 
-    def spread(a, shape):
-        """The N rows of a placed at the scored rows of zeros of this shape."""
-        full = np.zeros((idx.size, shape[-1]), dtype=a.dtype)
-        full[scored] = a
-        return full.reshape(shape)
-
     def bwd(g):
         g = g.reshape(-1)[scored]
         grad = np.exp(logp, out=logp)
         grad *= (g + 0.0)[:, None]
         np.subtract(0.0, grad, out=grad)
         grad[at] += g
-        _accum(x, spread(grad @ W.data.T, x.data.shape))
+        dx = np.zeros((idx.size, W.data.shape[0]), dtype=grad.dtype)
+        dx[scored] = grad @ W.data.T
+        _accum(x, dx.reshape(x.data.shape))
         _accum_product(W, rows.T, grad)
         _accum(b, grad.sum(axis=0))
-        if bias is not None:
-            _accum(u, spread(grad @ P.data.T, u.data.shape))
-            _accum_product(P, u_rows.T, grad)
 
     out = np.zeros(idx.shape, dtype=logp.dtype)
     out.reshape(-1)[scored] = logp[at]
-    return _result(out, (x, W, b) + (() if bias is None else (u, P)), bwd)
+    return _result(out, (x, W, b), bwd)
 
 
 def embedding(table, indices):

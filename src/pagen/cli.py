@@ -445,7 +445,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as e:
+    except OSError as e:  # a path that is missing, a directory or unreadable
         parser.print_usage(sys.stderr)
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -216,8 +216,9 @@ def param_shapes(config):
     if config.is_latent or config.decoder_uses_user:
         shapes["user_emb"] = (U, ue)
     if config.variant == "FACT_BIAS":
+        # h @ W + b + f_u @ P is one affine map of [f_u; h]: out_W is [P; W]
         shapes["fact_factors"] = (U, config.fact_rank)
-        shapes["fact_proj"] = (config.fact_rank, V)
+        shapes["out_W"] = (config.fact_rank + Hd, V)
     if config.use_attention:
         shapes["att_W"] = (Hd, 2 * H)
         shapes["att_comb_W"] = (Hd + 2 * H, Hd)
@@ -288,8 +289,10 @@ def encode_batch(idx, lengths, params, config):
     fwd, _ = ad.lstm(emb, params["enc_fwd_W"], params["enc_fwd_b"], zeros, zeros, mask=valid.T)
     bwd, _ = ad.lstm(emb, params["enc_bwd_W"], params["enc_bwd_b"], zeros, zeros,
                      mask=valid.T, reverse=True)
-    return EncoderOutput(final=ad.concat([ad.index(fwd, T - 1), ad.index(bwd, 0)], axis=1),
-                         states=ad.concat([fwd, bwd], axis=2), mask=valid)
+    states = ad.concat([fwd, bwd], axis=2)  # final reads it, so it always reaches the loss
+    final = ad.concat([ad.index(states, (T - 1, ..., slice(H))),
+                       ad.index(states, (0, ..., slice(H, None)))], axis=1)
+    return EncoderOutput(final=final, states=states, mask=valid)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +339,6 @@ def decoder_init_state(h_q, params, config):
     return h0, c0
 
 
-def fact_bias(user_idx, params):
-    """Low-rank per-user output bias, as the pair whose product it is:
-    (factors[u], shared projection)."""
-    return ad.embedding(params["fact_factors"], np.asarray(user_idx)), params["fact_proj"]
-
-
 def _attention_context(h_dec, enc, params):
     """Luong general score s . (h @ W_a), masked softmax over the valid
     encoder steps s, and the weighted sum of the encoder states; h_dec is
@@ -366,9 +363,9 @@ def decoder_lstm(prev_idx, state, z, e_u, params, config):
 
 
 def output_logits(h, enc, params, config, user_idx=None, targets=None):
-    """Vocabulary logits from decoder states h: attention, the output
-    projection and FACT_BIAS's per-user bias (which needs user_idx, one
-    user per batch row).  Nothing here feeds back.
+    """Vocabulary logits from decoder states h: attention, then the output
+    projection, of [f_u; h] for FACT_BIAS, f_u the user's factor row (which
+    needs user_idx, one user per batch row).  Nothing here feeds back.
 
     h is one step (B, Hd) or every step (T, B, Hd), and the logits have its
     leading axes; attention reads every encoder step.  With targets, one per
@@ -379,15 +376,14 @@ def output_logits(h, enc, params, config, user_idx=None, targets=None):
         ctx = _attention_context(h, enc, params)
         h = ad.tanh(ad.matmul(ad.concat([h, ctx], axis=-1), params["att_comb_W"],
                               params["att_comb_b"]))
-    bias = None
     if config.variant == "FACT_BIAS":
         if user_idx is None:
             raise ContractError("FACT_BIAS decode requires user_idx")
-        bias = fact_bias(np.broadcast_to(user_idx, h.data.shape[:-1]), params)
+        f_u = ad.embedding(params["fact_factors"], np.broadcast_to(user_idx, h.data.shape[:-1]))
+        h = ad.concat([f_u, h], axis=-1)
     if targets is not None:
-        return ad.affine_log_softmax_pick(h, params["out_W"], params["out_b"], targets, bias)
-    logits = ad.matmul(h, params["out_W"], params["out_b"])
-    return logits if bias is None else ad.add(logits, ad.matmul(*bias))
+        return ad.affine_log_softmax_pick(h, params["out_W"], params["out_b"], targets)
+    return ad.matmul(h, params["out_W"], params["out_b"])
 
 
 def decode_logits(prev_idx, state, z, e_u, enc, params, config, user_idx=None):

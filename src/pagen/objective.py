@@ -145,8 +145,7 @@ def total_loss(batch, params, config, noise=None, batch_index=0):
 
     per_example = recon
     if config.is_latent:
-        if w > 0.0:
-            per_example = ad.add(per_example, ad.scale(kl_user_t, w))
+        per_example = ad.add(per_example, ad.scale(kl_user_t, w))
         per_example = ad.add(per_example, bow_t)
     if r1_t is not None:
         per_example = ad.add(per_example, r1_t)

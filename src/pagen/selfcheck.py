@@ -136,16 +136,15 @@ def primitive_cases(seed=0):
     cases.append(("embedding_2d", lambda: ad.reduce_sum(ad.mul(ad.embedding(table, lookup2),
                                                                steps)),
                   {"table": table, "steps": steps}))
-    # the output layer with FACT_BIAS's bias rows, on (T, B, .) rows as in
-    # teacher forcing: one row has no target (-1); drawn last, so that the
-    # cases above keep their inputs for every seed
-    out_x, out_W, out_b, bias_u, bias_P = (_param(rng, 2, 3, 4), _param(rng, 4, 5), _param(rng, 5),
-                                           _param(rng, 2, 3, 2), _param(rng, 2, 5))
+    # the output layer on (T, B, .) rows as in teacher forcing: one row has
+    # no target (-1); drawn last, so that the cases above keep their inputs
+    # for every seed
+    out_x, out_W, out_b = _param(rng, 2, 3, 4), _param(rng, 4, 5), _param(rng, 5)
     weights = ad.constant(rng.standard_normal((2, 3)))
     out_idx = np.array([[0, 2, 1], [3, -1, 0]])
     cases.append(("affine_log_softmax_pick", lambda: ad.reduce_sum(ad.mul(
-        ad.affine_log_softmax_pick(out_x, out_W, out_b, out_idx, (bias_u, bias_P)), weights)),
-        {"x": out_x, "W": out_W, "b": out_b, "bias_u": bias_u, "bias_P": bias_P}))
+        ad.affine_log_softmax_pick(out_x, out_W, out_b, out_idx), weights)),
+        {"x": out_x, "W": out_W, "b": out_b}))
     return cases
 
 

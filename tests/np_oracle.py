@@ -83,13 +83,15 @@ def attention_np(pd, h, states, mask):
 
 
 def decoder_logprob_np(pd, config, h0, c0, z, e_u, reply_idx, reply_lengths,
-                       enc_states=None, enc_mask=None):
+                       enc_states=None, enc_mask=None, user_idx=None):
     """Teacher-forced log p(reply + EOS | ...) computed step by step.
 
     pd: name -> numpy array of parameter values.  h0/c0: initial decoder
     state arrays.  z / e_u may be None depending on the variant.  With
     config.use_attention, enc_states (B, T, 2H) and enc_mask (B, T) come
-    from encoder_np.  Fact-bias variants are not supported here.
+    from encoder_np.  FACT_BIAS needs user_idx (B,): its logits are
+    h @ W + b + f_u @ P as two separate products, with f_u the user's
+    fact_factors row and P the first fact_rank rows of out_W, W the rest.
     """
     B, Tr = reply_idx.shape
     Hd = config.decoder_hidden
@@ -105,7 +107,13 @@ def decoder_logprob_np(pd, config, h0, c0, z, e_u, reply_idx, reply_lengths,
         x = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
         h, c = lstm_step_np(x, h, c, pd["dec_W"], pd["dec_b"], Hd)
         out = attention_np(pd, h, enc_states, enc_mask) if config.use_attention else h
-        logp = log_softmax_np(out @ pd["out_W"] + pd["out_b"])
+        if config.variant == "FACT_BIAS":
+            r = config.fact_rank
+            logits = (out @ pd["out_W"][r:] + pd["out_b"]
+                      + pd["fact_factors"][user_idx] @ pd["out_W"][:r])
+        else:
+            logits = out @ pd["out_W"] + pd["out_b"]
+        logp = log_softmax_np(logits)
         if t < Tr:
             target = np.where(t < reply_lengths, reply_idx[:, t], EOS).astype(np.int64)
         else:

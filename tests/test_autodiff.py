@@ -75,20 +75,19 @@ def test_shape_errors_name_the_op():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_affine_log_softmax_pick_is_bitwise_the_ops_apart(monkeypatch, dtype):
     """On a (T, B, d) grid whose N scored rows have a target and the others
-    -1, the fused output node equals matmul (plus add of the bias rows'
-    matmul), log_softmax and pick applied to the N gathered rows bitwise:
-    the picked values and the gradients of x, W, b and the bias pair, with
-    N below, equal to and above one row block of the exp-sums.  A row
-    without a target reads 0 and gets zero gradients in x and the factor
-    rows.  The mask zeroes the first and last scored rows, whose gradients
+    -1, the fused output node equals matmul, log_softmax and pick applied
+    to the N gathered rows bitwise: the picked values and the gradients of
+    x, W and b, with N below, equal to and above one row block of the
+    exp-sums.  A row without a target reads 0 and gets zero gradients in
+    x.  The mask zeroes the first and last scored rows, whose gradients
     arrive as +0.0 and -0.0, and the first one's softmax underflows to 0
     away from its largest logit."""
-    V, r, grid = 11, 4, (3, 4)
+    V, grid = 11, (3, 4)
     monkeypatch.setattr(ad, "_EXP_BLOCK_BYTES", 3 * V * np.dtype(dtype).itemsize)
     rng = np.random.default_rng(5)
-    W0, b0, P0 = (rng.standard_normal(s).astype(dtype) for s in ((6, V), (V,), (r, V)))
+    W0, b0 = (rng.standard_normal(s).astype(dtype) for s in ((6, V), (V,)))
     for n in (2, 3, 7):
-        x0, U0 = (rng.standard_normal(grid + (s,)).astype(dtype) for s in (6, r))
+        x0 = rng.standard_normal(grid + (6,)).astype(dtype)
         scored = np.sort(rng.choice(x0[..., 0].size, n, replace=False))
         x0.reshape(-1, 6)[scored[0]] *= 300
         targets = np.full(grid, -1)
@@ -102,38 +101,27 @@ def test_affine_log_softmax_pick_is_bitwise_the_ops_apart(monkeypatch, dtype):
             full.reshape(-1)[scored] = rows
             return Tensor(full)
 
-        def run(fused, with_bias):
+        def run(fused):
+            x = Tensor(x0.copy() if fused else x0.reshape(-1, 6)[scored], requires_grad=True)
+            W, b = (Tensor(a.copy(), requires_grad=True) for a in (W0, b0))
+            h = ad.scale(x, 1.0)
             if fused:
-                x, U = (Tensor(a.copy(), requires_grad=True) for a in (x0, U0))
-            else:
-                x, U = (Tensor(a.reshape(-1, a.shape[-1])[scored], requires_grad=True)
-                        for a in (x0, U0))
-            W, b, P = (Tensor(a.copy(), requires_grad=True) for a in (W0, b0, P0))
-            h, bias = ad.scale(x, 1.0), (ad.scale(U, 1.0), P) if with_bias else None
-            if fused:
-                out = ad.affine_log_softmax_pick(h, W, b, targets, bias)
+                out = ad.affine_log_softmax_pick(h, W, b, targets)
                 m, w = grid_of(mask), grid_of(weights)
             else:
-                logits = ad.matmul(h, W, b)
-                out = ad.pick(ad.log_softmax(logits if bias is None
-                                             else ad.add(logits, ad.matmul(*bias))),
-                              targets.reshape(-1)[scored])
+                out = ad.pick(ad.log_softmax(ad.matmul(h, W, b)), targets.reshape(-1)[scored])
                 m, w = Tensor(mask), Tensor(weights)
             backward(ad.reduce_sum(ad.mul(ad.mul(out, m), w)))
             assert out.data.dtype == x.grad.dtype == dtype
             if not fused:
-                return out.data, x.grad, W.grad, b.grad, U.grad, P.grad
+                return out.data, x.grad, W.grad, b.grad
             unscored = np.setdiff1d(np.arange(targets.size), scored)
-            for a in (out.data.reshape(-1), x.grad.reshape(-1, 6),
-                      U.grad.reshape(-1, r) if with_bias else np.zeros((targets.size, r))):
+            for a in (out.data.reshape(-1), x.grad.reshape(-1, 6)):
                 assert not a[unscored].any() and not np.signbit(a[unscored]).any()
-            return (out.data.reshape(-1)[scored], x.grad.reshape(-1, 6)[scored], W.grad, b.grad,
-                    None if U.grad is None else U.grad.reshape(-1, r)[scored], P.grad)
+            return out.data.reshape(-1)[scored], x.grad.reshape(-1, 6)[scored], W.grad, b.grad
 
-        for with_bias in (False, True):
-            got, want = run(True, with_bias), run(False, with_bias)
-            assert [None if a is None else a.tobytes() for a in got] == \
-                [None if a is None else a.tobytes() for a in want], (n, with_bias)
+        got, want = run(True), run(False)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], n
 
 
 def test_affine_log_softmax_pick_takes_one_target_per_row():
@@ -143,19 +131,17 @@ def test_affine_log_softmax_pick_takes_one_target_per_row():
                 np.zeros(2, dtype=np.int64)):
         with pytest.raises(ShapeError, match="affine_log_softmax_pick"):
             ad.affine_log_softmax_pick(x, W, b, bad)
-    u, P = Tensor(np.ones((2, 3, 2))), Tensor(np.ones((2, 5)))
-    for bad in ((x, P), (u, W), (Tensor(np.ones((3, 2))), P)):  # factor rows or projection off
+    for bad_W, bad_b in ((Tensor(np.ones((3, 5))), b), (W, Tensor(np.ones(4)))):
         with pytest.raises(ShapeError, match="affine_log_softmax_pick"):
-            ad.affine_log_softmax_pick(x, W, b, targets, bad)
+            ad.affine_log_softmax_pick(x, bad_W, bad_b, targets)
     with pytest.raises(ShapeError, match="affine_log_softmax_pick"):
         ad.affine_log_softmax_pick(Tensor(np.ones(4)), W, b, np.zeros((), dtype=np.int64))
     assert ad.affine_log_softmax_pick(x, W, b, targets).shape == (2, 3)
-    assert ad.affine_log_softmax_pick(x, W, b, targets, (u, P)).shape == (2, 3)
     # no row with a target: zeros, and zero gradients for every input
-    x, W, b, u, P = (Tensor(t.data, requires_grad=True) for t in (x, W, b, u, P))
-    out = ad.affine_log_softmax_pick(x, W, b, np.full((2, 3), -1), (u, P))
+    x, W, b = (Tensor(t.data, requires_grad=True) for t in (x, W, b))
+    out = ad.affine_log_softmax_pick(x, W, b, np.full((2, 3), -1))
     backward(ad.reduce_sum(out))
-    assert not out.data.any() and not any(t.grad.any() for t in (x, W, b, u, P))
+    assert not out.data.any() and not any(t.grad.any() for t in (x, W, b))
 
 
 def test_embedding_index_contract():

@@ -148,6 +148,16 @@ def test_train_missing_data_exits_2(workdir, capsys):
     assert "usage:" in err and "error:" in err
 
 
+def test_train_config_that_is_a_directory_exits_2(workdir, capsys):
+    tmp_path, data, _ = workdir
+    code = cli.main(["train", "--config", str(tmp_path), "--data", str(data),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"error: [Errno 21] Is a directory: '{tmp_path}'" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-corpus", "--seed", "-1", "--out", "{out}"],
     ["train", "--config", "{config}", "--data", "{data}", "--seed", "-1", "--out", "{out}"],

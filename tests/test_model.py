@@ -79,7 +79,8 @@ def test_param_shapes_per_variant():
 
     p = M.init_params(toy_config(variant="FACT_BIAS"))
     assert p["fact_factors"].shape == (4, 3)
-    assert p["fact_proj"].shape == (3, 30)
+    assert p["out_W"].shape == (3 + Hd, 30)  # the factor projection's rows first
+    assert "fact_proj" not in p
 
     p = M.init_params(toy_config(variant="S2SA", use_attention=True))
     assert "att_W" in p
@@ -204,9 +205,11 @@ def test_teacher_forced_log_probs_negative():
     assert np.all(lp.data < 0.0)
 
 
-@pytest.mark.parametrize("variant", ["S2SA", "PAGENERATOR"])
-def test_attention_log_probs_match_numpy_oracle(variant):
-    cfg = toy_config(variant=variant, use_attention=True)
+@pytest.mark.parametrize("variant,use_attention", [
+    pytest.param("S2SA", True, id="S2SA"), pytest.param("PAGENERATOR", True, id="PAGENERATOR"),
+    ("FACT_BIAS", False), ("FACT_BIAS", True)])
+def test_attention_log_probs_match_numpy_oracle(variant, use_attention):
+    cfg = toy_config(variant=variant, use_attention=use_attention)
     params = M.init_params(cfg, seed=11, dtype=np.float64)
     for p in params.values():
         p.data *= 5.0  # sharp attention weights, so a wrong score shows
@@ -229,19 +232,29 @@ def test_attention_log_probs_match_numpy_oracle(variant):
     assert np.array_equal(enc.mask, mask)
     h0 = np.tanh(final @ pd["dec_init_W"] + pd["dec_init_b"])
     expect = np_oracle.decoder_logprob_np(pd, cfg, h0, np.zeros_like(h0), z, e_u,
-                                          r_idx, r_len, enc_states=states, enc_mask=mask)
+                                          r_idx, r_len, enc_states=states, enc_mask=mask,
+                                          user_idx=user_idx)
     assert np.allclose(got, expect, atol=1e-10)
-    # the oracle without attention disagrees, so the comparison has teeth
-    plain = np_oracle.decoder_logprob_np(pd, toy_config(variant=variant), h0,
-                                         np.zeros_like(h0), z, e_u, r_idx, r_len)
-    assert not np.allclose(got, plain, atol=1e-3)
+    # the oracle without attention, or without FACT_BIAS's user bias,
+    # disagrees, so the comparison has teeth
+    if use_attention:
+        plain = np_oracle.decoder_logprob_np(pd, toy_config(variant=variant), h0,
+                                             np.zeros_like(h0), z, e_u, r_idx, r_len,
+                                             user_idx=user_idx)
+        assert not np.allclose(got, plain, atol=1e-3)
+    if variant == "FACT_BIAS":
+        unbiased = dict(pd, fact_factors=np.zeros_like(pd["fact_factors"]))
+        plain = np_oracle.decoder_logprob_np(unbiased, cfg, h0, np.zeros_like(h0), z, e_u,
+                                             r_idx, r_len, enc_states=states, enc_mask=mask,
+                                             user_idx=user_idx)
+        assert not np.allclose(got, plain, atol=1e-3)
 
 
 @pytest.mark.parametrize("use_attention", [False, True])
 @pytest.mark.parametrize("variant", M.VARIANTS)
 def test_teacher_forcing_matches_decode_step_loop(variant, use_attention):
     """Teacher forcing equals feeding the targets through decode_step one
-    step at a time (FACT_BIAS included, which np_oracle does not cover)."""
+    step at a time."""
     cfg = toy_config(variant=variant, use_attention=use_attention)
     params = M.init_params(cfg, seed=14, dtype=np.float64)
     for p in params.values():
@@ -323,8 +336,7 @@ def test_backward_allocates_no_table_and_copies_no_logits(monkeypatch, variant, 
     """In one backward of a toy batch with packed parameters, the embedding
     gradients go straight into the arena (no table-sized buffer), every
     first gradient becomes .grad uncopied, and no backward hands on a copy
-    of a V-wide upstream gradient: FACT_BIAS's bias rows get the output
-    node's logits-gradient buffer itself."""
+    of a V-wide upstream gradient."""
     cfg = toy_config(variant, use_attention=attention)
     params = M.init_params(cfg, seed=20)
     T.arena(params)
@@ -419,8 +431,8 @@ def test_backward_frees_the_logits_while_the_loss_lives(monkeypatch):
     noise = np.random.default_rng(24).standard_normal((3, cfg.z_dim)).astype(np.float32)
     refs, real = [], ad.affine_log_softmax_pick
 
-    def spy(x, W, b, targets, bias=None):
-        out = real(x, W, b, targets, bias)
+    def spy(x, W, b, targets):
+        out = real(x, W, b, targets)
         refs.extend(weakref.ref(a) for a in _graph_arrays(out)
                     if a.shape == (np.count_nonzero(targets >= 0), W.shape[1]))
         return out
@@ -437,8 +449,8 @@ def test_backward_frees_the_logits_while_the_loss_lives(monkeypatch):
 def test_forward_holds_one_logits_sized_array():
     """After one PAGENERATOR or FACT_BIAS forward at V=5000 the graph holds
     exactly one array of N x V for its N scored decoder rows: the output
-    node's buffer, which serves as logits (FACT_BIAS's bias product added
-    into it), log-softmax and later their gradient."""
+    node's buffer, which serves as logits, log-softmax and later their
+    gradient."""
     batch = toy_batch(seed=29, vocab=5000)
     n = int(np.sum(batch[4] + 1))  # each reply's tokens plus EOS
     for variant in ("PAGENERATOR", "FACT_BIAS"):
@@ -507,12 +519,22 @@ def test_backward_writes_weight_gradients_into_the_arena():
 
 
 def test_fact_bias_rank_and_zero_case():
+    """FACT_BIAS's user bias, its logits less S2SA's from the same state
+    and the rest of out_W, is of rank at most fact_rank over the users, and
+    0 for zero factors."""
     cfg = toy_config(variant="FACT_BIAS")
-    params = M.init_params(cfg)
-    bias = ad.matmul(*M.fact_bias(np.arange(cfg.num_users), params)).data
-    assert np.linalg.matrix_rank(bias) <= cfg.fact_rank
+    params = M.init_params(cfg, dtype=np.float64)
+    users = np.arange(cfg.num_users)
+    h = ad.constant(np.random.default_rng(1).standard_normal((len(users), cfg.decoder_hidden)))
+    s2s = dict(params, out_W=Tensor(params["out_W"].data[cfg.fact_rank:]))
+
+    def bias():
+        return (M.output_logits(h, None, params, cfg, user_idx=users).data
+                - M.output_logits(h, None, s2s, toy_config(variant="S2SA")).data)
+
+    assert np.linalg.matrix_rank(bias(), tol=1e-9) <= cfg.fact_rank < len(users)
     params["fact_factors"].data[:] = 0.0
-    assert np.allclose(ad.matmul(*M.fact_bias(np.array([1]), params)).data, 0.0)
+    assert np.allclose(bias(), 0.0)
 
 
 def test_fact_bias_requires_user_idx():
@@ -569,8 +591,8 @@ def test_fact_bias_with_zero_factors_equals_s2sa():
     cfg_s2s = toy_config(variant="S2SA")
     fb = M.init_params(cfg_fb, seed=8)
     fb["fact_factors"].data[:] = 0.0
-    s2s = {k: v for k, v in fb.items()
-           if k not in ("user_emb", "fact_factors", "fact_proj")}
+    s2s = {k: v for k, v in fb.items() if k not in ("user_emb", "fact_factors")}
+    s2s["out_W"] = Tensor(fb["out_W"].data[cfg_fb.fact_rank:], requires_grad=True, name="out_W")
     batch = toy_batch(seed=9)
     loss_fb, _ = total_loss(batch, fb, cfg_fb)
     loss_s2s, _ = total_loss(batch, s2s, cfg_s2s)
@@ -683,6 +705,22 @@ def test_checkpoint_renamed_tensor_is_rejected(tmp_path):
     assert blob.count(b"\x05\x00out_b") == 1
     path.write_bytes(blob.replace(b"\x05\x00out_b", b"\x05\x00out_c"))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unexpected tensor 'out_c'"):
+        M.load_checkpoint(path)
+
+
+def test_checkpoint_with_a_separate_fact_proj_is_rejected(tmp_path):
+    """A FACT_BIAS checkpoint that keeps the factor projection as its own
+    (fact_rank, V) tensor fact_proj, beside an (Hd, V) out_W, is refused,
+    and the error names fact_proj."""
+    cfg = toy_config(variant="FACT_BIAS")
+    params = M.init_params(cfg, seed=3)
+    W = params["out_W"].data
+    params["fact_proj"] = Tensor(W[:cfg.fact_rank].copy())
+    params["out_W"] = Tensor(W[cfg.fact_rank:].copy())
+    path = tmp_path / "model.ckpt"
+    M.save_checkpoint(path, params, cfg)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unexpected tensor "
+                                         "'fact_proj'"):
         M.load_checkpoint(path)
 
 
