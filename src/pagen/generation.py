@@ -57,21 +57,18 @@ class GenRequest:
 
 def _draw_z(enc_final, user_idx, params, config, draws):
     """z vectors from the prior p(z | q, u), stacked (len(draws), z_dim);
-    None if not latent.  draws holds one (query row, z_mode, seed) per z."""
+    None if not latent.  draws holds one (query row, z_mode, seed) per z:
+    "mean" takes the prior mean, "sample" M.sample_z with default_rng(seed)."""
     if not config.is_latent:
         return None
     e_u = M.user_embedding(M.prior_user_index(user_idx, config), params, config)
     prior = M.prior_net(enc_final, e_u, params, config)
-    z = np.empty((len(draws), config.z_dim), dtype=prior.mu.dtype)
-    for j, (row, z_mode, seed) in enumerate(draws):
-        mu = prior.mu.data[row]
-        if z_mode == "mean":
-            z[j] = mu
-            continue
-        std = np.exp(0.5 * prior.log_var.data[row])
-        eps = np.random.default_rng(seed).standard_normal(config.z_dim).astype(mu.dtype)
-        z[j] = mu + std * eps
-    return z
+    rows, modes, seeds = zip(*draws)
+    rows = np.array(rows)
+    prior = M.GaussianParams(*(ad.constant(t.data[rows]) for t in (prior.mu, prior.log_var)))
+    noise = [np.random.default_rng(seed).standard_normal(config.z_dim) for seed in seeds]
+    mean = np.array(modes)[:, None] == "mean"
+    return np.where(mean, prior.mu.data, M.sample_z(prior, noise).data)
 
 
 def _rows(enc, src, z, user_idx, params, config):

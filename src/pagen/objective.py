@@ -7,7 +7,8 @@ two regularizers (subtracted from the maximized objective) are added here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 
@@ -32,13 +33,14 @@ class LossBreakdown:
     anneal_weight: float = 1.0
     total: float = 0.0
 
-    FIELDS = ("reconstruction", "kl_user", "kl_unk", "bow", "r1", "r2",
-              "anneal_weight", "total")
-
     def check_finite(self):
         for name in self.FIELDS:
             if not np.isfinite(getattr(self, name)):
                 raise NumericError(f"non-finite loss term: {name}")
+
+
+# the field order is the history.csv column order
+LossBreakdown.FIELDS = tuple(f.name for f in fields(LossBreakdown))
 
 
 def gaussian_kl(a, b):
@@ -114,7 +116,7 @@ def total_loss(batch, params, config, noise=None, batch_index=0):
     w = anneal_weight(batch_index, config.anneal_batches) if config.is_latent else 0.0
     z = None
     e_u_dec = M.user_embedding(user_idx, params, config) if config.decoder_uses_user else None
-    kl_user_t = kl_unk_t = bow_t = r1_t = r2_t = None
+    terms = {}  # per-example (B,) tensors, keyed by LossBreakdown field
 
     if config.is_latent:
         enc_r = M.encode_batch(r_idx, r_len, params, config)
@@ -125,46 +127,29 @@ def total_loss(batch, params, config, noise=None, batch_index=0):
         if noise is None:
             noise = np.zeros((B, config.z_dim))  # sample_z casts to the model dtype
         z = M.sample_z(posterior, noise)
-        kl_user_t = gaussian_kl(posterior, prior_user)
+        terms["kl_user"] = gaussian_kl(posterior, prior_user)
         e_u_bow = M.user_embedding(prior_idx, params, config)
-        bow_t = bow_loss(z, enc_q.final, e_u_bow, r_idx, r_len, params)
+        terms["bow"] = bow_loss(z, enc_q.final, e_u_bow, r_idx, r_len, params)
         if config.variant == "PAGENERATOR" and (config.use_r1 or config.use_r2):
             unk_idx = np.full(B, UNSPECIFIED_USER, dtype=np.int64)
             prior_unk = M.prior_net(enc_q.final, M.user_embedding(unk_idx, params, config),
                                     params, config)
-            kl_unk_t = gaussian_kl(posterior, prior_unk)
+            terms["kl_unk"] = gaussian_kl(posterior, prior_unk)
             if config.use_r1:
-                r1_t = r1(kl_user_t, kl_unk_t, config.gamma1)
+                terms["r1"] = r1(terms["kl_user"], terms["kl_unk"], config.gamma1)
             if config.use_r2:
-                r2_t = r2(ad.exp(prior_user.log_var), ad.exp(prior_unk.log_var),
-                          config.gamma2)
+                terms["r2"] = r2(ad.exp(prior_user.log_var), ad.exp(prior_unk.log_var),
+                                 config.gamma2)
 
     log_probs = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u_dec, enc_q,
                                            params, config, user_idx=user_idx)
-    recon = ad.scale(log_probs, -1.0)
+    terms["reconstruction"] = ad.scale(log_probs, -1.0)
 
-    per_example = recon
-    if config.is_latent:
-        per_example = ad.add(per_example, ad.scale(kl_user_t, w))
-        per_example = ad.add(per_example, bow_t)
-    if r1_t is not None:
-        per_example = ad.add(per_example, r1_t)
-    if r2_t is not None:
-        per_example = ad.add(per_example, r2_t)
-    loss = ad.reduce_mean(per_example)
-
-    def mean_of(t):
-        return float(t.data.mean()) if t is not None else 0.0
-
-    breakdown = LossBreakdown(
-        reconstruction=mean_of(recon),
-        kl_user=mean_of(kl_user_t),
-        kl_unk=mean_of(kl_unk_t),
-        bow=mean_of(bow_t),
-        r1=mean_of(r1_t),
-        r2=mean_of(r2_t),
-        anneal_weight=w,
-        total=float(loss.data),
-    )
+    # the loss sums every term but kl_unk, kl_user at the annealing weight
+    summed = [ad.scale(terms[name], w) if name == "kl_user" else terms[name]
+              for name in LossBreakdown.FIELDS if name in terms and name != "kl_unk"]
+    loss = ad.reduce_mean(reduce(ad.add, summed))
+    breakdown = LossBreakdown(anneal_weight=w, total=float(loss.data),
+                              **{name: float(t.data.mean()) for name, t in terms.items()})
     breakdown.check_finite()
     return loss, breakdown
