@@ -169,10 +169,7 @@ def format_table(rows):
 
 def write_report(out_dir, results, rows, manifest):
     os.makedirs(out_dir, exist_ok=True)
-    with C.atomic_open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8",
-                       newline="\n") as f:
-        for k in sorted(results):
-            f.write(f"{k}={results[k]!r}\n")
+    write_manifest(os.path.join(out_dir, "report.txt"), results)
     with C.atomic_open(os.path.join(out_dir, "per_item.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(("item", "metric", "value"))
@@ -233,7 +230,7 @@ def cmd_generate(args):
     def reply(hyps):
         return " ".join(vocab.decode(hyps[0].tokens)) if hyps and hyps[0].tokens else ""
 
-    if args.input:
+    if args.input is not None:
         # every line is checked before any decoding or output
         requests = []
         for i, line in enumerate(C.read_lines(args.input)):
@@ -246,9 +243,6 @@ def cmd_generate(args):
             for hyps in G.generate_many(requests, params, config):
                 f_out.write(reply(hyps) + "\n")
         return 0
-    if not args.query:
-        print("error: --query or --input required", file=sys.stderr)
-        return 2
     print(reply(G.generate(request(args.user, args.query, args.seed, ""), params, config)))
     return 0
 
@@ -335,7 +329,7 @@ def cmd_compare(args):
     # the reference's beam-search distractors and its ranks of the truth
     # among them are the same for every variant
     distractors = MX.make_distractors(encode_triples(test_set, vocab, users), ref_model,
-                                      metric_config, metric_config.n_distractors)
+                                      metric_config)
     ref_ranks = MX.rank_counts(distractors, ref_model, metric_config, seed=args.seed)
     rows = []
     for variant in variants:
@@ -394,8 +388,9 @@ def build_parser():
     d.add_argument("--vocab", default=None)
     d.add_argument("--users-file", default=None)
     d.add_argument("--user", default=C.UNSPECIFIED_USER_ID)
-    d.add_argument("--query", default=None)
-    d.add_argument("--input", default=None, help="batch mode: user TAB query per line")
+    source = d.add_mutually_exclusive_group(required=True)
+    source.add_argument("--query")
+    source.add_argument("--input", help="batch mode: user TAB query per line")
     d.add_argument("--output", default=None)
     d.add_argument("--beam", type=int, default=10)
     d.add_argument("--max-length", type=int, default=30)

@@ -93,7 +93,7 @@ def evaluate_model(model, reference, train_triples, test_triples, vocab, users,
 
     if "urank" in metrics:
         if distractors is None:
-            distractors = MX.make_distractors(indexed, reference, cfg, cfg.n_distractors)
+            distractors = MX.make_distractors(indexed, reference, cfg)
         report = MX.urank(distractors, model, reference, cfg, seed=seed,
                           reference_ranks=reference_ranks)
         results["urank"] = report.value

@@ -164,7 +164,7 @@ def _run_seed(seed, out_root, data):
 
     cfg_m = MX.MetricConfig(rounds=5, n_distractors=10, beam_width=10, max_length=12)
     raw = [(u, q, r) for u, q, r in encode_triples(te, vocab, users)]
-    distractors = MX.make_distractors(raw, models["S2SA"], cfg_m, cfg_m.n_distractors)
+    distractors = MX.make_distractors(raw, models["S2SA"], cfg_m)
     uranks = {name: MX.urank(distractors, models[name], models["S2SA"], cfg_m,
                              seed=seed).value for name in models}
 

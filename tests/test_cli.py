@@ -349,8 +349,27 @@ def test_generate_checks_its_flags_before_opening_a_file(tmp_path, capsys, flags
 
 def test_generate_without_query_exits_2(workdir, capsys):
     out = _trained(workdir)
-    assert cli.main(["generate", "--model", str(out / "model.ckpt")]) == 2
-    assert "--query or --input" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        cli.main(["generate", "--model", str(out / "model.ckpt")])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "--query" in err and "--input" in err
+
+
+def test_generate_with_query_and_input_exits_2(workdir, capsys):
+    """--query and --input exclude each other: neither is decoded."""
+    tmp_path, _, _ = workdir
+    out = _trained(workdir)
+    batch_in = tmp_path / "queries.tsv"
+    batch_in.write_text("user0\ttopic1 q3\n", encoding="utf-8")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        cli.main(["generate", "--model", str(out / "model.ckpt"), "--query", "topic0 q1",
+                  "--input", str(batch_in)])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert "not allowed with argument" in captured.err and not captured.out
+    assert not (tmp_path / "queries.tsv.out").exists()
 
 
 def test_evaluate_and_report(workdir, capsys):
