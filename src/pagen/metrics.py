@@ -186,8 +186,7 @@ def urank(eval_items, model, reference, config, seed=0, reference_ranks=None):
 
 def make_distractors(eval_items_raw, reference, config):
     """Generate config.n_distractors user-irrelevant responses per query from
-    the reference model via beam search.  eval_items_raw: (user_index, query,
-    reply)."""
+    the reference model via beam search.  eval_items_raw: (user_index, query, reply)."""
     n = config.n_distractors
     reqs = [G.GenRequest(query=q, beam_width=max(n + 2, config.beam_width),
                          max_length=config.max_length, z_mode="mean")

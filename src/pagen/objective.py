@@ -115,21 +115,20 @@ def total_loss(batch, params, config, noise=None, batch_index=0):
 
     w = anneal_weight(batch_index, config.anneal_batches) if config.is_latent else 0.0
     z = None
-    e_u_dec = M.user_embedding(user_idx, params, config) if config.decoder_uses_user else None
+    # one lookup feeds the prior, the BOW net and the decoder (decoder_lstm
+    # reads it only if config.decoder_uses_user, so never VAE's unspecified row)
+    e_u = M.user_embedding(M.prior_user_index(user_idx, config), params, config)
     terms = {}  # per-example (B,) tensors, keyed by LossBreakdown field
 
     if config.is_latent:
         enc_r = M.encode_batch(r_idx, r_len, params, config)
         posterior = M.posterior_net(enc_q.final, enc_r.final, params, config)
-        prior_idx = M.prior_user_index(user_idx, config)
-        e_u_prior = M.user_embedding(prior_idx, params, config)
-        prior_user = M.prior_net(enc_q.final, e_u_prior, params, config)
+        prior_user = M.prior_net(enc_q.final, e_u, params, config)
         if noise is None:
             noise = np.zeros((B, config.z_dim))  # sample_z casts to the model dtype
         z = M.sample_z(posterior, noise)
         terms["kl_user"] = gaussian_kl(posterior, prior_user)
-        e_u_bow = M.user_embedding(prior_idx, params, config)
-        terms["bow"] = bow_loss(z, enc_q.final, e_u_bow, r_idx, r_len, params)
+        terms["bow"] = bow_loss(z, enc_q.final, e_u, r_idx, r_len, params)
         if config.variant == "PAGENERATOR" and (config.use_r1 or config.use_r2):
             unk_idx = np.full(B, UNSPECIFIED_USER, dtype=np.int64)
             prior_unk = M.prior_net(enc_q.final, M.user_embedding(unk_idx, params, config),
@@ -141,7 +140,7 @@ def total_loss(batch, params, config, noise=None, batch_index=0):
                 terms["r2"] = r2(ad.exp(prior_user.log_var), ad.exp(prior_unk.log_var),
                                  config.gamma2)
 
-    log_probs = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u_dec, enc_q,
+    log_probs = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc_q,
                                            params, config, user_idx=user_idx)
     terms["reconstruction"] = ad.scale(log_probs, -1.0)
 

@@ -8,6 +8,7 @@ import pytest
 import np_oracle
 from conftest import toy_batch, toy_config
 from pagen import autodiff as ad
+from pagen import generation as G
 from pagen import model as M
 from pagen.autodiff import ShapeError, Tensor, backward, grad_check
 from pagen.corpus import UNSPECIFIED_USER
@@ -294,6 +295,42 @@ def test_training_batch_builds_no_unreachable_node(variant, use_attention, monke
                 todo.extend(node._parents)
         dead = [t for t in made if id(t) not in reached]
         assert not dead, (batch_index, [t.data.shape for t in dead])
+
+
+@pytest.mark.parametrize("variant,lookups", [("SPEAKER", 1), ("VAE", 1), ("CVAE", 1),
+                                             ("PAGENERATOR", 2)])
+def test_training_batch_looks_up_the_user_embedding_once(variant, lookups, monkeypatch):
+    """One lookup of the batch's users feeds the prior, the BOW net and the
+    decoder; only PAGENERATOR's unspecified-user prior makes a second."""
+    cfg = toy_config(variant=variant)
+    params = M.init_params(cfg)
+    calls, embedding = [], ad.embedding
+
+    def spy_embedding(table, idx):
+        calls.append(table is params["user_emb"])
+        return embedding(table, idx)
+
+    monkeypatch.setattr(ad, "embedding", spy_embedding)
+    total_loss(toy_batch(seed=4), params, cfg, noise=np.zeros((3, cfg.z_dim)), batch_index=1)
+    assert sum(calls) == lookups
+
+
+@pytest.mark.parametrize("variant", M.LATENT_VARIANTS)
+def test_draw_z_equals_the_per_draw_oracle(variant):
+    """_draw_z over draws that mix "mean" and "sample" gives, draw by draw,
+    the bits of np_oracle.draw_z for that query, user, mode and seed."""
+    cfg = toy_config(variant=variant)
+    params = M.init_params(cfg, seed=5)
+    users, q_idx, q_len, _, _ = toy_batch(seed=6)
+    draws = [(0, "sample", 3), (1, "mean", 3), (0, "mean", 9), (2, "sample", 9),
+             (1, "sample", 3), (2, "mean", 0)]
+    with ad.no_grad():
+        enc = M.encode_batch(q_idx, q_len, params, cfg)
+        got = G._draw_z(enc.final, users, params, cfg, draws)
+        for j, (row, mode, seed) in enumerate(draws):
+            one = M.encode_batch(q_idx[row:row + 1], q_len[row:row + 1], params, cfg)
+            want = np_oracle.draw_z(one.final, users[row], params, cfg, mode, seed)
+            assert got[j].tobytes() == want.tobytes(), (j, got[j], want)
 
 
 @pytest.mark.parametrize("use_attention", [False, True])
