@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 
 import numpy as np
 
@@ -343,6 +344,16 @@ def index(a, key):
     return _result(a.data[key], (a,), bwd)
 
 
+@functools.cache
+def _gate_scales(H, dtype):
+    """lstm's read-only (half, shift) over the gate columns [i, f, o, g]:
+    0.5 and 0.5 on the sigmoid columns, 1 and 0 on g."""
+    half = np.where(np.arange(4 * H) < 3 * H, 0.5, 1.0).astype(dtype)
+    shift = 1.0 - half
+    half.flags.writeable = shift.flags.writeable = False
+    return half, shift
+
+
 def lstm(x, W, b, h0, c0, static=None, mask=None, reverse=False):
     """One LSTM layer over a whole sequence, with a hand-written BPTT backward.
 
@@ -376,16 +387,14 @@ def lstm(x, W, b, h0, c0, static=None, mask=None, reverse=False):
     record = _grad_enabled.get() and any(p.requires_grad for p in parents)
 
     # pre holds every step's gate pre-activations, and each step turns its
-    # own row into the activations [i, f, o, g] in place.  The sigmoid
-    # columns are halved first (exactly, a power of two): sigmoid(z) =
-    # 0.5 * tanh(z / 2) + 0.5, so one tanh serves all four gates.
-    half = np.where(np.arange(4 * H) < 3 * H, 0.5, 1.0).astype(Wh.dtype)
-    shift = 1.0 - half
-    pre = (x.data.reshape(T * B, n_in) @ Wx).reshape(T, B, 4 * H) + b.data
+    # own row into the activations [i, f, o, g] in place.  The step halves
+    # its sigmoid columns (exactly, a power of two) after adding h @ W_h:
+    # sigmoid(z) = 0.5 * tanh(z / 2) + 0.5, so one tanh serves all four gates.
+    half, shift = _gate_scales(H, Wh.dtype)
+    pre = (x.data.reshape(T * B, n_in) @ Wx).reshape(T, B, 4 * H)
+    pre += b.data
     if static is not None:
         pre += static.data @ Ws
-    pre *= half
-    Wh_half = Wh * half
     keep = None if mask is None else np.asarray(mask, dtype=bool)[:, :, None]
     # only a step where some row is invalid needs the carry-over
     ragged = [False] * T if keep is None else (~keep.all(axis=(1, 2))).tolist()
@@ -395,7 +404,8 @@ def lstm(x, W, b, h0, c0, static=None, mask=None, reverse=False):
     h, c = h0.data, c0.data
     for t in steps:
         z = pre[t]
-        z += h @ Wh_half
+        z += h @ Wh
+        z *= half
         np.tanh(z, out=z)
         z *= half
         z += shift

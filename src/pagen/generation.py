@@ -66,19 +66,19 @@ def _draw_z(enc_final, user_idx, params, config, draws):
     rows, modes, seeds = zip(*draws)
     rows = np.array(rows)
     prior = M.GaussianParams(*(ad.constant(t.data[rows]) for t in (prior.mu, prior.log_var)))
-    noise = [np.random.default_rng(seed).standard_normal(config.z_dim) for seed in seeds]
+    noise = {seed: np.random.default_rng(seed).standard_normal(config.z_dim) for seed in set(seeds)}
     mean = np.array(modes)[:, None] == "mean"
-    return np.where(mean, prior.mu.data, M.sample_z(prior, noise).data)
+    return np.where(mean, prior.mu.data, M.sample_z(prior, [noise[s] for s in seeds]).data)
 
 
-def _rows(enc, src, z, user_idx, params, config):
-    """Decoder rows that read encoder row src[j], z row z[j] and user
-    user_idx[j]: (the encoder states attention reads, None without
-    attention; z; the decoder's user embedding)."""
+def _rows(enc, src, z, e_users, config):
+    """Decoder rows that read encoder row src[j], z row z[j] and user row
+    e_users[src[j]] (a lookup made once per call): (the encoder states
+    attention reads, None without attention; z; the decoder's user embedding)."""
     enc_k = M.EncoderOutput(final=None, states=ad.constant(enc.states.data[:, src]),
                             mask=enc.mask[src]) if config.use_attention else None
     z = ad.constant(z) if z is not None else None
-    e_u = M.user_embedding(user_idx, params, config) if config.decoder_uses_user else None
+    e_u = ad.constant(e_users.data[src]) if config.decoder_uses_user else None
     return enc_k, z, e_u
 
 
@@ -115,9 +115,9 @@ def generate_many(requests, params, config):
     per request, each sorted by length-normalized score.
 
     Every live beam of every request is one row of a single decoder batch
-    (at most MAX_ROWS rows; longer lists run in groups).  Each request keeps
-    its own z, user, max_length, finished list, stop rule and top-W
-    selection.  Every request is checked before any decoding."""
+    (at most MAX_ROWS rows; longer lists run in groups), and one top-W
+    selection per step serves them all.  Each request keeps its own z, user,
+    max_length, finished list and stop rule, and is checked before any decoding."""
     for r in requests:
         _check(r.query, r.user_index, config)
     return [hyps for group in _groups(requests, [(r.beam_width,) for r in requests], (MAX_ROWS,))
@@ -125,65 +125,84 @@ def generate_many(requests, params, config):
 
 
 def _beam_search(requests, params, config):
-    n = len(requests)
     users = np.array([r.user_index for r in requests], dtype=np.int64)
+    widths = np.array([r.beam_width for r in requests])
+    lengths = np.array([r.max_length for r in requests])
     with no_grad():
         enc = M.encode_batch(*M.pad_batch([r.query for r in requests]), params, config)
         z_all = _draw_z(enc.final, users, params, config,
                         [(i, r.z_mode, r.seed) for i, r in enumerate(requests)])
+        e_users = M.user_embedding(users, params, config)
         h, c = (s.data for s in M.decoder_init_state(enc.final, params, config))
-        # per request: its live beams as rows of BOS + tokens and their summed
-        # log-probs; the live rows of the requests in `live` are contiguous
-        # and in order in h, c and src (each live row's request)
-        tokens = [np.full((1, 1), BOS)] * n
-        scores = [np.zeros(1, dtype=h.dtype)] * n
-        finished = [[] for _ in range(n)]
-        live = [i for i, r in enumerate(requests) if r.max_length > 0]
-        src, step = np.array(live, dtype=np.int64), 0
-        if len(live) < n:
+        # per request: its finished hypotheses, then the beams it leaves with
+        finished = [[] if n else [Hypothesis([], h.dtype.type(0))] for n in lengths]
+        done = np.zeros(len(requests), dtype=np.int64)  # EOS hypotheses
+        # the live beams of the requests in `live` are rows of tokens (BOS +
+        # tokens), scores (summed log-probs), h and c, grouped by request in
+        # live order: counts[i] rows of request live[i]; src: each row's request
+        live = np.flatnonzero(lengths > 0)
+        src, counts, step = live, np.ones(len(live), dtype=np.int64), 0
+        tokens, scores = np.full((len(live), 1), BOS), np.zeros(len(live), dtype=h.dtype)
+        if len(live) < len(requests):
             h, c = h[live], c[live]
-        while live:
-            counts = [len(tokens[i]) for i in live]
-            u_idx = users[src]
+        while len(live):
             enc_k, z, e_u = _rows(enc, src, z_all[src] if z_all is not None else None,
-                                  u_idx, params, config)
-            prev = np.concatenate([tokens[i][:, -1] for i in live])
-            logp, (h_new, c_new) = M.decode_step(prev, (ad.constant(h), ad.constant(c)),
+                                  e_users, config)
+            logp, (h_new, c_new) = M.decode_step(tokens[:, -1], (ad.constant(h), ad.constant(c)),
                                                  z, e_u, enc_k, params, config,
-                                                 user_idx=u_idx)
+                                                 user_idx=users[src])
             logp = logp.data
             logp[:, [PAD, UNK, BOS]] = -np.inf
             if step == 0:
                 logp[:, EOS] = -np.inf  # no empty replies
-            still, keep_rows, start = [], [], 0
-            for i, k in zip(live, counts):
-                width = requests[i].beam_width
-                total = scores[i][:, None] + logp[start:start + k]
-                # top-W (beam, token) pairs by score; the stable sort over the
-                # row-major flattening breaks ties by beam, then by token
-                order = np.argsort(-total, axis=None, kind="stable")[:width]
-                beam, tok = np.divmod(order, total.shape[1])
-                # EOS retires a hypothesis, the rest carry on
-                eos = tok == EOS
-                finished[i] += [Hypothesis(tokens[i][b, 1:].tolist(), total[b, EOS])
-                                for b in beam[eos]]
-                keep, tok = beam[~eos], tok[~eos]
-                tokens[i] = np.concatenate([tokens[i][keep], tok[:, None]], axis=1)
-                scores[i] = total[keep, tok]
-                if len(keep) and len(finished[i]) < width and step + 1 < requests[i].max_length:
-                    still.append(i)
-                    keep_rows.append(keep + start if start else keep)
-                start += k
-            if still:
-                rows = keep_rows[0] if len(keep_rows) == 1 else np.concatenate(keep_rows)
-                h, c, src = h_new.data[rows], c_new.data[rows], src[rows]
-            live, step = still, step + 1
-    results = []
-    for r, done, toks, sc in zip(requests, finished, tokens, scores):
-        done += [Hypothesis(t[1:].tolist(), s) for t, s in zip(toks, sc)]  # still live
-        done.sort(key=lambda hyp: -hyp.normalized())
-        results.append(done[:r.beam_width])
-    return results
+            req, row, tok, scores = _top(scores[:, None] + logp, counts, widths[live])
+            # EOS retires a hypothesis, the rest carry on
+            eos = tok == EOS
+            for i, r, s in zip(live[req[eos]], row[eos], scores[eos]):
+                finished[i].append(Hypothesis(tokens[r, 1:].tolist(), s))
+            done[live] += np.bincount(req[eos], minlength=len(live))
+            req, row, tok, scores = req[~eos], row[~eos], tok[~eos], scores[~eos]
+            tokens, src = np.concatenate([tokens[row], tok[:, None]], axis=1), live[req]
+            counts = np.bincount(req, minlength=len(live))
+            go = (counts > 0) & (done[live] < widths[live]) & (step + 1 < lengths[live])
+            if not go.all():  # a request that stops leaves with its live beams
+                stay = go[req]
+                for i, t, s in zip(src[~stay], tokens[~stay], scores[~stay]):
+                    finished[i].append(Hypothesis(t[1:].tolist(), s))
+                tokens, scores, row, src = tokens[stay], scores[stay], row[stay], src[stay]
+                live, counts = live[go], counts[go]
+            h, c, step = h_new.data[row], c_new.data[row], step + 1
+    return [sorted(hyps, key=lambda hyp: -hyp.normalized())[:r.beam_width]
+            for r, hyps in zip(requests, finished)]
+
+
+def _top(total, counts, widths):
+    """The top widths[i] (row, token) entries of request i's counts[i]
+    consecutive rows of total, as (request, row, token, score) arrays grouped
+    by request, best first; ties go by row, then token, as in a stable sort
+    of the rows flattened.  A -inf entry is never picked."""
+    n, V, K = len(counts), total.shape[1], counts.max()
+    starts = np.cumsum(counts) - counts
+    if (counts == K).all():
+        block = total.reshape(n, K * V)
+    else:  # pad each request to K rows with -inf rows at its end
+        block = np.full((n, K, V), -np.inf, dtype=total.dtype)
+        req = np.repeat(np.arange(n), counts)
+        block[req, np.arange(len(total)) - starts[req]] = total
+        block = block.reshape(n, K * V)
+    # the W-th score of each row, and every finite entry at or above it
+    kth = K * V - np.minimum(widths, K * V)
+    worst = np.partition(block, np.unique(kth), axis=1)[np.arange(n), kth]
+    flat = np.flatnonzero(block >= np.maximum(worst, -np.finfo(total.dtype).max)[:, None])
+    req, j = np.divmod(flat, K * V)
+    score = block.ravel()[flat]
+    # candidates come in flat order, so a stable sort keeps it among ties
+    order = np.lexsort((-score, req))
+    req, j, score = req[order], j[order], score[order]
+    pick = np.arange(len(req)) - np.searchsorted(req, req) < widths[req]
+    req, j, score = req[pick], j[pick], score[pick]
+    beam, tok = np.divmod(j, V)
+    return req, starts[req] + beam, tok, score
 
 
 def score_responses(query, replies, user_index, params, config, seed=0):
@@ -231,7 +250,7 @@ def _score_group(items, params, config, seeds):
                         [(i, "sample", seed) for i in range(len(items)) for seed in seeds])
         z = None if z_all is None else np.repeat(z_all, [w for w in widths for _ in seeds], axis=0)
         u_rows = users[src]
-        enc_n, z, e_u = _rows(enc, src, z, u_rows, params, config)
+        enc_n, z, e_u = _rows(enc, src, z, M.user_embedding(users, params, config), config)
         state = M.decoder_init_state(ad.constant(enc.final.data[src]), params, config)
         r_idx, r_len = M.pad_batch([r for _, replies, _ in items for _ in seeds for r in replies])
         lp = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc_n, params, config,

@@ -85,12 +85,23 @@ class BigramLM:
 
 
 def build_user_lms(train_triples, evaluated_users):
-    """One shared background count of all reply-side utterances, finetuned per user."""
-    background = BigramLM([t.reply for t in train_triples])
+    """One shared background count of all reply-side utterances, finetuned
+    per user.  Each reply is counted once, into its user's counts, and the
+    background is their sum (integer counts, so exactly the direct count)."""
+    replies = {}
+    for t in train_triples:
+        replies.setdefault(t.user_id, []).append(t.reply)
+    background = BigramLM([])
+    background.vocab.update(*(r for rs in replies.values() for r in rs))
+    background.v_size = len(background.vocab)
+    counts = {user: background._count(rs) for user, rs in replies.items()}
+    for bi, ctx in counts.values():
+        background.bg_bi.update(bi)
+        background.bg_ctx.update(ctx)
     lms = {}
     for user in evaluated_users:
         lms[user] = copy.copy(background)
-        lms[user].fit_user([t.reply for t in train_triples if t.user_id == user])
+        lms[user].user_bi, lms[user].user_ctx = counts.get(user, (Counter(), Counter()))
     return lms
 
 

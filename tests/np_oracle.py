@@ -309,6 +309,7 @@ def generate_one(request, params, config):
                 logp[:, EOS] = -np.inf
             total = scores[:, None] + logp
             order = np.argsort(-total, axis=None, kind="stable")[:width]
+            order = order[total.ravel()[order] > -np.inf]  # never a -inf candidate
             beam, tok = np.divmod(order, total.shape[1])
             eos = tok == EOS
             finished += [Hypothesis(tokens[i, 1:].tolist(), total[i, EOS]) for i in beam[eos]]

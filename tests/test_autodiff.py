@@ -310,6 +310,56 @@ def test_lstm_matches_step_by_step_graph(variant):
         assert np.allclose(grads[k], ref_grads[k], rtol=1e-10, atol=1e-12), k
 
 
+def _lstm_halving_pre_np(x, W, b, h0, c0, static, mask, reverse):
+    """ad.lstm's forward as it was before it halved each step: the whole
+    pre-activation block times half, and h @ (W_h * half)."""
+    T, B, n_in = x.shape
+    H = h0.shape[1]
+    n_s = 0 if static is None else static.shape[1]
+    Wx, Ws, Wh = W[:n_in], W[n_in:n_in + n_s], W[n_in + n_s:]
+    half = np.where(np.arange(4 * H) < 3 * H, 0.5, 1.0).astype(W.dtype)
+    shift = 1.0 - half
+    pre = (x.reshape(T * B, n_in) @ Wx).reshape(T, B, 4 * H) + b
+    if static is not None:
+        pre += static @ Ws
+    pre *= half
+    Wh_half = Wh * half
+    h, c, hs = h0, c0, np.empty((T, B, H), dtype=x.dtype)
+    for t in (range(T - 1, -1, -1) if reverse else range(T)):
+        a = np.tanh(pre[t] + h @ Wh_half) * half + shift
+        c_new = a[:, H:2 * H] * c + a[:, :H] * a[:, 3 * H:]
+        h_new = a[:, 2 * H:3 * H] * np.tanh(c_new)
+        if mask is not None:
+            keep = mask[t][:, None]
+            h_new, c_new = np.where(keep, h_new, h), np.where(keep, c_new, c)
+        h, c = h_new, c_new
+        hs[t] = h
+    return hs, c
+
+
+@pytest.mark.parametrize("variant", ["plain", "masked", "reverse", "static"])
+def test_lstm_forward_is_bitwise_the_halved_block_formula(variant):
+    """Halving each step's gate pre-activations gives the bits of halving
+    the whole block and W_h: a power-of-two scale commutes with rounding."""
+    rng = np.random.default_rng(11)
+    T, B, n_in, H = 7, 5, 6, 9
+    n_s = 4 if variant == "static" else 0
+    f32 = {k: rng.standard_normal(shape).astype(np.float32) for k, shape in (
+        ("x", (T, B, n_in)), ("W", (n_in + n_s + H, 4 * H)), ("b", (4 * H,)),
+        ("h0", (B, H)), ("c0", (B, H)), ("static", (B, n_s)))}
+    static = f32["static"] if n_s else None
+    mask = np.arange(T)[:, None] < rng.integers(1, T + 1, B) if variant != "plain" else None
+    reverse = variant == "reverse"
+    want_hs, want_c = _lstm_halving_pre_np(f32["x"], f32["W"], f32["b"], f32["h0"], f32["c0"],
+                                           static, mask, reverse)
+    for grad in (True, False):
+        args = [Tensor(f32[k], requires_grad=grad) for k in ("x", "W", "b", "h0", "c0")]
+        hs, c = ad.lstm(*args, static=None if static is None else Tensor(static),
+                        mask=mask, reverse=reverse)
+        assert hs.data.dtype == np.float32
+        assert hs.data.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
+
+
 def test_hinge_floor_values_and_subgradient():
     x = Tensor(np.array([-2.0, 0.0, 2.0]), requires_grad=True)
     out = ad.hinge_floor(x, 0.0)

@@ -257,6 +257,90 @@ def test_generate_is_bitwise_the_single_request_search(variant, extra):
         assert [(h.tokens, h.log_prob) for h in got] == [(h.tokens, h.log_prob) for h in want]
 
 
+def test_a_mixed_group_is_bitwise_the_single_request_search():
+    """One group of beam widths 1, 3 and 12 and max_lengths 0, 1 and 30
+    gives each request np_oracle's full-sort hypotheses, bit for bit."""
+    for variant, extra in BATCHED:
+        params, cfg = _model(variant=variant, seed=2, **extra)
+        reqs = [GenRequest(query=[5 + i, 9, 12][:1 + i % 3], user_index=i % 4, beam_width=w,
+                           max_length=n, z_mode=("mean", "sample")[i % 2], seed=i)
+                for i, (w, n) in enumerate((w, n) for w in (1, 3, 12) for n in (0, 1, 30))]
+        for req, got in zip(reqs, generate_many(reqs, params, cfg)):
+            want = np_oracle.generate_one(req, params, cfg)
+            assert [(h.tokens, h.log_prob) for h in got] == [(h.tokens, h.log_prob) for h in want]
+
+
+def test_beam_search_on_a_tied_grid_with_minus_inf_entries(monkeypatch):
+    """decode_step replaced by a table row per previous token: log-probs in
+    quarters, so beams tie at the W-th place, and -inf in places, so some
+    requests have fewer finite candidates than their width.  A group gets
+    np_oracle's full-sort hypotheses bit for bit, and never a -inf one."""
+    params, cfg = _model(variant="PAGENERATOR", seed=1, vocab_size=12)
+    rng = np.random.default_rng(3)
+    table = -rng.integers(1, 4, (12, 12)).astype(np.float32) / 4
+    table[rng.random(table.shape) < 0.3] = -np.inf
+    step = M.decode_step
+
+    def grid(prev, *a, **k):
+        _, state = step(prev, *a, **k)
+        return ad.constant(table[prev]), state
+
+    monkeypatch.setattr(M, "decode_step", grid)
+    reqs = [GenRequest(query=[4 + i % 8], user_index=i % 4, beam_width=w, max_length=n, seed=i)
+            for i, (w, n) in enumerate((w, n) for w in (1, 2, 3, 5, 12) for n in (1, 2, 6))]
+    got = generate_many(reqs, params, cfg)
+    for req, hyps in zip(reqs, got):
+        want = np_oracle.generate_one(req, params, cfg)
+        assert [(h.tokens, h.log_prob) for h in hyps] == [(h.tokens, h.log_prob) for h in want]
+        assert all(np.isfinite(h.log_prob) for h in hyps)
+    assert any(len(hyps) < req.beam_width for req, hyps in zip(reqs, got))
+    assert any(len({h.log_prob for h in hyps}) < len(hyps) for hyps in got)  # ties
+
+
+def test_beam_search_never_returns_a_minus_inf_hypothesis():
+    """With fewer finite candidates than its width, a request keeps fewer
+    beams: at V=8 and width 6, one step has only the 4 real tokens."""
+    params, cfg = _model(variant="S2SA", vocab_size=8)
+    for req in (GenRequest(query=[5, 6], beam_width=6, max_length=1),
+                GenRequest(query=[4], beam_width=12, max_length=3)):
+        hyps = generate(req, params, cfg)
+        assert all(np.isfinite(h.log_prob) for h in hyps)
+        assert all(t not in (PAD, UNK, BOS, EOS) for h in hyps for t in h.tokens)
+        assert [(h.tokens, h.log_prob) for h in hyps] == \
+            [(h.tokens, h.log_prob) for h in np_oracle.generate_one(req, params, cfg)]
+    assert sorted(t for h in generate(GenRequest(query=[5, 6], beam_width=6, max_length=1),
+                                      params, cfg) for t in h.tokens) == [4, 5, 6, 7]
+
+
+def test_top_picks_what_a_stable_full_sort_picks():
+    """G._top against a stable argsort of each request's rows flattened:
+    the same (row, token, score) in the same order, -inf never picked."""
+    rng = np.random.default_rng(0)
+    tied = 0
+    for _ in range(300):
+        counts = rng.integers(1, 5, rng.integers(1, 5))
+        widths = rng.integers(1, 15, len(counts))
+        V = int(rng.integers(2, 7))
+        total = -rng.integers(0, 3, (counts.sum(), V)).astype(np.float32)
+        total[rng.random(total.shape) < 0.2] = -np.inf
+        req, row, tok, score = G._top(total, counts, widths)
+        assert req.tolist() == sorted(req.tolist())
+        for i, start in enumerate(np.cumsum(counts) - counts):
+            block = total[start:start + counts[i]]
+            order = np.argsort(-block, axis=None, kind="stable")
+            values = block.ravel()[order]
+            w = widths[i]
+            if w < len(values) and values[w - 1] == values[w] > -np.inf:
+                # a tie at the W-th place that spans beams
+                tied += len(set(order[values == values[w - 1]] // V)) > 1
+            order = order[:w][values[:w] > -np.inf]
+            mine = req == i
+            assert row[mine].tolist() == (start + order // V).tolist()
+            assert tok[mine].tolist() == (order % V).tolist()
+            assert score[mine].tobytes() == block.ravel()[order].tobytes()
+    assert tied > 20
+
+
 def test_generate_many_of_no_requests_is_empty():
     assert generate_many([], *_model()) == []
 
@@ -385,3 +469,14 @@ def test_score_many_checks_every_item_before_decoding(bad, monkeypatch):
 
 def test_score_many_of_no_items_is_empty():
     assert score_many([], *_model(), [0]) == []
+
+
+def test_draw_z_makes_one_noise_row_per_distinct_seed(monkeypatch):
+    params, cfg = _model(variant="PAGENERATOR")
+    items, seeds = _mixed_items(seed=1, n=6), [4, 0, 4, 9]
+    want = score_many(items, params, cfg, seeds)
+    made, rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(seed) or rng(seed))
+    got = score_many(items, params, cfg, seeds)
+    assert sorted(made) == [0, 4, 9]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))

@@ -197,6 +197,23 @@ def test_build_user_lms_keys(tiny_triples):
         lms["bob"].perplexity(["hi", "alice", "here"])
 
 
+def test_build_user_lms_is_the_direct_count():
+    """Summing the per-user counts gives the background that counting every
+    reply gives, and each user's counts are its own replies'."""
+    triples = C.generate_synthetic(4, 30, 0.9, seed=2)
+    users = sorted({t.user_id for t in triples})[:3] + ["nobody"]
+    lms = build_user_lms(triples, users)
+    direct = BigramLM([t.reply for t in triples])
+    for user in users:
+        lm = lms[user]
+        assert (lm.vocab, lm.v_size, lm.bg_bi, lm.bg_ctx) == \
+            (direct.vocab, direct.v_size, direct.bg_bi, direct.bg_ctx)
+        direct.fit_user([t.reply for t in triples if t.user_id == user])
+        assert (lm.user_bi, lm.user_ctx) == (direct.user_bi, direct.user_ctx)
+        for t in triples[:20]:
+            assert lm.perplexity(t.reply + ["unseen"]) == direct.perplexity(t.reply + ["unseen"])
+
+
 # ---------------------------------------------------------------------------
 # distinct / uDistinct
 
