@@ -92,7 +92,7 @@ def build_user_lms(train_triples, evaluated_users):
     for t in train_triples:
         replies.setdefault(t.user_id, []).append(t.reply)
     background = BigramLM([])
-    background.vocab.update(*(r for rs in replies.values() for r in rs))
+    background.vocab.update(*(t.reply for t in train_triples))
     background.v_size = len(background.vocab)
     counts = {user: background._count(rs) for user, rs in replies.items()}
     for bi, ctx in counts.values():
