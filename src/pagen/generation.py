@@ -143,8 +143,7 @@ def _beam_search(requests, params, config):
         live = np.flatnonzero(lengths > 0)
         src, counts, step = live, np.ones(len(live), dtype=np.int64), 0
         tokens, scores = np.full((len(live), 1), BOS), np.zeros(len(live), dtype=h.dtype)
-        if len(live) < len(requests):
-            h, c = h[live], c[live]
+        h, c = h[live], c[live]
         while len(live):
             enc_k, z, e_u = _rows(enc, src, z_all[src] if z_all is not None else None,
                                   e_users, config)
@@ -183,26 +182,29 @@ def _top(total, counts, widths):
     of the rows flattened.  A -inf entry is never picked."""
     n, V, K = len(counts), total.shape[1], counts.max()
     starts = np.cumsum(counts) - counts
-    if (counts == K).all():
+    if len(total) == n * K:  # every count is K
         block = total.reshape(n, K * V)
     else:  # pad each request to K rows with -inf rows at its end
         block = np.full((n, K, V), -np.inf, dtype=total.dtype)
         req = np.repeat(np.arange(n), counts)
         block[req, np.arange(len(total)) - starts[req]] = total
         block = block.reshape(n, K * V)
-    # the W-th score of each row, and every finite entry at or above it
+    # the W-th score of each row; the finite entries above it, and of those
+    # tied with it the first ones in flat order, as many as there are places
     kth = K * V - np.minimum(widths, K * V)
-    worst = np.partition(block, np.unique(kth), axis=1)[np.arange(n), kth]
-    flat = np.flatnonzero(block >= np.maximum(worst, -np.finfo(total.dtype).max)[:, None])
-    req, j = np.divmod(flat, K * V)
-    score = block.ravel()[flat]
+    worst = np.partition(block, sorted(set(kth.tolist())), axis=1)[np.arange(n), kth]
+    worst = np.maximum(worst, -np.finfo(total.dtype).max)[:, None]
+    keep = block >= worst
+    if (keep.sum(axis=1) > widths).any():
+        tie = block == worst
+        places = widths - np.count_nonzero(block > worst, axis=1)
+        keep &= ~tie | (np.cumsum(tie, axis=1, dtype=np.int32) <= places[:, None])
+    req, j = np.divmod(np.flatnonzero(keep), K * V)
+    score = block[req, j]
     # candidates come in flat order, so a stable sort keeps it among ties
     order = np.lexsort((-score, req))
-    req, j, score = req[order], j[order], score[order]
-    pick = np.arange(len(req)) - np.searchsorted(req, req) < widths[req]
-    req, j, score = req[pick], j[pick], score[pick]
-    beam, tok = np.divmod(j, V)
-    return req, starts[req] + beam, tok, score
+    req, (beam, tok) = req[order], np.divmod(j[order], V)
+    return req, starts[req] + beam, tok, score[order]
 
 
 def score_responses(query, replies, user_index, params, config, seed=0):

@@ -45,9 +45,7 @@ class BigramLM:
 
     def __init__(self, background_sentences, lam=0.7):
         self.lam = lam
-        self.vocab = set([EOS_TOK, UNK_TOK])
-        for s in background_sentences:
-            self.vocab.update(s)
+        self.vocab = {EOS_TOK, UNK_TOK}.union(*background_sentences)
         self.v_size = len(self.vocab)
         self.bg_bi, self.bg_ctx = self._count(background_sentences)
         self.user_bi = {}

@@ -1,5 +1,7 @@
 """Unit tests for beam search decoding and response scoring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -469,6 +471,21 @@ def test_score_many_checks_every_item_before_decoding(bad, monkeypatch):
 
 def test_score_many_of_no_items_is_empty():
     assert score_many([], *_model(), [0]) == []
+
+
+def test_top_makes_no_index_array_of_the_block_when_every_entry_ties():
+    """With every entry tied at the W-th score, _top keeps only as many of
+    them as there are places, so its temporaries stay within a few score
+    blocks: an index array of the whole block would be 2 blocks per int64."""
+    total = np.zeros((30, 20004), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        req, row, tok, score = G._top(total, np.array([10, 10, 10]), np.array([10, 10, 10]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * total.nbytes
+    assert row.tolist() == [0] * 10 + [10] * 10 + [20] * 10 and tok.tolist() == list(range(10)) * 3
 
 
 def test_draw_z_makes_one_noise_row_per_distinct_seed(monkeypatch):
