@@ -20,10 +20,9 @@ later ones are added.
 The output layer: affine_log_softmax_pick keeps one (N, V) buffer for
 the N rows with a target (a row whose target is negative reads 0), which
 holds their logits, then their log-softmax, then in the backward their
-gradient.  An lstm is one node, its states hs, from which a caller
-indexes the final state; for BPTT it keeps its gate activations and the
-(T, B, H) states and cells each step leaves, and rebuilds the state
-entering each step and tanh of each cell.
+gradient.  An lstm is one node, the (N, H) states of its packed rows;
+for BPTT it keeps its gate activations and the states and cells its rows
+leave, and rebuilds the state each row continues and tanh of each cell.
 
 Graph lifetime: a graph is backpropagated once and freed as it goes.
 After each node's backward has run, backward() drops its closure, its
@@ -36,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+from itertools import accumulate
 
 import numpy as np
 
@@ -241,6 +241,19 @@ def add_const(a, c):
     return _result(a.data + c, (a,), bwd)
 
 
+def _mm(a, b, two=None):
+    """a @ b for a 2-D a.  A one-row a runs as the first row of a two-row
+    product, in the (2, k) scratch two if it is given and fits: numpy sends
+    one row down the gemv path, which rounds differently from gemm, and a
+    row's result must not depend on how many rows share its product."""
+    if a.shape[0] != 1:
+        return a @ b
+    if two is None or two.dtype != a.dtype:
+        two = np.empty((2,) + a.shape[1:], dtype=a.dtype)
+    two[...] = a
+    return (two @ b)[:1]
+
+
 def matmul(a, b, bias=None):
     """(..., k) @ (k, n), plus an optional (n,) bias row: the leading axes
     of a are rows of one 2-D product; with a bias, one node bitwise equal
@@ -250,13 +263,13 @@ def matmul(a, b, bias=None):
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}"
                          + ("" if bias is None else f" + {bias.data.shape}"))
     rows = a.data.reshape(-1, b.data.shape[0])
-    out = rows @ b.data
+    out = _mm(rows, b.data)
     if bias is not None:
         out += bias.data
 
     def bwd(g):
         g = g.reshape(-1, b.data.shape[1])
-        _accum(a, (g @ b.data.T).reshape(a.data.shape))
+        _accum(a, _mm(g, b.data.T).reshape(a.data.shape))
         _accum_product(b, rows.T, g)
         if bias is not None:
             _accum(bias, g.sum(axis=0))
@@ -354,115 +367,138 @@ def _gate_scales(H, dtype):
     return half, shift
 
 
-def lstm(x, W, b, h0, c0, static=None, mask=None, reverse=False):
-    """One LSTM layer over a whole sequence, with a hand-written BPTT backward.
+def lstm(x, W, b, h0, c0, sizes, parents=None, static=None):
+    """One LSTM layer over packed rows, with a hand-written BPTT backward.
 
-    x: (T, B, n_in) step inputs; static: an optional (B, n_s) input fed at
-    every step; h0, c0: the (B, H) initial state.  W is (n_in + n_s + H, 4H)
-    with its rows in the order [x; static; h], b is (4H,), and the gate
-    columns are [i, f, o, g].  mask: an optional (T, B) 0/1 validity array;
-    at an invalid step a row keeps its state unchanged.  reverse runs the
-    steps t = T-1 .. 0.
+    x: (N, n_in) step inputs, packed by step: step t runs only its sizes[t]
+    rows, which follow those of the steps before it.  Each row continues a
+    parent: parents[j] counts from the first row of the step before, or
+    at step 0 is a row of the (B0, H) initial state h0, c0; None is a
+    PackedSequence's layout, where row i continues row i.  Rows may share
+    a parent (a prefix tree), and BPTT sums their gradients into it.
+    static: an optional (B0, n_s) input fed at every step, each row reading
+    the row of its lane (the h0 row it descends from).  W is (n_in + n_s +
+    H, 4H) with its rows in the order [x; static; h], b is (4H,), and the
+    gate columns are [i, f, o, g].
 
-    The input projection x @ W_x + static @ W_s + b runs once for all T*B
-    rows; only h @ W_h runs per step, and the backward forms dW, db and dx
-    as matmuls over all steps at once.  Returns (hs, c): the (T, B, H)
-    state after each step, the one graph node, and the final cell as a
-    plain array (no gradient).
+    x @ W_x + b runs once for all N rows and static @ W_s once per lane;
+    only h @ W_h runs per step, and the backward forms dW, db and dx as
+    matmuls over all rows at once.  No product has one row (_mm).  Returns
+    (hs, c): the (N, H) states, the one graph node, and the cells of the
+    last step's rows as a plain array (no gradient).
     """
-    if x.data.ndim != 3 or h0.data.ndim != 2:
+    sizes = [int(n) for n in sizes]
+    if x.data.ndim != 2 or h0.data.ndim != 2:
         raise ShapeError(f"lstm: inputs {x.data.shape} with state {h0.data.shape}")
-    T, B, n_in = x.data.shape
-    H = h0.data.shape[1]
+    N, n_in = x.data.shape
+    B0, H = h0.data.shape
     n_s = 0 if static is None else static.data.shape[-1]
+    off = list(accumulate(sizes, initial=0))  # each step's first row
+    before = [B0] + sizes[:-1]  # the rows each step's parents index
     if (W.data.shape != (n_in + n_s + H, 4 * H) or b.data.shape != (4 * H,)
-            or h0.data.shape != (B, H) or c0.data.shape != (B, H)
-            or (static is not None and static.data.shape != (B, n_s))
-            or (mask is not None and np.shape(mask) != (T, B))):
+            or c0.data.shape != (B0, H) or (static is not None and static.data.shape != (B0, n_s))
+            or not sizes or min(sizes) < 1 or off[-1] != N
+            or (parents is not None and np.shape(parents) != (N,))):
         raise ShapeError(f"lstm: x {x.data.shape}, W {W.data.shape}, b {b.data.shape}, h0/c0 "
                          f"{h0.data.shape}/{c0.data.shape}, static {getattr(static, 'shape', None)}"
-                         f", mask {None if mask is None else np.shape(mask)}")
+                         f", sizes summing to {off[-1]}, parents {np.shape(parents)}")
+    # each step's parents, None where row i continues row i (a slice)
+    if parents is None:
+        if any(n > m for n, m in zip(sizes, before)):
+            raise ShapeError("lstm: a step has more rows than the step it continues")
+        take = [None] * len(sizes)
+    else:
+        parents = np.asarray(parents)
+        if parents.min() < 0 or (parents >= np.repeat(before, sizes)).any():
+            raise ShapeError("lstm: a parent outside the step before")
+        own = parents == np.arange(N) - np.repeat(off[:-1], sizes)
+        own = np.logical_and.reduceat(own, off[:-1]).tolist()
+        take = [None if own[t] else parents[off[t]:off[t + 1]] for t in range(len(sizes))]
     Wx, Ws, Wh = W.data[:n_in], W.data[n_in:n_in + n_s], W.data[n_in + n_s:]
-    parents = (x, W, b, h0, c0) + (() if static is None else (static,))
-    record = _grad_enabled.get() and any(p.requires_grad for p in parents)
+    inputs = (x, W, b, h0, c0) + (() if static is None else (static,))
+    record = _grad_enabled.get() and any(p.requires_grad for p in inputs)
 
-    # pre holds every step's gate pre-activations, and each step turns its
-    # own row into the activations [i, f, o, g] in place.  The step halves
+    # pre holds every row's gate pre-activations, and each step turns its
+    # own rows into the activations [i, f, o, g] in place.  The step halves
     # its sigmoid columns (exactly, a power of two) after adding h @ W_h:
     # sigmoid(z) = 0.5 * tanh(z / 2) + 0.5, so one tanh serves all four gates.
     half, shift = _gate_scales(H, Wh.dtype)
-    pre = (x.data.reshape(T * B, n_in) @ Wx).reshape(T, B, 4 * H)
+    pre = _mm(x.data, Wx)
     pre += b.data
-    if static is not None:
-        pre += static.data @ Ws
-    keep = None if mask is None else np.asarray(mask, dtype=bool)[:, :, None]
-    # only a step where some row is invalid needs the carry-over
-    ragged = [False] * T if keep is None else (~keep.all(axis=(1, 2))).tolist()
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    hs = np.empty((T, B, H), dtype=pre.dtype)
-    cs = np.empty_like(hs) if record else None  # the cell each step leaves
+    s = None if static is None else _mm(static.data, Ws)  # each lane's static @ W_s
+    hs = np.empty((N, H), dtype=pre.dtype)
+    cs = np.empty_like(hs) if record else None  # the cell each row leaves
     h, c = h0.data, c0.data
-    for t in steps:
-        z = pre[t]
-        z += h @ Wh
+    two = np.empty((2, H), dtype=pre.dtype)  # _mm's scratch for a one-row step
+    for t, p in enumerate(take):
+        lo, hi = off[t], off[t + 1]
+        h, c = (h[:hi - lo], c[:hi - lo]) if p is None else (h[p], c[p])
+        z = pre[lo:hi]
+        if s is not None:  # each row's lane term, carried like its state
+            s = s[:hi - lo] if p is None else s[p]
+            z += s
+        z += _mm(h, Wh, two)
         z *= half
         np.tanh(z, out=z)
         z *= half
         z += shift
-        c_new = z[:, H:2 * H] * c
-        c_new += z[:, :H] * z[:, 3 * H:]
-        h_new = z[:, 2 * H:3 * H] * np.tanh(c_new)
-        if ragged[t]:
-            h_new, c_new = np.where(keep[t], h_new, h), np.where(keep[t], c_new, c)
-        h, c = h_new, c_new
-        hs[t] = h
+        c = z[:, H:2 * H] * c
+        c += z[:, :H] * z[:, 3 * H:]
+        h = np.multiply(z[:, 2 * H:3 * H], np.tanh(c), out=hs[lo:hi])
         if record:
-            cs[t] = c
+            cs[lo:hi] = c
 
-    def entering(states, first):
-        """The state entering each step: the one the step before it left."""
-        parts = [states[1:], first[None]] if reverse else [first[None], states[:-1]]
-        return np.concatenate(parts, dtype=states.dtype)
+    def to_parents(t, g):
+        """g, one row per row of step t, summed into the rows they continue."""
+        p = take[t]
+        if p is None and len(g) == before[t]:
+            return g
+        out = np.zeros((before[t], g.shape[1]), dtype=g.dtype)
+        if p is None:
+            out[:len(g)] = g
+        else:
+            np.add.at(out, p, g)
+        return out
 
     def bwd(g_hs):
-        # tanh(cs) differs from the step's own tanh only on masked rows,
-        # whose dh and dc the mask zeroes
-        h_in, c_in, tanh_c = entering(hs, h0.data), entering(cs, c0.data), np.tanh(cs)
-        dZ = np.empty_like(pre)  # gradient of every step's gate pre-activations
-        dh = np.zeros_like(h0.data)
-        dc = np.zeros_like(c0.data)
-        for t in reversed(steps):
-            a, tc = pre[t], tanh_c[t]
+        tanh_c = np.tanh(cs)
+        dZ = np.empty_like(pre)  # gradient of every row's gate pre-activations
+        h_in = np.empty_like(hs)  # the state each row continues
+        dh = dc = ds = None  # what step t's rows get from the rows continuing them
+        for t in reversed(range(len(sizes))):
+            lo, hi, p = off[t], off[t + 1], take[t]
+            h_prev, c_prev = (h0.data, c0.data) if t == 0 else (hs[off[t - 1]:lo], cs[off[t - 1]:lo])
+            h_prev, c_prev = (h_prev[:hi - lo], c_prev[:hi - lo]) if p is None else (h_prev[p], c_prev[p])
+            h_in[lo:hi] = h_prev
+            a, tc = pre[lo:hi], tanh_c[lo:hi]
             i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
-            dh += g_hs[t]
-            dh_new, dc_new = (dh * keep[t], dc * keep[t]) if ragged[t] else (dh, dc)
-            dc_new = dc_new + dh_new * o * (1.0 - tc * tc)
-            dz = dZ[t]
+            dh_new = g_hs[lo:hi] if dh is None else g_hs[lo:hi] + dh
+            dc_new = dh_new * o * (1.0 - tc * tc)
+            if dc is not None:
+                dc_new += dc
+            dz = dZ[lo:hi]
             np.multiply(dc_new, g, out=dz[:, :H])
-            np.multiply(dc_new, c_in[t], out=dz[:, H:2 * H])
+            np.multiply(dc_new, c_prev, out=dz[:, H:2 * H])
             np.multiply(dh_new, tc, out=dz[:, 2 * H:3 * H])
             np.multiply(dc_new, i, out=dz[:, 3 * H:])
             dact = a * (1.0 - a)  # sigmoid' on i, f, o
             dact[:, 3 * H:] = 1.0 - g * g  # tanh' on g
             dz *= dact
-            dh_in, dc_in = dz @ Wh.T, dc_new * f
-            if ragged[t]:  # a masked row passes its gradients on unchanged
-                dh_in, dc_in = np.where(keep[t], dh_in, dh), np.where(keep[t], dc_in, dc)
-            dh, dc = dh_in, dc_in
-        rows = dZ.reshape(T * B, 4 * H)
-        dW = [x.data.reshape(T * B, n_in).T @ rows]
+            dh, dc = to_parents(t, _mm(dz, Wh.T)), to_parents(t, dc_new * f)
+            if static is not None:  # a lane's static row sums its rows' dz
+                ds = to_parents(t, dz if ds is None else dz + ds)
+        dW = [x.data.T @ dZ]
         if static is not None:
-            dZ_seq = dZ.sum(axis=0)
-            dW.append(static.data.T @ dZ_seq)
-            _accum(static, dZ_seq @ Ws.T)
-        dW.append(h_in.reshape(T * B, H).T @ rows)
+            dW.append(static.data.T @ ds)
+            _accum(static, _mm(ds, Ws.T))
+        dW.append(h_in.T @ dZ)
         _accum(W, np.concatenate(dW))
-        _accum(b, rows.sum(axis=0))
-        _accum(x, (rows @ Wx.T).reshape(x.data.shape))
+        _accum(b, dZ.sum(axis=0))
+        _accum(x, _mm(dZ, Wx.T))
         _accum(h0, dh)
         _accum(c0, dc)
 
-    return _result(hs, parents, bwd), c
+    return _result(hs, inputs, bwd), c
 
 
 def contract(spec, a, b):
@@ -553,7 +589,7 @@ def affine_log_softmax_pick(x, W, b, targets):
                          f"{b.data.shape}, targets {idx.shape}")
     scored = np.flatnonzero(idx >= 0)  # the rows with a target, in row-major order
     rows = x.data.reshape(-1, W.data.shape[0])[scored]
-    logp = rows @ W.data
+    logp = _mm(rows, W.data)
     logp += b.data
     n, V = logp.shape
     logp -= logp.max(axis=-1, keepdims=True)
@@ -573,7 +609,7 @@ def affine_log_softmax_pick(x, W, b, targets):
         np.subtract(0.0, grad, out=grad)
         grad[at] += g
         dx = np.zeros((idx.size, W.data.shape[0]), dtype=grad.dtype)
-        dx[scored] = grad @ W.data.T
+        dx[scored] = _mm(grad, W.data.T)
         _accum(x, dx.reshape(x.data.shape))
         _accum_product(W, rows.T, grad)
         _accum(b, grad.sum(axis=0))

@@ -71,22 +71,37 @@ def _draw_z(enc_final, user_idx, params, config, draws):
     return np.where(mean, prior.mu.data, M.sample_z(prior, [noise[s] for s in seeds]).data)
 
 
-def _rows(enc, src, z, e_users, config):
-    """Decoder rows that read encoder row src[j], z row z[j] and user row
-    e_users[src[j]] (a lookup made once per call): (the encoder states
-    attention reads, None without attention; z; the decoder's user embedding)."""
-    enc_k = M.EncoderOutput(final=None, states=ad.constant(enc.states.data[:, src]),
-                            mask=enc.mask[src]) if config.use_attention else None
-    z = ad.constant(z) if z is not None else None
-    e_u = ad.constant(e_users.data[src]) if config.decoder_uses_user else None
-    return enc_k, z, e_u
+def _set_up(queries, users, draws, params, config):
+    """The decoder inputs of a group, one row per lane.  The queries (users
+    holds each query's user) are encoded once; draws holds each lane's
+    (query row, z_mode, seed) for _draw_z.  Returns (the encoder states
+    attention reads, None without attention; z; the decoder's user
+    embedding; each lane's user; the initial state (h0, c0))."""
+    enc = M.encode_batch(*M.pad_batch(queries), params, config)
+    src = np.array([row for row, _, _ in draws])
+    z = _draw_z(enc.final, users, params, config, draws)
+    e_u = M.user_embedding(users[src], params, config) if config.decoder_uses_user else None
+    return (_rows(enc, src) if config.use_attention else None,
+            None if z is None else ad.constant(z), e_u, users[src],
+            M.decoder_init_state(ad.constant(enc.final.data[src]), params, config))
 
 
-def _check(query, user_index, config):
+def _rows(enc, src):
+    """The encoder states and mask of rows src[j] of enc, for attention."""
+    return M.EncoderOutput(final=None, states=ad.constant(enc.states.data[:, src]),
+                           mask=enc.mask[src])
+
+
+def _check(where, query, user_index, config, replies=()):
+    """Reject a request or item before any decoding, naming it (where)."""
     if not query:
-        raise ContractError("empty query")
+        raise ContractError(f"{where}: empty query")
     if not 0 <= user_index < config.num_users:
-        raise ContractError(f"unknown user index {user_index}")
+        raise ContractError(f"{where}: unknown user index {user_index}")
+    for tokens in (query, *replies):
+        if tokens and (min(tokens) < 0 or max(tokens) >= config.vocab_size):
+            bad = next(t for t in tokens if not 0 <= t < config.vocab_size)
+            raise ContractError(f"{where}: token {bad} outside [0, {config.vocab_size})")
 
 
 def _groups(items, costs, caps):
@@ -118,8 +133,8 @@ def generate_many(requests, params, config):
     (at most MAX_ROWS rows; longer lists run in groups), and one top-W
     selection per step serves them all.  Each request keeps its own z, user,
     max_length, finished list and stop rule, and is checked before any decoding."""
-    for r in requests:
-        _check(r.query, r.user_index, config)
+    for i, r in enumerate(requests):
+        _check(f"request {i}", r.query, r.user_index, config)
     return [hyps for group in _groups(requests, [(r.beam_width,) for r in requests], (MAX_ROWS,))
             for hyps in _beam_search(group, params, config)]
 
@@ -128,12 +143,11 @@ def _beam_search(requests, params, config):
     users = np.array([r.user_index for r in requests], dtype=np.int64)
     widths = np.array([r.beam_width for r in requests])
     lengths = np.array([r.max_length for r in requests])
-    with no_grad():
-        enc = M.encode_batch(*M.pad_batch([r.query for r in requests]), params, config)
-        z_all = _draw_z(enc.final, users, params, config,
-                        [(i, r.z_mode, r.seed) for i, r in enumerate(requests)])
-        e_users = M.user_embedding(users, params, config)
-        h, c = (s.data for s in M.decoder_init_state(enc.final, params, config))
+    with no_grad():  # one lane per request
+        enc, z_all, e_users, _, state = _set_up(
+            [r.query for r in requests], users,
+            [(i, r.z_mode, r.seed) for i, r in enumerate(requests)], params, config)
+        h, c = (s.data for s in state)
         # per request: its finished hypotheses, then the beams it leaves with
         finished = [[] if n else [Hypothesis([], h.dtype.type(0))] for n in lengths]
         done = np.zeros(len(requests), dtype=np.int64)  # EOS hypotheses
@@ -145,11 +159,11 @@ def _beam_search(requests, params, config):
         tokens, scores = np.full((len(live), 1), BOS), np.zeros(len(live), dtype=h.dtype)
         h, c = h[live], c[live]
         while len(live):
-            enc_k, z, e_u = _rows(enc, src, z_all[src] if z_all is not None else None,
-                                  e_users, config)
-            logp, (h_new, c_new) = M.decode_step(tokens[:, -1], (ad.constant(h), ad.constant(c)),
-                                                 z, e_u, enc_k, params, config,
-                                                 user_idx=users[src])
+            logp, (h_new, c_new) = M.decode_step(
+                tokens[:, -1], (ad.constant(h), ad.constant(c)),
+                None if z_all is None else ad.constant(z_all.data[src]),
+                None if e_users is None else ad.constant(e_users.data[src]),
+                None if enc is None else _rows(enc, src), params, config, user_idx=users[src])
             logp = logp.data
             logp[:, [PAD, UNK, BOS]] = -np.inf
             if step == 0:
@@ -221,17 +235,18 @@ def score_many(items, params, config, seeds):
     ranking metric depends on raw scores).  Returns one
     (len(seeds), len(replies)) float64 array per item.
 
-    Every item is checked before any decoding.  An item is len(seeds) x
-    len(replies) decoder rows; items run in groups of at most MAX_ROWS rows
-    whose output buffer holds at most MAX_SCORED floats, and an item over
-    either cap runs alone.  Each group makes one encoder pass, one prior,
-    one decoder initial state and one teacher-forced pass."""
+    Every item is checked before any decoding, its token ids too.  An item
+    is len(seeds) x len(replies) rows; items run in groups of at most
+    MAX_ROWS rows whose output buffer holds at most MAX_SCORED floats, and
+    an item over either cap runs alone.  Each group makes one encoder pass
+    and one prior, and one teacher-forced pass in which each (item, seed)
+    is a lane: its replies share the decoder steps of their common prefixes."""
     if not seeds:
         raise ContractError("no seeds to score with")
-    for query, replies, user_index in items:
+    for i, (query, replies, user_index) in enumerate(items):
         if not replies or any(not r for r in replies):
-            raise ContractError("replies must be nonempty")
-        _check(query, user_index, config)
+            raise ContractError(f"item {i}: replies must be nonempty")
+        _check(f"item {i}", query, user_index, config, replies)
     costs = [(len(seeds) * len(replies),
               len(seeds) * sum(len(r) + 1 for r in replies) * config.vocab_size)  # +1: EOS
              for _, replies, _ in items]
@@ -241,22 +256,20 @@ def score_many(items, params, config, seeds):
 
 def _score_group(items, params, config, seeds):
     """score_many of one group: its rows run item by item, within an item
-    seed by seed, within a seed reply by reply."""
+    seed by seed, within a seed reply by reply.  Each (item, seed) is one
+    lane of teacher_forced_log_probs, so its replies share their common
+    prefixes' decoder steps."""
     widths = [len(replies) for _, replies, _ in items]
     rows = [len(seeds) * w for w in widths]
     users = np.array([u for _, _, u in items], dtype=np.int64)
-    src = np.repeat(np.arange(len(items)), rows)  # each row's item
     with no_grad():
-        enc = M.encode_batch(*M.pad_batch([q for q, _, _ in items]), params, config)
-        z_all = _draw_z(enc.final, users, params, config,
-                        [(i, "sample", seed) for i in range(len(items)) for seed in seeds])
-        z = None if z_all is None else np.repeat(z_all, [w for w in widths for _ in seeds], axis=0)
-        u_rows = users[src]
-        enc_n, z, e_u = _rows(enc, src, z, M.user_embedding(users, params, config), config)
-        state = M.decoder_init_state(ad.constant(enc.final.data[src]), params, config)
+        enc, z, e_u, lane_users, state = _set_up(
+            [q for q, _, _ in items], users,
+            [(i, "sample", seed) for i in range(len(items)) for seed in seeds], params, config)
         r_idx, r_len = M.pad_batch([r for _, replies, _ in items for _ in seeds for r in replies])
-        lp = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc_n, params, config,
-                                        user_idx=u_rows)
+        lanes = np.repeat(np.arange(len(items) * len(seeds)), np.repeat(widths, len(seeds)))
+        lp = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc, params, config,
+                                        user_idx=lane_users, lanes=lanes)
     scores = lp.data.astype(np.float64)
     return [scores[end - n:end].reshape(len(seeds), w)
             for end, n, w in zip(accumulate(rows), rows, widths)]

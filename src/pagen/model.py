@@ -1,4 +1,4 @@
-"""Network components: embeddings, masked bi-directional LSTM encoder,
+"""Network components: embeddings, packed bi-directional LSTM encoder,
 prior/posterior networks, decoder with optional attention, the five
 baseline variants as configuration, and the binary checkpoint format.
 """
@@ -169,11 +169,21 @@ class GaussianParams:
     log_var: Tensor
 
 
-@dataclass
 class EncoderOutput:
-    final: Tensor            # (batch, 2*encoder_hidden)
-    states: Tensor           # (T, batch, 2*encoder_hidden), for attention
-    mask: np.ndarray         # (batch, T) 0/1 validity
+    """An encoder pass: final, the (batch, 2*encoder_hidden) encodings; mask,
+    the (batch, T) 0/1 validity; and states, the (T, batch,
+    2*encoder_hidden) grid attention reads.  states may be given as a
+    function that builds it, which runs on first use, so that a model
+    without attention never builds it."""
+
+    def __init__(self, final, states, mask):
+        self.final, self.mask, self._states = final, mask, states
+
+    @property
+    def states(self):
+        if callable(self._states):
+            self._states = self._states()
+        return self._states
 
 
 # ---------------------------------------------------------------------------
@@ -272,27 +282,48 @@ def pad_batch(token_lists):
 
 
 def encode_batch(idx, lengths, params, config):
-    """Masked bi-directional LSTM over a padded batch of token indices.
+    """Bi-directional LSTM over a padded batch of token indices.
 
-    The backward direction runs t = T-1 .. 0 with the same validity mask,
-    so its state at step t summarizes tokens t..len-1 of each row and its
-    final state is the full backward encoding.
+    Each direction is one packed ad.lstm with the rows longest first, so
+    step t runs only the rows longer than t.  The backward direction is a
+    forward pass over each row's tokens reversed, so its state at position
+    t summarizes tokens t..len-1 of the row and its final state is the
+    full backward encoding.  states is the (T, B, 2H) grid attention
+    reads, built on first use: at a padded position, the forward half
+    holds the row's final state and the backward half zeros, the states a
+    masked step-by-step pass would hold there.
     """
     B, T = idx.shape
     H = config.encoder_hidden
-    if (lengths <= 0).any():
+    if lengths.min() <= 0:
         raise ContractError("encode: empty input sequence")
-    emb = ad.embedding(params["word_emb"], idx.T)
-    dtype = emb.dtype
-    valid = (np.arange(T)[None, :] < lengths[:, None]).astype(dtype)
+    order = np.argsort(-lengths, kind="stable")
+    n, rows = lengths[order], idx[order]
+    step = np.arange(n[0])[:, None]
+    live = step < n  # in length order, each step's rows are a prefix
+    sizes = live.sum(axis=1)
+    tokens = {"fwd": rows.T[:n[0]][live],
+              "bwd": rows[np.arange(B), np.maximum(n - 1 - step, 0)][live]}
+    dtype = params["word_emb"].dtype
     zeros = ad.constant(np.zeros((B, H), dtype=dtype))
-    fwd, _ = ad.lstm(emb, params["enc_fwd_W"], params["enc_fwd_b"], zeros, zeros, mask=valid.T)
-    bwd, _ = ad.lstm(emb, params["enc_bwd_W"], params["enc_bwd_b"], zeros, zeros,
-                     mask=valid.T, reverse=True)
-    states = ad.concat([fwd, bwd], axis=2)  # final reads it, so it always reaches the loss
-    final = ad.concat([ad.index(states, (T - 1, ..., slice(H))),
-                       ad.index(states, (0, ..., slice(H, None)))], axis=1)
-    return EncoderOutput(final=final, states=states, mask=valid)
+    fwd, bwd = (ad.lstm(ad.embedding(params["word_emb"], tokens[d]), params[f"enc_{d}_W"],
+                        params[f"enc_{d}_b"], zeros, zeros, sizes=sizes)[0]
+                for d in ("fwd", "bwd"))
+    # step t of row b is packed row first[t] + its rank, in both directions
+    first, rank = np.cumsum(sizes) - sizes, np.argsort(order)
+    last = lengths - 1
+
+    def states():
+        pos = np.arange(T)[:, None]
+        # past a row's end, the forward half reads its last step and the
+        # backward half the zero row after the N packed ones
+        at_bwd = np.where(pos <= last, first[np.maximum(last - pos, 0)] + rank, len(tokens["fwd"]))
+        zero = ad.constant(np.zeros((1, H), dtype=dtype))
+        return ad.concat([ad.embedding(fwd, first[np.minimum(pos, last)] + rank),
+                          ad.embedding(ad.concat([bwd, zero], axis=0), at_bwd)], axis=2)
+
+    return EncoderOutput(final=ad.embedding(ad.concat([fwd, bwd], axis=1), first[last] + rank),
+                         states=states, mask=(np.arange(T) < lengths[:, None]).astype(dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +382,17 @@ def _attention_context(h_dec, enc, params):
     return ad.contract(f"{w},sbd->{q}", weights, enc.states)
 
 
-def decoder_lstm(prev_idx, state, z, e_u, params, config):
-    """The decoder's recurrence over time-major (T, B) previous tokens: one
-    LSTM on [embedding of prev; z; e_u], where [z; e_u] is the same at
-    every step.  Only (h, c) carries from one step to the next.  Returns
-    (hs (T, B, Hd), final cell c)."""
+def decoder_lstm(tokens, sizes, parents, state, z, e_u, params, config):
+    """The decoder's recurrence over packed previous tokens (ad.lstm's
+    layout: sizes per step, parents): one LSTM on [embedding of prev; z;
+    e_u], where [z; e_u] is one row per row of the initial state, the same
+    at every step.  Only (h, c) carries from one step to the next.
+    Returns (hs (N, Hd), the cells of the last step's rows)."""
     parts = [t for t, used in ((z, config.is_latent), (e_u, config.decoder_uses_user)) if used]
     static = ad.concat(parts, axis=1) if len(parts) > 1 else (parts[0] if parts else None)
-    x = ad.embedding(params["word_emb"], np.asarray(prev_idx))
-    return ad.lstm(x, params["dec_W"], params["dec_b"], *state, static=static)
+    x = ad.embedding(params["word_emb"], tokens)
+    return ad.lstm(x, params["dec_W"], params["dec_b"], *state, sizes=sizes, parents=parents,
+                   static=static)
 
 
 def output_logits(h, enc, params, config, user_idx=None, targets=None):
@@ -388,8 +421,8 @@ def output_logits(h, enc, params, config, user_idx=None, targets=None):
 
 def decode_logits(prev_idx, state, z, e_u, enc, params, config, user_idx=None):
     """One decoder step from the (B,) previous tokens; returns (logits, new_state)."""
-    hs, c = decoder_lstm(np.asarray(prev_idx)[None], state, z, e_u, params, config)
-    h = ad.index(hs, 0)
+    prev_idx = np.asarray(prev_idx)
+    h, c = decoder_lstm(prev_idx, [len(prev_idx)], None, state, z, e_u, params, config)
     return output_logits(h, enc, params, config, user_idx=user_idx), (h, ad.constant(c))
 
 
@@ -409,27 +442,92 @@ def user_embedding(user_idx, params, config):
     return ad.embedding(params["user_emb"], user_idx)
 
 
+def reply_tree(targets, lengths, lanes=None):
+    """The decoder rows of teacher forcing for B rows of (T, B) time-major
+    targets (each row's reply tokens, then EOS at t == its length): one
+    node per distinct (lane, tokens before step t) among the rows that
+    reach step t, and one output pair per distinct (lane, targets up to
+    step t), its node and its target.  lanes None gives each row its own
+    lane, so nothing is shared.  The rows are ordered once, longest first
+    (lanes None) or by (lane, targets), so that each level's nodes are runs
+    of rows, and no loop runs per level.
+
+    Returns (tokens, sizes, parents), the nodes in ad.lstm's layout with
+    each node's input token (BOS at step 0, where a node's parent is its
+    lane); (pair_node, pair_target, pair_lane), the pairs in time order;
+    and row_pair (T, B), the pair row b reads at step t, past its length
+    its last one.  With lanes None the pairs are the (t, b) up to b's
+    length, in row-major order."""
+    B = len(lengths)
+    T = int(lengths.max()) + 1
+    t = np.arange(T)[:, None]
+    if lanes is None:
+        order = lane = np.argsort(-lengths, kind="stable")
+        node = pair = t <= lengths[order]
+    else:
+        # each row's tokens, then -1 for its end and -2 past it, so that two
+        # rows share a prefix of their keys only while both are live
+        key = np.where(t < lengths, targets[:T], -1 - (t > lengths))
+        order = np.lexsort(np.concatenate([key[::-1], lanes[None]]))
+        key, lane = key[:, order], lanes[order]
+        # the first level at which each row differs from the row before it:
+        # 0 in another lane, t + 1 where key t is the first that differs
+        differ = np.concatenate([lane[None, 1:] != lane[None, :-1], key[:, 1:] != key[:, :-1],
+                                 np.ones((1, B - 1), dtype=bool)])
+        level = np.concatenate([[0], differ.argmax(axis=0)])
+        live = key > -2
+        node, pair = live & (level <= t), live & (level <= t + 1)
+    targets = targets[:T, order]
+    ids = np.cumsum(node, axis=1) - 1  # each live row's node, counted within its step
+    sizes = node.sum(axis=1)
+    tokens = np.concatenate([np.full((1, B), BOS), targets[:-1]])[node]
+    parents = np.concatenate([lane[None], ids[:-1]])[node]
+    number = np.cumsum(pair).reshape(T, B) - 1  # each live row's pair
+    row_pair = np.empty((T, B), dtype=np.int64)
+    row_pair[:, order] = number[np.minimum(t, lengths[order]), np.arange(B)]
+    return (tokens, sizes, parents, (ids + (np.cumsum(sizes) - sizes)[:, None])[pair],
+            targets[pair], np.broadcast_to(lane, pair.shape)[pair], row_pair)
+
+
 def teacher_forced_log_probs(reply_idx, reply_lengths, state, z, e_u, enc, params,
-                             config, user_idx=None):
-    """Per-example sum of log p(token) over the reply plus EOS, teacher forced.
+                             config, user_idx=None, lanes=None):
+    """Per-row sum of log p(token) over the reply plus EOS, teacher forced.
 
     reply_idx: (B, Tr) padded, no BOS/EOS.  Returns a (B,) tensor of
-    log-probabilities (non-positive).  One LSTM runs over the whole
-    sequence; the output layer then runs once over the N scored states
-    (step t of row b for t <= its length), and padding never reaches it.
+    log-probabilities (non-positive).  lanes: an optional (B,) lane per
+    row.  The rows of lane l share row l of state, z, e_u, enc and
+    user_idx, which then hold one row per lane; None gives each row its
+    own lane, as in training.  The decoder runs once per node of
+    reply_tree, so the rows of a lane share the steps of a common prefix,
+    and the output layer once per pair of reply_tree; each row's picked
+    log-probabilities are summed in time order.  With lanes, the sums are
+    a constant: scoring runs under no_grad.
     """
+    if lanes is not None and ad.grad_enabled():
+        raise ContractError("teacher_forced_log_probs: lanes score under no_grad only")
     B, Tr = reply_idx.shape
     # time-major (Tr + 1, B): row t is step t's target; a row scores EOS
     # at t == its length and nothing after it
     t = np.arange(Tr + 1)[:, None]
-    targets = np.where(t < reply_lengths, np.pad(reply_idx.T, ((0, 1), (0, 0))), EOS)
-    inputs = np.concatenate([np.full((1, B), BOS), targets[:-1]])
-    hs, _ = decoder_lstm(inputs, state, z, e_u, params, config)
-    picked = output_logits(hs, enc, params, config, user_idx=user_idx,
-                           targets=np.where(t <= reply_lengths, targets, -1))
-    # a sum over axis 0 adds the steps one by one in time order (numpy
-    # sums along the last axis pairwise, which would round differently)
-    return ad.reduce_sum(picked, axis=0)
+    targets = np.full((Tr + 1, B), EOS)
+    targets[:Tr] = np.where(t[:Tr] < reply_lengths, reply_idx.T, EOS)
+    tokens, sizes, parents, pair_node, pair_target, pair_lane, row_pair = reply_tree(
+        targets, reply_lengths, lanes)
+    hs, _ = decoder_lstm(tokens, sizes, parents, state, z, e_u, params, config)
+    live = t[:len(row_pair)] <= reply_lengths
+    # a sum over axis 0 adds the steps one by one in time order (numpy sums
+    # along the last axis pairwise, which would round differently)
+    if lanes is None:  # the output layer on the (T, B) grid, padding without a target
+        picked = output_logits(ad.embedding(hs, pair_node[row_pair]), enc, params, config,
+                               user_idx=user_idx, targets=np.where(live, targets[:len(live)], -1))
+        return ad.reduce_sum(picked, axis=0)
+    if config.use_attention:
+        enc = EncoderOutput(final=None, states=ad.constant(enc.states.data[:, pair_lane]),
+                            mask=enc.mask[pair_lane])
+    picked = output_logits(ad.constant(hs.data[pair_node]), enc, params, config,
+                           user_idx=None if user_idx is None else user_idx[pair_lane],
+                           targets=pair_target)
+    return ad.constant(np.where(live, picked.data[row_pair], 0).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -97,32 +97,38 @@ def primitive_cases(seed=0):
     cases.append(("pick_3d", lambda: ad.reduce_sum(ad.exp(ad.pick(steps, idx3))),
                   {"steps": steps}))
 
-    # the fused LSTM: its states and the final state indexed from them
-    # reach the loss through their own random weights
+    # the fused LSTM on packed rows: its states and the last step's states
+    # reach the loss through their own random weights.  plain: B rows at
+    # each of T steps; packed: rows ending at different steps; shared: a
+    # prefix tree, where rows share a parent and the backward sums their
+    # gradients into it
     T, B, n_in, n_s, H = 4, 3, 3, 2, 2
-    seq_x = _param(rng, T, B, n_in)
+    seq_x = _param(rng, T * B, n_in)
     static = _param(rng, B, n_s)
     h0, c0 = _param(rng, B, H), _param(rng, B, H)
     bias = _param(rng, 4 * H)
     W_plain = _param(rng, n_in + H, 4 * H)
     W_static = _param(rng, n_in + n_s + H, 4 * H)
     # mix[2] is unused, but drawn so that the cases below keep their inputs
-    mix = [rng.standard_normal(s) for s in ((T, B, H), (B, H), (B, H))]
-    ragged = np.arange(T)[:, None] < np.array([4, 1, 2])[None, :]
+    mix = [rng.standard_normal(s) for s in ((T * B, H), (B, H), (B, H))]
+    layouts = {"plain": ([B] * T, None), "packed": ([3, 2, 1, 1], None),
+               "shared": ([2, 3, 2], [2, 0, 0, 0, 1, 2, 2])}
 
-    def lstm_loss(W, **kw):
-        hs, _ = ad.lstm(seq_x, W, bias, h0, c0, **kw)
-        h = ad.index(hs, 0 if kw.get("reverse") else -1)
-        return ad.add(ad.reduce_sum(ad.mul(ad.tanh(hs), ad.constant(mix[0]))),
-                      ad.reduce_sum(ad.mul(h, ad.constant(mix[1]))))
+    def lstm_loss(W, layout, **kw):
+        sizes, parents = layouts[layout]
+        n = sum(sizes)
+        hs, _ = ad.lstm(ad.index(seq_x, slice(n)), W, bias, h0, c0, sizes=sizes,
+                        parents=parents, **kw)
+        h = ad.index(hs, slice(n - sizes[-1], n))
+        return ad.add(ad.reduce_sum(ad.mul(ad.tanh(hs), ad.constant(mix[0][:n]))),
+                      ad.reduce_sum(ad.mul(h, ad.constant(mix[1][:sizes[-1]]))))
 
     state = {"x": seq_x, "h0": h0, "c0": c0, "b": bias}
-    cases.append(("lstm", lambda: lstm_loss(W_plain), dict(state, W=W_plain)))
-    cases.append(("lstm_masked", lambda: lstm_loss(W_plain, mask=ragged),
-                  dict(state, W=W_plain)))
-    cases.append(("lstm_reverse", lambda: lstm_loss(W_plain, mask=ragged, reverse=True),
-                  dict(state, W=W_plain)))
-    cases.append(("lstm_static", lambda: lstm_loss(W_static, static=static),
+    cases.append(("lstm", lambda: lstm_loss(W_plain, "plain"), dict(state, W=W_plain)))
+    cases.append(("lstm_packed", lambda: lstm_loss(W_plain, "packed"), dict(state, W=W_plain)))
+    cases.append(("lstm_shared", lambda: lstm_loss(W_static, "shared", static=static),
+                  dict(state, W=W_static, static=static)))
+    cases.append(("lstm_static", lambda: lstm_loss(W_static, "plain", static=static),
                   dict(state, W=W_static, static=static)))
 
     # matmul with a bias, on (B, .) and on (T, B, .) rows

@@ -64,8 +64,8 @@ def test_shape_errors_name_the_op():
     with pytest.raises(ShapeError, match="pick"):
         ad.pick(Tensor(np.ones((2, 3, 4))), np.zeros((2, 4), dtype=np.int64))
     with pytest.raises(ShapeError, match="lstm"):  # W has no rows for the state
-        ad.lstm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 8))), Tensor(np.ones(8)),
-                Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))))
+        ad.lstm(Tensor(np.ones((6, 4))), Tensor(np.ones((4, 8))), Tensor(np.ones(8)),
+                Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))), sizes=[3, 3])
     with pytest.raises(ShapeError, match="contract"):
         ad.contract("ij,jk->ik", a, a)
     with pytest.raises(ShapeError, match="contract"):
@@ -210,24 +210,25 @@ def test_no_grad_is_per_thread():
 def test_lstm_under_no_grad_keeps_no_backward():
     rng = np.random.default_rng(0)
     args = [Tensor(rng.standard_normal(s), requires_grad=True)
-            for s in ((3, 2, 4), (4 + 5, 20), (20,), (2, 5), (2, 5))]
+            for s in ((6, 4), (4 + 5, 20), (20,), (2, 5), (2, 5))]
+    layout = dict(sizes=[2, 3, 1], parents=[1, 0, 0, 1, 1, 2])
     with ad.no_grad():
-        hs, c = ad.lstm(*args, mask=np.ones((3, 2)), reverse=True)
-        h = ad.index(hs, 0)
-    assert hs.shape == (3, 2, 5) and h.shape == c.shape == (2, 5)
+        hs, c = ad.lstm(*args, **layout)
+        h = ad.index(hs, slice(5, 6))
+    assert hs.shape == (6, 5) and h.shape == c.shape == (1, 5)
     for t in (hs, h):
         assert not t.requires_grad and t._backward is None and t._parents == ()
-    hs_rec, c_rec = ad.lstm(*args, mask=np.ones((3, 2)), reverse=True)
-    assert np.array_equal(hs.data, hs_rec.data) and np.array_equal(h.data, hs.data[0])
+    hs_rec, c_rec = ad.lstm(*args, **layout)
+    assert np.array_equal(hs.data, hs_rec.data) and np.array_equal(h.data, hs.data[5:])
     assert np.array_equal(c, c_rec) and hs_rec._backward is not None
 
 
 def test_one_lstm_call_adds_one_graph_node(monkeypatch):
-    """ad.lstm records its states hs as its only node; the final cell is a
-    plain array beside it."""
+    """ad.lstm records its states hs as its only node; the last step's cells
+    are a plain array beside it."""
     rng = np.random.default_rng(1)
     args = [Tensor(rng.standard_normal(s), requires_grad=True)
-            for s in ((3, 2, 4), (4 + 5, 20), (20,), (2, 5), (2, 5))]
+            for s in ((6, 4), (4 + 5, 20), (20,), (2, 5), (2, 5))]
     nodes, real = [], ad._result
 
     def spy(*a):
@@ -235,70 +236,103 @@ def test_one_lstm_call_adds_one_graph_node(monkeypatch):
         return nodes[-1]
 
     monkeypatch.setattr(ad, "_result", spy)
-    hs, c = ad.lstm(*args)
+    hs, c = ad.lstm(*args, sizes=[2, 2, 2])
     assert nodes == [hs] and isinstance(c, np.ndarray) and c.shape == (2, 5)
 
 
-def _lstm_step_by_step(xs, W, b, h0, c0, static, mask, reverse):
+def _packed(grid, lengths, reverse=False):
+    """The rows of a time-major (T, B, ...) grid in ad.lstm's packed layout,
+    rows longest first: row b's steps are its first lengths[b] positions,
+    or those positions last to first (reverse, as the encoder's backward
+    direction reads them).  Returns (packed rows, sizes, order, at), where
+    at[t, b] is the packed row of grid position (t, b), -1 past the row's
+    end."""
+    T, B = grid.shape[:2]
+    order = np.argsort(-lengths, kind="stable")
+    step = np.arange(T)[:, None]
+    live = step < lengths[order]
+    src = np.where(live, lengths[order] - 1 - step, 0) if reverse else np.broadcast_to(step, live.shape)
+    number = np.cumsum(live).reshape(live.shape) - 1  # the packed row of (step, sorted row)
+    s = lengths - 1 - step if reverse else np.broadcast_to(step, (T, B))
+    at = np.where(step < lengths, number[np.clip(s, 0, T - 1), np.argsort(order)], -1)
+    return grid[src, order][live], live.sum(axis=1)[:lengths.max()], order, at
+
+
+def _lstm_step_by_step(x, W, b, h0, c0, static, sizes, parents):
     """Reference for ad.lstm: the same layer built one step at a time from
-    elementary ops, with a masked step as keep * new + (1 - keep) * old."""
+    elementary ops, each step's parent states (and each row's static row)
+    gathered by ad.embedding, whose backward sums a parent's children."""
     def sigmoid(x):  # 0.5 tanh(x / 2) + 0.5
         return ad.add_const(ad.scale(ad.tanh(ad.scale(x, 0.5)), 0.5), 0.5)
 
     H = h0.shape[1]
-    h, c, hs = h0, c0, [None] * len(xs)
-    for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
-        inputs = [xs[t]] + ([static] if static is not None else []) + [h]
-        z = ad.add(ad.matmul(ad.concat(inputs, axis=1), W), b)
+    h, c, lane, hs, first = h0, c0, static, [], 0
+    for n in sizes:
+        p = np.arange(n) if parents is None else np.asarray(parents[first:first + n])
+        h, c = ad.embedding(h, p), ad.embedding(c, p)
+        lane = None if static is None else ad.embedding(lane, p)
+        inputs = [ad.index(x, slice(first, first + n))] + ([lane] if static is not None else [])
+        z = ad.add(ad.matmul(ad.concat(inputs + [h], axis=1), W), b)
         i, f, o = (sigmoid(ad.index(z, np.s_[:, k * H:(k + 1) * H])) for k in range(3))
         g = ad.tanh(ad.index(z, np.s_[:, 3 * H:]))
-        c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h_new = ad.mul(o, ad.tanh(c_new))
-        if mask is not None:
-            keep = Tensor(np.repeat(mask[t][:, None].astype(float), H, axis=1))
-            drop = Tensor(1.0 - keep.data)
-            h_new = ad.add(ad.mul(keep, h_new), ad.mul(drop, h))
-            c_new = ad.add(ad.mul(keep, c_new), ad.mul(drop, c))
-        h, c = h_new, c_new
-        hs[t] = h
-    return hs, h, c
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, ad.tanh(c))
+        hs.append(h)
+        first += n
+    return ad.concat(hs, axis=0), c
 
 
-@pytest.mark.parametrize("variant", ["plain", "masked", "reverse", "static"])
+# ragged rows for the masked and reverse layouts, and a prefix tree whose
+# rows share parents, at step 0 (an h0 row) and later
+LSTM_LENGTHS = np.array([5, 2, 3])
+LSTM_TREE = ([2, 3, 2, 2, 1], [2, 0, 0, 0, 1, 2, 2, 1, 1, 0])
+
+
+@pytest.mark.parametrize("variant", ["plain", "masked", "reverse", "static", "shared"])
 def test_lstm_matches_step_by_step_graph(variant):
-    """Loss, final cell and every gradient (through the states and the
-    final h, an index of them) agree with the step-by-step reference to
-    float64 rounding."""
+    """Loss, the last step's cells and every gradient (through the states
+    and the last step's states, a slice of them) agree with the step-by-step
+    reference to float64 rounding.  masked and reverse pack ragged rows
+    longest first, masked with each row's state read from its own h0 row
+    (step 0's parents permute h0); shared is a prefix tree with a static
+    input, so BPTT sums the gradients of a parent's children and of a
+    lane's static row."""
     rng = np.random.default_rng(5)
     T, B, n_in, H = 5, 3, 4, 6
-    n_s = 3 if variant == "static" else 0
-    x = rng.standard_normal((T, B, n_in))
+    n_s = 3 if variant in ("static", "shared") else 0
+    grid = rng.standard_normal((T, B, n_in))
     data = {k: rng.standard_normal(shape) for k, shape in (
         ("W", (n_in + n_s + H, 4 * H)), ("b", (4 * H,)), ("h0", (B, H)), ("c0", (B, H)),
         ("static", (B, n_s)))}
-    mask = np.arange(T)[:, None] < np.array([5, 2, 3]) if variant != "plain" else None
-    mix = rng.standard_normal((T, B, H))
+    if variant in ("masked", "reverse"):
+        x, sizes, order, _ = _packed(grid, LSTM_LENGTHS, reverse=variant == "reverse")
+        parents = None
+        if variant == "masked":
+            parents = np.concatenate([order] + [np.arange(n) for n in sizes[1:]])
+    elif variant == "shared":
+        sizes, parents = LSTM_TREE
+        x = grid.reshape(T * B, n_in)[:sum(sizes)]
+    else:
+        x, sizes, parents = grid.reshape(T * B, n_in), [B] * T, None
+    mix = rng.standard_normal((len(x), H))
+    last = slice(len(x) - sizes[-1], len(x))
 
     def run(fused):
         p = {k: Tensor(v.copy(), requires_grad=True) for k, v in data.items()}
-        args = (p["W"], p["b"], p["h0"], p["c0"])
-        static, reverse = (p["static"] if n_s else None), variant == "reverse"
+        xs = Tensor(x.copy(), requires_grad=True)
+        args = (xs, p["W"], p["b"], p["h0"], p["c0"])
+        static = p["static"] if n_s else None
         if fused:
-            xs = Tensor(x.copy(), requires_grad=True)
-            hs, c = ad.lstm(xs, *args, static=static, mask=mask, reverse=reverse)
-            h = ad.index(hs, 0 if reverse else T - 1)
-            terms = [ad.mul(ad.tanh(hs), Tensor(mix))]
+            hs, c = ad.lstm(*args, sizes=sizes, parents=parents, static=static)
         else:
-            xs = [Tensor(x[t].copy(), requires_grad=True) for t in range(T)]
-            hs, h, c = _lstm_step_by_step(xs, *args, static, mask, reverse)
+            hs, c = _lstm_step_by_step(*args, static, sizes, parents)
             c = c.data
-            terms = [ad.mul(ad.tanh(hs[t]), Tensor(mix[t])) for t in range(T)]
-        loss = ad.reduce_sum(ad.mul(h, h))
-        for term in terms:
-            loss = ad.add(loss, ad.reduce_sum(term))
+        h = ad.index(hs, last)
+        loss = ad.add(ad.reduce_sum(ad.mul(h, h)),
+                      ad.reduce_sum(ad.mul(ad.tanh(hs), Tensor(mix))))
         backward(loss)
         grads = {k: v.grad for k, v in p.items() if k != "static" or n_s}
-        grads["x"] = xs.grad if fused else np.stack([t.grad for t in xs])
+        grads["x"] = xs.grad
         return float(loss.data), c, grads
 
     loss, c, grads = run(fused=True)
@@ -311,8 +345,10 @@ def test_lstm_matches_step_by_step_graph(variant):
 
 
 def _lstm_halving_pre_np(x, W, b, h0, c0, static, mask, reverse):
-    """ad.lstm's forward as it was before it halved each step: the whole
-    pre-activation block times half, and h @ (W_h * half)."""
+    """ad.lstm's forward as it was before it halved each step, and before it
+    packed its rows: the whole (T, B) pre-activation block times half, and
+    h @ (W_h * half), with a masked step keeping its row's state and
+    reverse running the steps t = T-1 .. 0."""
     T, B, n_in = x.shape
     H = h0.shape[1]
     n_s = 0 if static is None else static.shape[1]
@@ -324,7 +360,7 @@ def _lstm_halving_pre_np(x, W, b, h0, c0, static, mask, reverse):
         pre += static @ Ws
     pre *= half
     Wh_half = Wh * half
-    h, c, hs = h0, c0, np.empty((T, B, H), dtype=x.dtype)
+    h, c, hs, cs = h0, c0, np.empty((T, B, H), dtype=x.dtype), np.empty((T, B, H), dtype=x.dtype)
     for t in (range(T - 1, -1, -1) if reverse else range(T)):
         a = np.tanh(pre[t] + h @ Wh_half) * half + shift
         c_new = a[:, H:2 * H] * c + a[:, :H] * a[:, 3 * H:]
@@ -333,14 +369,19 @@ def _lstm_halving_pre_np(x, W, b, h0, c0, static, mask, reverse):
             keep = mask[t][:, None]
             h_new, c_new = np.where(keep, h_new, h), np.where(keep, c_new, c)
         h, c = h_new, c_new
-        hs[t] = h
-    return hs, c
+        hs[t], cs[t] = h, c
+    return hs, cs
 
 
 @pytest.mark.parametrize("variant", ["plain", "masked", "reverse", "static"])
 def test_lstm_forward_is_bitwise_the_halved_block_formula(variant):
     """Halving each step's gate pre-activations gives the bits of halving
-    the whole block and W_h: a power-of-two scale commutes with rounding."""
+    the whole block and W_h: a power-of-two scale commutes with rounding.
+    And packing gives the bits of a masked (T, B) pass: masked runs each
+    row's first steps, reverse each row's steps last to first, as the
+    encoder's backward direction does, each step only on its live rows
+    (one of them, at the last steps, as the first row of a two-row
+    product)."""
     rng = np.random.default_rng(11)
     T, B, n_in, H = 7, 5, 6, 9
     n_s = 4 if variant == "static" else 0
@@ -348,16 +389,23 @@ def test_lstm_forward_is_bitwise_the_halved_block_formula(variant):
         ("x", (T, B, n_in)), ("W", (n_in + n_s + H, 4 * H)), ("b", (4 * H,)),
         ("h0", (B, H)), ("c0", (B, H)), ("static", (B, n_s)))}
     static = f32["static"] if n_s else None
-    mask = np.arange(T)[:, None] < rng.integers(1, T + 1, B) if variant != "plain" else None
+    lengths = rng.integers(1, T + 1, B) if variant in ("masked", "reverse") else np.full(B, T)
+    lengths[np.argmax(lengths)] = T  # one row runs every step, alone at the last ones
+    mask = np.arange(T)[:, None] < lengths if variant != "plain" else None
     reverse = variant == "reverse"
-    want_hs, want_c = _lstm_halving_pre_np(f32["x"], f32["W"], f32["b"], f32["h0"], f32["c0"],
-                                           static, mask, reverse)
+    want_hs, want_cs = _lstm_halving_pre_np(f32["x"], f32["W"], f32["b"], f32["h0"],
+                                            f32["c0"], static, mask, reverse)
+    x, sizes, order, at = _packed(f32["x"], lengths, reverse)
+    h0, c0 = f32["h0"][order], f32["c0"][order]  # the packed rows are longest first
+    live = at >= 0
     for grad in (True, False):
-        args = [Tensor(f32[k], requires_grad=grad) for k in ("x", "W", "b", "h0", "c0")]
-        hs, c = ad.lstm(*args, static=None if static is None else Tensor(static),
-                        mask=mask, reverse=reverse)
+        args = [Tensor(a, requires_grad=grad) for a in (x, f32["W"], f32["b"], h0, c0)]
+        hs, c = ad.lstm(*args, sizes=sizes,
+                        static=None if static is None else Tensor(static[order]))
         assert hs.data.dtype == np.float32
-        assert hs.data.tobytes() == want_hs.tobytes() and c.tobytes() == want_c.tobytes()
+        assert hs.data[at[live]].tobytes() == want_hs[live].tobytes()
+        ends = (lengths - 1)[order[:sizes[-1]]] if not reverse else np.zeros(sizes[-1], int)
+        assert c.tobytes() == want_cs[ends, order[:sizes[-1]]].tobytes()
 
 
 def test_hinge_floor_values_and_subgradient():

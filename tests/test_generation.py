@@ -348,7 +348,8 @@ def test_generate_many_of_no_requests_is_empty():
 
 
 @pytest.mark.parametrize("bad", [GenRequest(query=[]), GenRequest(query=[5], user_index=4),
-                                 GenRequest(query=[5], user_index=-1)])
+                                 GenRequest(query=[5], user_index=-1), GenRequest(query=[5, 30]),
+                                 GenRequest(query=[-1, 5])])
 @pytest.mark.parametrize("cap", [1, G.MAX_ROWS])
 def test_generate_many_checks_every_request_before_decoding(bad, cap, monkeypatch):
     params, cfg = _model(variant="PAGENERATOR")
@@ -392,6 +393,83 @@ def test_score_rounds_is_bitwise_per_seed_scoring(variant, extra):
         assert row.tobytes() == want.tobytes()
         single = score_responses(query, replies, 2, params, cfg, seed=seed)
         assert single.tobytes() == want.tobytes()
+
+
+# items whose replies share prefixes: duplicates, replies that are prefixes
+# of others and one-token replies; the second item alone with one seed is
+# one lane, whose first step is a single node
+TREE_ITEMS = [([5, 9, 14], [[6, 7, 8], [6, 7], [6, 7, 8], [6], [10, 11], [6, 7, 8, 9], [6]], 1),
+              ([7, 12], [[13], [13], [14, 6]], 2)]
+
+
+@pytest.mark.parametrize("use_attention", [False, True])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_tree_scoring_is_bitwise_the_row_by_row_sum(variant, use_attention, monkeypatch):
+    """score_many runs each (item, seed) as one lane of the reply tree.  It
+    gives the bits of teacher forcing every reply on a row of its own
+    (lanes=None) with its lane's set-up copied to the row, as scoring did
+    before the tree, while its decoder runs fewer rows than there are live
+    (row, step) pairs.  At decoder_hidden=64 a one-row product rounds
+    differently from a many-row one, so a one-node step would show."""
+    params, cfg = _model(variant=variant, seed=4, decoder_hidden=64, use_attention=use_attention)
+    for p in params.values():
+        p.data *= 4.0  # so that a last-bit difference in a state reaches the scores
+    decoded, decoder_lstm = [], M.decoder_lstm
+
+    def spy(tokens, sizes, *a):
+        decoded.append(list(sizes))
+        return decoder_lstm(tokens, sizes, *a)
+
+    monkeypatch.setattr(M, "decoder_lstm", spy)
+    for items, seeds in ((TREE_ITEMS, [0, 5]), (TREE_ITEMS[1:], [3])):
+        decoded.clear()
+        got = score_many(items, params, cfg, seeds)
+        [sizes] = decoded
+        draws = [(i, "sample", seed) for i in range(len(items)) for seed in seeds]
+        replies = [items[i][1] for i, _, _ in draws]
+        with ad.no_grad():
+            enc, z, e_u, users, state = G._set_up(
+                [q for q, _, _ in items], np.array([u for _, _, u in items]), draws, params, cfg)
+            lane = np.repeat(np.arange(len(draws)), [len(r) for r in replies])
+            r_idx, r_len = M.pad_batch([r for rs in replies for r in rs])
+
+            def rows(t):
+                return None if t is None else ad.constant(t.data[lane])
+
+            want = M.teacher_forced_log_probs(
+                r_idx, r_len, tuple(map(rows, state)), rows(z), rows(e_u),
+                None if enc is None else G._rows(enc, lane), params, cfg, user_idx=users[lane])
+        assert np.concatenate([g.ravel() for g in got]).tobytes() == \
+            want.data.astype(np.float64).tobytes()
+        assert sizes[0] == len(draws) and sum(sizes) < (r_len + 1).sum()
+
+
+@pytest.mark.parametrize("variant,extra", BATCHED)
+def test_grouping_moves_no_bit(variant, extra, monkeypatch):
+    """At decoder_hidden=64, where numpy's one-row product rounds
+    differently from a many-row one, every request and every item gives
+    the same bits in one group as alone (MAX_ROWS=1): no product has one
+    row."""
+    params, cfg = _model(variant=variant, seed=6, decoder_hidden=64, **extra)
+    for p in params.values():
+        p.data *= 4.0  # so that a last-bit difference in a state reaches the outputs
+    reqs, items = _mixed_requests(seed=7, n=8), _mixed_items(seed=8, n=8)
+    grouped = generate_many(reqs, params, cfg), score_many(items, params, cfg, [1, 2])
+    monkeypatch.setattr(G, "MAX_ROWS", 1)
+    alone = generate_many(reqs, params, cfg), score_many(items, params, cfg, [1, 2])
+    assert [[(h.tokens, h.log_prob) for h in hyps] for hyps in grouped[0]] == \
+        [[(h.tokens, h.log_prob) for h in hyps] for hyps in alone[0]]
+    assert [s.tobytes() for s in grouped[1]] == [s.tobytes() for s in alone[1]]
+
+
+def test_teacher_forcing_with_lanes_needs_no_grad():
+    params, cfg = _model(variant="S2SA")
+    with ad.no_grad():
+        enc = M.encode_batch(*M.pad_batch([[5, 6]]), params, cfg)
+    state = M.decoder_init_state(enc.final, params, cfg)
+    with pytest.raises(ContractError, match="no_grad"):
+        M.teacher_forced_log_probs(np.array([[6, 7], [6, 0]]), np.array([2, 1]), state, None,
+                                   None, enc, params, cfg, lanes=np.array([0, 0]))
 
 
 def _mixed_items(seed=0, n=9):
@@ -458,7 +536,8 @@ def test_score_many_groups_stay_under_both_caps(caps, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [([], [[6]], 0), ([5], [], 0), ([5], [[6], []], 0),
-                                 ([5], [[6]], 4), ([5], [[6]], -1)])
+                                 ([5], [[6]], 4), ([5], [[6]], -1), ([5], [[6], [7, 30]], 0),
+                                 ([5, -1], [[6]], 0)])
 def test_score_many_checks_every_item_before_decoding(bad, monkeypatch):
     params, cfg = _model(variant="PAGENERATOR")
     encoded = []
@@ -467,6 +546,19 @@ def test_score_many_checks_every_item_before_decoding(bad, monkeypatch):
     with pytest.raises(ContractError):
         score_many([([5, 6], [[7]], 1), bad, ([7], [[8, 9]], 2)], params, cfg, [0])
     assert not encoded
+
+
+def test_a_bad_token_is_named_with_its_item_or_request():
+    """A token outside [0, vocab_size), in a query or a reply, fails before
+    any decoding with the index of its item or request and the token."""
+    params, cfg = _model(variant="PAGENERATOR")
+    good = ([5, 6], [[7]], 1)
+    with pytest.raises(ContractError, match=r"item 1: token 30 outside \[0, 30\)"):
+        score_many([good, ([5], [[6], [7, 30]], 0)], params, cfg, [0])
+    with pytest.raises(ContractError, match=r"item 2: token -3 outside"):
+        score_many([good, good, ([5, -3], [[6]], 0)], params, cfg, [0])
+    with pytest.raises(ContractError, match=r"request 1: token -1 outside"):
+        generate_many([GenRequest(query=[5]), GenRequest(query=[-1, 5])], params, cfg)
 
 
 def test_score_many_of_no_items_is_empty():

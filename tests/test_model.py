@@ -281,6 +281,30 @@ def test_teacher_forcing_matches_decode_step_loop(variant, use_attention):
     assert np.allclose(got, expect, rtol=0.0, atol=1e-10)
 
 
+def test_reply_tree_shares_each_prefix_once():
+    """Replies [6, 7] twice, [6] and [8] in lane 0 and [6] in lane 1: the
+    decoder runs one node per (lane, prefix) and the output layer one pair
+    per (lane, prefix, target), where a reply's end targets EOS."""
+    r_idx, r_len = M.pad_batch([[6, 7], [6, 7], [6], [8], [6]])
+    t = np.arange(r_idx.shape[1] + 1)[:, None]
+    targets = np.where(t < r_len, np.pad(r_idx.T, ((0, 1), (0, 0))), EOS)
+    tokens, sizes, parents, pair_node, pair_target, pair_lane, row_pair = M.reply_tree(
+        targets, r_len, np.array([0, 0, 0, 0, 1]))
+    assert sizes.tolist() == [2, 3, 1]
+    assert tokens.tolist() == [BOS, BOS, 6, 8, 6, 7]
+    assert parents.tolist() == [0, 1, 0, 0, 1, 0]
+    assert pair_node.tolist() == [0, 0, 1, 2, 2, 3, 4, 5]
+    assert pair_target.tolist() == [6, 8, 6, EOS, 7, EOS, EOS, EOS]
+    assert pair_lane.tolist() == [0, 0, 1, 0, 0, 0, 1, 0]
+    # each row's pairs in time order, then its last one again
+    assert row_pair.T.tolist() == [[0, 4, 7], [0, 4, 7], [0, 3, 3], [1, 5, 5], [2, 6, 6]]
+    # without lanes nothing is shared: the rows run longest first
+    tokens, sizes, parents, pair_node, pair_target, _, row_pair = M.reply_tree(targets, r_len)
+    assert sizes.tolist() == [5, 5, 2] and parents.tolist() == [0, 1, 2, 3, 4] + [0, 1, 2, 3, 4, 0, 1]
+    assert pair_target[row_pair].T.tolist() == [[6, 7, EOS], [6, 7, EOS], [6, EOS, EOS],
+                                              [8, EOS, EOS], [6, EOS, EOS]]
+
+
 SCORING_SETUPS = [(v, False) for v in M.VARIANTS] + [("S2SA", True), ("FACT_BIAS", True)]
 
 
@@ -465,9 +489,9 @@ def test_forward_holds_one_logits_sized_array():
 
 def test_lstm_holds_its_states_and_cells_only(monkeypatch):
     """After a toy PAGENERATOR forward each of its five LSTM calls holds
-    two (T, B, H) arrays for its backward, the states hs and the cells cs:
-    the backward rebuilds the state entering each step and tanh of each
-    cell from them."""
+    two (N, H) arrays for its backward, the states hs and the cells cs of
+    its packed rows: the backward rebuilds the state each row continues
+    and tanh of each cell from them."""
     cfg = toy_config("PAGENERATOR")
     params = M.init_params(cfg, seed=41)
     noise = np.random.default_rng(42).standard_normal((3, cfg.z_dim)).astype(np.float32)
