@@ -546,23 +546,32 @@ def reduce_mean(a, axis=None):
 def pick(a, indices):
     """Entries of a along its last axis, for cross-entropy.  indices has
     a's leading axes (one entry per row), or one more axis (K entries per
-    row): out[..., k] = a[..., indices[..., k]]."""
+    row): out[..., k] = a[..., indices[..., k]], a take of flat positions."""
     idx = np.asarray(indices)
-    lead = a.data.shape[:-1]
+    lead, n = a.data.shape[:-1], a.data.shape[-1]
     if not lead or idx.shape[:len(lead)] != lead or idx.ndim > len(lead) + 1:
         raise ShapeError(f"pick: {a.data.shape} with indices {idx.shape}")
-    flat = a.data.reshape(-1, a.data.shape[-1])
-    rows = np.arange(flat.shape[0])[:, None]
-    cols = idx.reshape(flat.shape[0], -1)
+    if idx.min(initial=0) < 0 or idx.max(initial=0) >= n:
+        raise ContractError(f"pick: index out of range for rows of {n} entries")
+    rows = np.arange(a.data.size // n).reshape(lead + (1,) * (idx.ndim - len(lead)))
+    return take(a, rows * n + idx)
+
+
+def take(a, indices):
+    """Entries of a at flat positions, a.reshape(-1)[indices], in the
+    indices' shape; position -1 means none and reads 0.  The backward adds
+    g into a zeros buffer by one flat np.add.at, so a position taken twice
+    sums its gradients."""
+    idx = np.asarray(indices)
+    if idx.min(initial=0) < -1 or idx.max(initial=0) >= a.data.size:
+        raise ContractError(f"take: index out of range for {a.data.size} entries")
 
     def bwd(g):
-        full = np.zeros(a.data.size, dtype=a.data.dtype)
-        # add.at, as a row may pick one entry twice; one 1-D call over flat
-        # indices is bitwise the 2-D one, and faster
-        np.add.at(full, (rows * flat.shape[1] + cols).reshape(-1), g.reshape(-1))
-        _accum(a, full.reshape(a.data.shape))
+        full = np.zeros(a.data.size + 1, dtype=a.data.dtype)  # -1 adds into the last
+        np.add.at(full, idx.reshape(-1), g.reshape(-1))
+        _accum(a, full[:-1].reshape(a.data.shape))
 
-    return _result(flat[rows, cols].reshape(idx.shape), (a,), bwd)
+    return _result(np.concatenate((a.data.reshape(-1), np.zeros(1, a.dtype)))[idx], (a,), bwd)
 
 
 # the log-softmax's exp-sums run over row blocks of about this many bytes

@@ -289,9 +289,9 @@ def encode_batch(idx, lengths, params, config):
     forward pass over each row's tokens reversed, so its state at position
     t summarizes tokens t..len-1 of the row and its final state is the
     full backward encoding.  states is the (T, B, 2H) grid attention
-    reads, built on first use: at a padded position, the forward half
-    holds the row's final state and the backward half zeros, the states a
-    masked step-by-step pass would hold there.
+    reads, built on first use.  A padded position repeats the row's last
+    one; attention weighs it by exactly 0 (exp(-1e9 - max) underflows), so
+    no output reads it.
     """
     B, T = idx.shape
     H = config.encoder_hidden
@@ -315,12 +315,8 @@ def encode_batch(idx, lengths, params, config):
 
     def states():
         pos = np.arange(T)[:, None]
-        # past a row's end, the forward half reads its last step and the
-        # backward half the zero row after the N packed ones
-        at_bwd = np.where(pos <= last, first[np.maximum(last - pos, 0)] + rank, len(tokens["fwd"]))
-        zero = ad.constant(np.zeros((1, H), dtype=dtype))
         return ad.concat([ad.embedding(fwd, first[np.minimum(pos, last)] + rank),
-                          ad.embedding(ad.concat([bwd, zero], axis=0), at_bwd)], axis=2)
+                          ad.embedding(bwd, first[np.maximum(last - pos, 0)] + rank)], axis=2)
 
     return EncoderOutput(final=ad.embedding(ad.concat([fwd, bwd], axis=1), first[last] + rank),
                          states=states, mask=(np.arange(T) < lengths[:, None]).astype(dtype))
@@ -442,51 +438,61 @@ def user_embedding(user_idx, params, config):
     return ad.embedding(params["user_emb"], user_idx)
 
 
-def reply_tree(targets, lengths, lanes=None):
-    """The decoder rows of teacher forcing for B rows of (T, B) time-major
-    targets (each row's reply tokens, then EOS at t == its length): one
-    node per distinct (lane, tokens before step t) among the rows that
-    reach step t, and one output pair per distinct (lane, targets up to
-    step t), its node and its target.  lanes None gives each row its own
-    lane, so nothing is shared.  The rows are ordered once, longest first
-    (lanes None) or by (lane, targets), so that each level's nodes are runs
-    of rows, and no loop runs per level.
+def reply_tree(reply_idx, lengths, lanes):
+    """The decoder rows of teacher forcing for the B padded replies of
+    reply_idx (B, Tr), row b in lane lanes[b], each scoring its tokens and
+    then EOS at step t == its length: one node per distinct (lane, tokens
+    before step t) among the rows that reach step t, and one output pair
+    per distinct (lane, targets up to step t), its node and its target.
+    The rows are ordered once, by their lane's longest row, then lane, then
+    targets, so that each level's nodes are runs of rows and no loop runs
+    per level; with one row per lane that is longest first, and each step
+    after the first continues its rows in place (ad.lstm's slice fast path).
 
     Returns (tokens, sizes, parents), the nodes in ad.lstm's layout with
     each node's input token (BOS at step 0, where a node's parent is its
-    lane); (pair_node, pair_target, pair_lane), the pairs in time order;
-    and row_pair (T, B), the pair row b reads at step t, past its length
-    its last one.  With lanes None the pairs are the (t, b) up to b's
-    length, in row-major order."""
+    lane); (node, target), the (J, lanes) grid of pairs, column l holding
+    lane l's pairs, row after row and each row's in time order, and target
+    -1 below them; and row_pair (T, B), the flat grid position of the pair
+    row b reads at step t, -1 past its length."""
     B = len(lengths)
     T = int(lengths.max()) + 1
     t = np.arange(T)[:, None]
-    if lanes is None:
-        order = lane = np.argsort(-lengths, kind="stable")
-        node = pair = t <= lengths[order]
-    else:
-        # each row's tokens, then -1 for its end and -2 past it, so that two
-        # rows share a prefix of their keys only while both are live
-        key = np.where(t < lengths, targets[:T], -1 - (t > lengths))
-        order = np.lexsort(np.concatenate([key[::-1], lanes[None]]))
-        key, lane = key[:, order], lanes[order]
-        # the first level at which each row differs from the row before it:
-        # 0 in another lane, t + 1 where key t is the first that differs
-        differ = np.concatenate([lane[None, 1:] != lane[None, :-1], key[:, 1:] != key[:, :-1],
-                                 np.ones((1, B - 1), dtype=bool)])
-        level = np.concatenate([[0], differ.argmax(axis=0)])
-        live = key > -2
-        node, pair = live & (level <= t), live & (level <= t + 1)
-    targets = targets[:T, order]
-    ids = np.cumsum(node, axis=1) - 1  # each live row's node, counted within its step
+    live = t <= lengths
+    # the sort keys: each row's lane's longest row, its lane, then its
+    # targets: its tokens, EOS at its end and past it a key above every
+    # token, so a row that ends sorts after the rows sharing its prefix
+    longest = np.zeros(lanes.max() + 1, dtype=lengths.dtype)
+    np.maximum.at(longest, lanes, lengths)
+    keys = np.concatenate([-longest[lanes][None], lanes[None], np.where(live, EOS, 1 << 62)])
+    np.copyto(keys[2:-1], reply_idx.T[:T - 1], where=t[:-1] < lengths)
+    order = np.lexsort(keys[::-1])
+    keys, live = keys[1:, order], live[:, order]  # the lanes, then the targets by step
+    lane, target = keys[0], keys[1:]
+    # the first level at which each row differs from the row before it:
+    # 0 in another lane, t + 1 where key t is the first that differs
+    differ = np.concatenate([keys[:, 1:] != keys[:, :-1], np.ones((1, B - 1), dtype=bool)])
+    level = np.concatenate([[0], differ.argmax(axis=0)])
+    node, pair = live & (level <= t), live & (level <= t + 1)
+    # each live row's node, numbered in ad.lstm's order: a row that is not
+    # a node reads the node of the row before it, the last one so far
+    nodes = np.cumsum(node).reshape(T, B) - 1
     sizes = node.sum(axis=1)
-    tokens = np.concatenate([np.full((1, B), BOS), targets[:-1]])[node]
-    parents = np.concatenate([lane[None], ids[:-1]])[node]
-    number = np.cumsum(pair).reshape(T, B) - 1  # each live row's pair
+    tokens = np.concatenate([np.full((1, B), BOS), target[:-1]])[node]
+    parents = np.concatenate([lane[None], nodes[:-1] - (np.cumsum(sizes) - sizes)[:-1, None]])
+    # down a lane's column come its rows' own pairs, row after row: count
+    # them in that order, from the lane's first
+    j = np.cumsum(pair.T).reshape(B, T)
+    j -= np.maximum.accumulate(np.where(level == 0, j[:, 0], 0))[:, None]
+    L = len(longest)
+    at = (j * L + lane[:, None]).T[pair]  # each pair's flat grid position, in time order
+    grid = np.zeros((2, (j.max() + 1) * L), dtype=np.int64)
+    grid[1] = -1
+    grid[0, at], grid[1, at] = nodes[pair], target[pair]
+    # likewise, a live row that is not a pair reads the last pair so far
     row_pair = np.empty((T, B), dtype=np.int64)
-    row_pair[:, order] = number[np.minimum(t, lengths[order]), np.arange(B)]
-    return (tokens, sizes, parents, (ids + (np.cumsum(sizes) - sizes)[:, None])[pair],
-            targets[pair], np.broadcast_to(lane, pair.shape)[pair], row_pair)
+    row_pair[:, order] = np.where(live, at[np.cumsum(pair).reshape(T, B) - 1], -1)
+    return tokens, sizes, parents[node], *grid.reshape(2, -1, L), row_pair
 
 
 def teacher_forced_log_probs(reply_idx, reply_lengths, state, z, e_u, enc, params,
@@ -495,39 +501,21 @@ def teacher_forced_log_probs(reply_idx, reply_lengths, state, z, e_u, enc, param
 
     reply_idx: (B, Tr) padded, no BOS/EOS.  Returns a (B,) tensor of
     log-probabilities (non-positive).  lanes: an optional (B,) lane per
-    row.  The rows of lane l share row l of state, z, e_u, enc and
-    user_idx, which then hold one row per lane; None gives each row its
-    own lane, as in training.  The decoder runs once per node of
-    reply_tree, so the rows of a lane share the steps of a common prefix,
-    and the output layer once per pair of reply_tree; each row's picked
-    log-probabilities are summed in time order.  With lanes, the sums are
-    a constant: scoring runs under no_grad.
+    row, by default one per row, as in training; state, z, e_u, enc and
+    user_idx hold one row per lane.  The decoder runs once per node of
+    reply_tree, so the rows of a lane share a common prefix's steps, and
+    the output layer once per pair, on reply_tree's (J, lanes) grid, whose
+    columns line up with those rows.  Each row gathers its pairs from the
+    grid and sums them in time order.
     """
-    if lanes is not None and ad.grad_enabled():
-        raise ContractError("teacher_forced_log_probs: lanes score under no_grad only")
-    B, Tr = reply_idx.shape
-    # time-major (Tr + 1, B): row t is step t's target; a row scores EOS
-    # at t == its length and nothing after it
-    t = np.arange(Tr + 1)[:, None]
-    targets = np.full((Tr + 1, B), EOS)
-    targets[:Tr] = np.where(t[:Tr] < reply_lengths, reply_idx.T, EOS)
-    tokens, sizes, parents, pair_node, pair_target, pair_lane, row_pair = reply_tree(
-        targets, reply_lengths, lanes)
+    lanes = np.arange(len(reply_lengths)) if lanes is None else np.asarray(lanes)
+    tokens, sizes, parents, node, target, row_pair = reply_tree(reply_idx, reply_lengths, lanes)
     hs, _ = decoder_lstm(tokens, sizes, parents, state, z, e_u, params, config)
-    live = t[:len(row_pair)] <= reply_lengths
+    picked = output_logits(ad.embedding(hs, node), enc, params, config, user_idx=user_idx,
+                           targets=target)
     # a sum over axis 0 adds the steps one by one in time order (numpy sums
     # along the last axis pairwise, which would round differently)
-    if lanes is None:  # the output layer on the (T, B) grid, padding without a target
-        picked = output_logits(ad.embedding(hs, pair_node[row_pair]), enc, params, config,
-                               user_idx=user_idx, targets=np.where(live, targets[:len(live)], -1))
-        return ad.reduce_sum(picked, axis=0)
-    if config.use_attention:
-        enc = EncoderOutput(final=None, states=ad.constant(enc.states.data[:, pair_lane]),
-                            mask=enc.mask[pair_lane])
-    picked = output_logits(ad.constant(hs.data[pair_node]), enc, params, config,
-                           user_idx=None if user_idx is None else user_idx[pair_lane],
-                           targets=pair_target)
-    return ad.constant(np.where(live, picked.data[row_pair], 0).sum(axis=0))
+    return ad.reduce_sum(ad.take(picked, row_pair), axis=0)
 
 
 # ---------------------------------------------------------------------------

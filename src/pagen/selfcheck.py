@@ -151,6 +151,9 @@ def primitive_cases(seed=0):
     cases.append(("affine_log_softmax_pick", lambda: ad.reduce_sum(ad.mul(
         ad.affine_log_softmax_pick(out_x, out_W, out_b, out_idx), weights)),
         {"x": out_x, "W": out_W, "b": out_b}))
+    # teacher forcing's gather from the output grid: a position taken twice, none (-1)
+    grid, at = _param(rng, 3, 4), [[0, 5, 5], [11, -1, 0]]
+    cases.append(("take", lambda: ad.reduce_sum(ad.exp(ad.take(grid, at))), {"a": grid}))
     return cases
 
 

@@ -150,6 +150,21 @@ def test_embedding_index_contract():
         ad.embedding(table, np.array([0, 4]))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_take_reads_zero_at_minus_one_and_sums_repeats(dtype):
+    """take reads flat positions in the indices' shape and keeps a's dtype;
+    -1 reads 0 and takes no gradient, a repeated position sums its
+    gradients, and a position outside [-1, a.size) raises ContractError."""
+    a = Tensor(np.arange(6, dtype=dtype).reshape(2, 3) + 1, requires_grad=True)
+    out = ad.take(a, [[5, -1], [0, 5]])
+    assert out.data.dtype == dtype and out.data.tolist() == [[6, 0], [1, 6]]
+    backward(ad.reduce_sum(ad.mul(out, Tensor(np.array([[1, 2], [3, 4]], dtype=dtype)))))
+    assert a.grad.dtype == dtype and a.grad.tolist() == [[3, 0, 0], [0, 0, 5]]
+    for bad in ([6], [-2]):
+        with pytest.raises(ContractError, match="take"):
+            ad.take(a, bad)
+
+
 def test_scatter_gradients_are_bitwise_add_at_with_repeated_indices():
     """embedding adds its gradient into table.grad, and pick into a zeros
     buffer, by one flat 1-D np.add.at; with repeated indices that equals

@@ -1,9 +1,12 @@
 """Unit tests for beam search decoding and response scoring."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import np_oracle
 from conftest import toy_config
@@ -396,9 +399,11 @@ def test_score_rounds_is_bitwise_per_seed_scoring(variant, extra):
 
 
 # items whose replies share prefixes: duplicates, replies that are prefixes
-# of others and one-token replies; the second item alone with one seed is
-# one lane, whose first step is a single node
-TREE_ITEMS = [([5, 9, 14], [[6, 7, 8], [6, 7], [6, 7, 8], [6], [10, 11], [6, 7, 8, 9], [6]], 1),
+# of others, one-token replies and a reply that holds EOS where another
+# ends; the second item alone with one seed is one lane, whose first step
+# is a single node
+TREE_ITEMS = [([5, 9, 14], [[6, 7, 8], [6, 7], [6, 7, 8], [6], [10, 11], [6, 7, 8, 9], [6],
+                            [6, EOS, 8]], 1),
               ([7, 12], [[13], [13], [14, 6]], 2)]
 
 
@@ -462,14 +467,70 @@ def test_grouping_moves_no_bit(variant, extra, monkeypatch):
     assert [s.tobytes() for s in grouped[1]] == [s.tobytes() for s in alone[1]]
 
 
-def test_teacher_forcing_with_lanes_needs_no_grad():
-    params, cfg = _model(variant="S2SA")
-    with ad.no_grad():
-        enc = M.encode_batch(*M.pad_batch([[5, 6]]), params, cfg)
-    state = M.decoder_init_state(enc.final, params, cfg)
-    with pytest.raises(ContractError, match="no_grad"):
-        M.teacher_forced_log_probs(np.array([[6, 7], [6, 0]]), np.array([2, 1]), state, None,
-                                   None, enc, params, cfg, lanes=np.array([0, 0]))
+@pytest.mark.parametrize("use_attention", [False, True])
+@pytest.mark.parametrize("variant", ["PAGENERATOR", "FACT_BIAS"])
+def test_teacher_forcing_with_lanes_trains_as_copied_rows(variant, use_attention):
+    """With grad enabled, in float64, teacher forcing with lanes gives the
+    loss and every parameter gradient of the lanes=None pass with each
+    lane's set-up copied to its rows: a shared node or pair sums the
+    gradients of its rows.  Lane 0 holds shared prefixes, a duplicate reply
+    and a one-token reply."""
+    cfg = toy_config(variant=variant, use_attention=use_attention)
+    params = M.init_params(cfg, seed=10, dtype=np.float64)
+    for p in params.values():
+        p.data *= 4.0
+    queries, users = [[5, 9, 14], [7, 12]], np.array([1, 2])
+    replies = [[6, 7, 8], [6, 7], [6, 7, 8], [6], [10, 11], [13, 5]]
+    lanes = np.array([0, 0, 0, 0, 0, 1])
+    rng = np.random.default_rng(11)
+    noise, weights = rng.standard_normal((2, cfg.z_dim)), rng.standard_normal(len(replies))
+
+    def loss_and_grads(rows, lanes):
+        for p in params.values():
+            p.zero_grad()
+        enc = M.encode_batch(*M.pad_batch([queries[i] for i in rows]), params, cfg)
+        e_u = M.user_embedding(users[rows], params, cfg)
+        z = (M.sample_z(M.prior_net(enc.final, e_u, params, cfg), noise[rows])
+             if cfg.is_latent else None)
+        lp = M.teacher_forced_log_probs(
+            *M.pad_batch(replies), M.decoder_init_state(enc.final, params, cfg), z,
+            e_u if cfg.decoder_uses_user else None, enc, params, cfg, user_idx=users[rows],
+            lanes=lanes)
+        loss = ad.reduce_sum(ad.mul(lp, ad.constant(weights)))
+        ad.backward(loss)
+        return float(loss.data), {k: p.grad for k, p in params.items() if p.grad is not None}
+
+    loss, grads = loss_and_grads(np.arange(2), lanes)
+    want_loss, want = loss_and_grads(lanes, None)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=0.0)
+    assert grads.keys() == want.keys() and {"dec_W", "out_W", "enc_fwd_W"} <= grads.keys()
+    for k in want:
+        assert np.allclose(grads[k], want[k], rtol=1e-9, atol=1e-12), k
+
+
+# small token ids, so that replies often share prefixes
+_TOKENS = st.lists(st.integers(4, 8), min_size=1, max_size=5)
+_ITEMS = st.lists(st.tuples(_TOKENS, st.lists(_TOKENS, min_size=1, max_size=6),
+                            st.integers(0, 3)), min_size=1, max_size=8)
+
+
+@pytest.mark.parametrize("variant,extra", [("PAGENERATOR", {}), ("S2SA", {"use_attention": True}),
+                                           ("FACT_BIAS", {})])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(items=_ITEMS, max_rows=st.integers(1, 64), seeds=st.lists(st.integers(0, 9), min_size=1,
+                                                                  max_size=3))
+def test_score_many_is_bitwise_per_item_scoring(variant, extra, items, max_rows, seeds):
+    """However MAX_ROWS groups the items, and so whatever the grid's J and
+    lane count, each item's scores have the bits of scoring it alone.  At
+    decoder_hidden=64 a one-row product rounds differently from a many-row
+    one, so a one-row step would show."""
+    params, cfg = _model(variant=variant, seed=12, decoder_hidden=64, **extra)
+    for p in params.values():
+        p.data *= 4.0  # so that a last-bit difference in a state reaches the scores
+    alone = [score_many([item], params, cfg, seeds)[0] for item in items]
+    with mock.patch.object(G, "MAX_ROWS", max_rows):
+        grouped = score_many(items, params, cfg, seeds)
+    assert [s.tobytes() for s in grouped] == [s.tobytes() for s in alone]
 
 
 def _mixed_items(seed=0, n=9):

@@ -228,7 +228,10 @@ def test_attention_log_probs_match_numpy_oracle(variant, use_attention):
     pd = {k: p.data for k, p in params.items()}
     final, states, mask = np_oracle.encoder_np(pd, cfg, q_idx, q_len)
     assert np.allclose(enc.final.data, final, atol=1e-12)
-    assert np.allclose(enc.states.data, states.transpose(1, 0, 2), atol=1e-12)
+    # attention weighs a padded position by exactly 0, so only the valid
+    # positions' states are compared
+    valid = mask.T.astype(bool)
+    assert np.allclose(enc.states.data[valid], states.transpose(1, 0, 2)[valid], atol=1e-12)
     assert np.array_equal(enc.mask, mask)
     h0 = np.tanh(final @ pd["dec_init_W"] + pd["dec_init_b"])
     expect = np_oracle.decoder_logprob_np(pd, cfg, h0, np.zeros_like(h0), z, e_u,
@@ -284,25 +287,34 @@ def test_teacher_forcing_matches_decode_step_loop(variant, use_attention):
 def test_reply_tree_shares_each_prefix_once():
     """Replies [6, 7] twice, [6] and [8] in lane 0 and [6] in lane 1: the
     decoder runs one node per (lane, prefix) and the output layer one pair
-    per (lane, prefix, target), where a reply's end targets EOS."""
+    per (lane, prefix, target), where a reply's end targets EOS.  The pairs
+    form a (J, lanes) grid, each lane's down its column."""
     r_idx, r_len = M.pad_batch([[6, 7], [6, 7], [6], [8], [6]])
-    t = np.arange(r_idx.shape[1] + 1)[:, None]
-    targets = np.where(t < r_len, np.pad(r_idx.T, ((0, 1), (0, 0))), EOS)
-    tokens, sizes, parents, pair_node, pair_target, pair_lane, row_pair = M.reply_tree(
-        targets, r_len, np.array([0, 0, 0, 0, 1]))
+    tokens, sizes, parents, node, target, row_pair = M.reply_tree(
+        r_idx, r_len, np.array([0, 0, 0, 0, 1]))
     assert sizes.tolist() == [2, 3, 1]
     assert tokens.tolist() == [BOS, BOS, 6, 8, 6, 7]
     assert parents.tolist() == [0, 1, 0, 0, 1, 0]
-    assert pair_node.tolist() == [0, 0, 1, 2, 2, 3, 4, 5]
-    assert pair_target.tolist() == [6, 8, 6, EOS, 7, EOS, EOS, EOS]
-    assert pair_lane.tolist() == [0, 0, 1, 0, 0, 0, 1, 0]
-    # each row's pairs in time order, then its last one again
-    assert row_pair.T.tolist() == [[0, 4, 7], [0, 4, 7], [0, 3, 3], [1, 5, 5], [2, 6, 6]]
-    # without lanes nothing is shared: the rows run longest first
-    tokens, sizes, parents, pair_node, pair_target, _, row_pair = M.reply_tree(targets, r_len)
-    assert sizes.tolist() == [5, 5, 2] and parents.tolist() == [0, 1, 2, 3, 4] + [0, 1, 2, 3, 4, 0, 1]
-    assert pair_target[row_pair].T.tolist() == [[6, 7, EOS], [6, 7, EOS], [6, EOS, EOS],
-                                              [8, EOS, EOS], [6, EOS, EOS]]
+    # down lane 0's column: [6]'s pairs, then those [6, 7] adds, then [8]'s
+    assert node.T.tolist() == [[0, 2, 2, 5, 0, 3], [1, 4, 0, 0, 0, 0]]
+    assert target.T.tolist() == [[6, EOS, 7, EOS, 8, EOS], [6, EOS, -1, -1, -1, -1]]
+    # each row's pairs in time order, as (grid row, lane), then -1
+    t = np.arange(3)[:, None]
+    live = (t <= r_len).T
+    assert np.array(divmod(row_pair, 2)).transpose(2, 1, 0)[live].tolist() == [
+        [0, 0], [2, 0], [3, 0], [0, 0], [2, 0], [3, 0], [0, 0], [1, 0], [4, 0], [5, 0],
+        [0, 1], [1, 1]]
+    assert (row_pair.T[~live] == -1).all()
+    # one row per lane: nothing is shared, the rows run longest first, and
+    # after step 0, which reads each row's lane, every row continues itself
+    r_idx, r_len = r_idx[::-1], r_len[::-1]
+    tokens, sizes, parents, node, target, row_pair = M.reply_tree(r_idx, r_len, np.arange(5))
+    assert sizes.tolist() == [5, 5, 2]
+    assert parents.tolist() == [3, 4, 0, 1, 2] + [0, 1, 2, 3, 4] + [0, 1]
+    assert tokens.tolist() == [BOS] * 5 + [6, 6, 6, 8, 6] + [7, 7]
+    assert node.tolist() == [[2, 3, 4, 0, 1], [7, 8, 9, 5, 6], [0, 0, 0, 10, 11]]
+    assert target.tolist() == [[6, 8, 6, 6, 6], [EOS, EOS, EOS, 7, 7], [-1, -1, -1, EOS, EOS]]
+    assert np.array_equal(row_pair, np.where(t <= r_len, t * 5 + np.arange(5), -1))
 
 
 SCORING_SETUPS = [(v, False) for v in M.VARIANTS] + [("S2SA", True), ("FACT_BIAS", True)]
