@@ -317,6 +317,39 @@ def test_reply_tree_shares_each_prefix_once():
     assert np.array_equal(row_pair, np.where(t <= r_len, t * 5 + np.arange(5), -1))
 
 
+def test_reply_tree_matches_a_brute_force_trie():
+    """On random replies (holding BOS, EOS and UNK ids too), random unsorted
+    lanes with gaps and extra padding, reply_tree's nodes are each distinct
+    (lane, prefix) once, its grid pairs each distinct (lane, prefix,
+    target) once in its lane's column, the grid is as tall as the largest
+    lane's pairs, and each row reads its own pairs in time order, then -1."""
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        replies = [list(rng.integers(1, 6, rng.integers(1, 5)))
+                   for _ in range(rng.integers(1, 10))]
+        lanes = rng.integers(0, 4, len(replies))
+        steps = [(r, lane, t) for r, lane in zip(replies, lanes) for t in range(len(r) + 1)]
+        r_idx, r_len = M.pad_batch(replies)
+        tokens, sizes, parents, node, target, row_pair = M.reply_tree(
+            np.pad(r_idx, ((0, 0), (0, rng.integers(0, 3)))), r_len, lanes)
+        prefix, first = {}, np.concatenate([[0], np.cumsum(sizes)])
+        for t in range(len(sizes)):  # each node's (lane, prefix), walking its parents
+            for i in range(first[t], first[t + 1]):
+                lane, before = (parents[i], ()) if t == 0 else prefix[first[t - 1] + parents[i]]
+                prefix[i] = (lane, before + ((tokens[i],) if t else ()))
+        assert sorted(prefix.values()) == sorted({(lane, tuple(r[:t])) for r, lane, t in steps})
+        scored = np.argwhere(target >= 0)
+        assert all(prefix[node[j, lane]][0] == lane for j, lane in scored)
+        assert sorted(prefix[node[j, lane]] + (target[j, lane],) for j, lane in scored) == \
+            sorted({(lane, tuple(r[:t]), (r + [EOS])[t]) for r, lane, t in steps})
+        assert len(node) == np.bincount(scored[:, 1]).max()
+        for b, (r, lane) in enumerate(zip(replies, lanes)):
+            j, col = np.divmod(row_pair[:len(r) + 1, b], node.shape[1])
+            assert (col == lane).all() and (row_pair[len(r) + 1:, b] == -1).all()
+            read = [prefix[node[j[t], lane]][1] + (target[j[t], lane],) for t in range(len(r) + 1)]
+            assert read == [tuple(r[:t]) + ((r + [EOS])[t],) for t in range(len(r) + 1)]
+
+
 SCORING_SETUPS = [(v, False) for v in M.VARIANTS] + [("S2SA", True), ("FACT_BIAS", True)]
 
 
