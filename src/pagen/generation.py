@@ -15,10 +15,10 @@ from .autodiff import ContractError, no_grad
 from .corpus import BOS, EOS, PAD, UNK, UNSPECIFIED_USER
 
 # Most decoder rows in one batch: generate_many splits longer request lists
-# into groups whose beam widths sum to at most this, and score_many groups
-# items by their len(seeds) x len(replies) rows.  Each step holds a few
-# (rows, V) float32 buffers, so at the paper's V=20004 a full group costs
-# about 20 MB per buffer.
+# into groups whose beam widths sum to at most this, score_many groups items
+# by their len(seeds) x len(replies) rows, and both set up at most this many
+# queries at once (_set_up).  A step holds a few (rows, V) float32 buffers,
+# about 20 MB each for a full group at the paper's V=20004.
 MAX_ROWS = 256
 # Most floats in the output buffer (scored tokens x V) of one score_many
 # group, 16 MB of float32.  At V=20004 one item of 10 seeds x 11 replies
@@ -71,25 +71,36 @@ def _draw_z(enc_final, user_idx, params, config, draws):
     return np.where(mean, prior.mu.data, M.sample_z(prior, [noise[s] for s in seeds]).data)
 
 
-def _set_up(queries, users, draws, params, config):
-    """The decoder inputs of a group, one row per lane.  The queries (users
-    holds each query's user) are encoded once; draws holds each lane's
-    (query row, z_mode, seed) for _draw_z.  Returns (the encoder states
-    attention reads, None without attention; z; the decoder's user
-    embedding; each lane's user; the initial state (h0, c0))."""
-    enc = M.encode_batch(*M.pad_batch(queries), params, config)
-    src = np.array([row for row, _, _ in draws])
-    z = _draw_z(enc.final, users, params, config, draws)
-    e_u = M.user_embedding(users[src], params, config) if config.decoder_uses_user else None
-    return (_rows(enc, src) if config.use_attention else None,
-            None if z is None else ad.constant(z), e_u, users[src],
-            M.decoder_init_state(ad.constant(enc.final.data[src]), params, config))
+def _set_up(groups, inputs, params, config):
+    """Each group with its decoder inputs, one row per lane: (the encoder
+    states attention reads, None without attention; z; the decoder's user
+    embedding; each lane's user; the initial state (h0, c0)).  inputs(x) is
+    a request or item's (query, user, [(z_mode, seed) per lane]), as many
+    lanes for each.  A chunk of at most MAX_ROWS queries is set up at once;
+    its groups take their lanes' rows as views, with the attention grid cut
+    to the group's longest query.  Runs under the caller's no_grad."""
+    for chunk in _groups(groups, [(len(g),) for g in groups], (MAX_ROWS,)):
+        queries, users, lanes = zip(*(inputs(x) for g in chunk for x in g))
+        draws = [(i, *d) for i, ds in enumerate(lanes) for d in ds]  # for _draw_z
+        users, src = np.array(users, dtype=np.int64), np.array([row for row, _, _ in draws])
+        idx, lengths = M.pad_batch(queries)
+        enc = M.encode_batch(idx, lengths, params, config)
+        z = _draw_z(enc.final, users, params, config, draws)
+        e_u = M.user_embedding(users[src], params, config) if config.decoder_uses_user else None
+        state = M.decoder_init_state(ad.constant(enc.final.data[src]), params, config)
+        ends = [len(lanes[0]) * n for n in accumulate(map(len, chunk), initial=0)]
+        for group, lo, hi in zip(chunk, ends, ends[1:]):
+            rows = src[lo:hi]
+            yield group, (_rows(enc, rows, lengths[rows].max()) if config.use_attention else None,
+                          None if z is None else ad.constant(z[lo:hi]),
+                          None if e_u is None else ad.constant(e_u.data[lo:hi]),
+                          users[rows], tuple(ad.constant(t.data[lo:hi]) for t in state))
 
 
-def _rows(enc, src):
-    """The encoder states and mask of rows src[j] of enc, for attention."""
-    return M.EncoderOutput(final=None, states=ad.constant(enc.states.data[:, src]),
-                           mask=enc.mask[src])
+def _rows(enc, src, T=None):
+    """The encoder states and mask of rows src[j] of enc, cut to T steps."""
+    return M.EncoderOutput(final=None, states=ad.constant(enc.states.data[:T, src]),
+                           mask=enc.mask[src, :T])
 
 
 def _check(where, query, user_index, config, replies=()):
@@ -135,56 +146,55 @@ def generate_many(requests, params, config):
     max_length, finished list and stop rule, and is checked before any decoding."""
     for i, r in enumerate(requests):
         _check(f"request {i}", r.query, r.user_index, config)
-    return [hyps for group in _groups(requests, [(r.beam_width,) for r in requests], (MAX_ROWS,))
-            for hyps in _beam_search(group, params, config)]
+    groups = list(_groups(requests, [(r.beam_width,) for r in requests], (MAX_ROWS,)))
+    with no_grad():  # one lane per request
+        return [hyps for group, setup in _set_up(
+                    groups, lambda r: (r.query, r.user_index, [(r.z_mode, r.seed)]), params, config)
+                for hyps in _beam_search(group, setup, params, config)]
 
 
-def _beam_search(requests, params, config):
-    users = np.array([r.user_index for r in requests], dtype=np.int64)
+def _beam_search(requests, setup, params, config):
+    enc, z_all, e_users, users, state = setup
     widths = np.array([r.beam_width for r in requests])
     lengths = np.array([r.max_length for r in requests])
-    with no_grad():  # one lane per request
-        enc, z_all, e_users, _, state = _set_up(
-            [r.query for r in requests], users,
-            [(i, r.z_mode, r.seed) for i, r in enumerate(requests)], params, config)
-        h, c = (s.data for s in state)
-        # per request: its finished hypotheses, then the beams it leaves with
-        finished = [[] if n else [Hypothesis([], h.dtype.type(0))] for n in lengths]
-        done = np.zeros(len(requests), dtype=np.int64)  # EOS hypotheses
-        # the live beams of the requests in `live` are rows of tokens (BOS +
-        # tokens), scores (summed log-probs), h and c, grouped by request in
-        # live order: counts[i] rows of request live[i]; src: each row's request
-        live = np.flatnonzero(lengths > 0)
-        src, counts, step = live, np.ones(len(live), dtype=np.int64), 0
-        tokens, scores = np.full((len(live), 1), BOS), np.zeros(len(live), dtype=h.dtype)
-        h, c = h[live], c[live]
-        while len(live):
-            logp, (h_new, c_new) = M.decode_step(
-                tokens[:, -1], (ad.constant(h), ad.constant(c)),
-                None if z_all is None else ad.constant(z_all.data[src]),
-                None if e_users is None else ad.constant(e_users.data[src]),
-                None if enc is None else _rows(enc, src), params, config, user_idx=users[src])
-            logp = logp.data
-            logp[:, [PAD, UNK, BOS]] = -np.inf
-            if step == 0:
-                logp[:, EOS] = -np.inf  # no empty replies
-            req, row, tok, scores = _top(scores[:, None] + logp, counts, widths[live])
-            # EOS retires a hypothesis, the rest carry on
-            eos = tok == EOS
-            for i, r, s in zip(live[req[eos]], row[eos], scores[eos]):
-                finished[i].append(Hypothesis(tokens[r, 1:].tolist(), s))
-            done[live] += np.bincount(req[eos], minlength=len(live))
-            req, row, tok, scores = req[~eos], row[~eos], tok[~eos], scores[~eos]
-            tokens, src = np.concatenate([tokens[row], tok[:, None]], axis=1), live[req]
-            counts = np.bincount(req, minlength=len(live))
-            go = (counts > 0) & (done[live] < widths[live]) & (step + 1 < lengths[live])
-            if not go.all():  # a request that stops leaves with its live beams
-                stay = go[req]
-                for i, t, s in zip(src[~stay], tokens[~stay], scores[~stay]):
-                    finished[i].append(Hypothesis(t[1:].tolist(), s))
-                tokens, scores, row, src = tokens[stay], scores[stay], row[stay], src[stay]
-                live, counts = live[go], counts[go]
-            h, c, step = h_new.data[row], c_new.data[row], step + 1
+    h, c = (s.data for s in state)
+    # per request: its finished hypotheses, then the beams it leaves with
+    finished = [[] if n else [Hypothesis([], h.dtype.type(0))] for n in lengths]
+    done = np.zeros(len(requests), dtype=np.int64)  # EOS hypotheses
+    # the live beams of the requests in `live` are rows of tokens (BOS +
+    # tokens), scores (summed log-probs), h and c, grouped by request in
+    # live order: counts[i] rows of request live[i]; src: each row's request
+    live = np.flatnonzero(lengths > 0)
+    src, counts, step = live, np.ones(len(live), dtype=np.int64), 0
+    tokens, scores = np.full((len(live), 1), BOS), np.zeros(len(live), dtype=h.dtype)
+    h, c = h[live], c[live]
+    while len(live):
+        logp, (h_new, c_new) = M.decode_step(
+            tokens[:, -1], (ad.constant(h), ad.constant(c)),
+            None if z_all is None else ad.constant(z_all.data[src]),
+            None if e_users is None else ad.constant(e_users.data[src]),
+            None if enc is None else _rows(enc, src), params, config, user_idx=users[src])
+        logp = logp.data
+        logp[:, [PAD, UNK, BOS]] = -np.inf
+        if step == 0:
+            logp[:, EOS] = -np.inf  # no empty replies
+        req, row, tok, scores = _top(scores[:, None] + logp, counts, widths[live])
+        # EOS retires a hypothesis, the rest carry on
+        eos = tok == EOS
+        for i, r, s in zip(live[req[eos]], row[eos], scores[eos]):
+            finished[i].append(Hypothesis(tokens[r, 1:].tolist(), s))
+        done[live] += np.bincount(req[eos], minlength=len(live))
+        req, row, tok, scores = req[~eos], row[~eos], tok[~eos], scores[~eos]
+        tokens, src = np.concatenate([tokens[row], tok[:, None]], axis=1), live[req]
+        counts = np.bincount(req, minlength=len(live))
+        go = (counts > 0) & (done[live] < widths[live]) & (step + 1 < lengths[live])
+        if not go.all():  # a request that stops leaves with its live beams
+            stay = go[req]
+            for i, t, s in zip(src[~stay], tokens[~stay], scores[~stay]):
+                finished[i].append(Hypothesis(t[1:].tolist(), s))
+            tokens, scores, row, src = tokens[stay], scores[stay], row[stay], src[stay]
+            live, counts = live[go], counts[go]
+        h, c, step = h_new.data[row], c_new.data[row], step + 1
     return [sorted(hyps, key=lambda hyp: -hyp.normalized())[:r.beam_width]
             for r, hyps in zip(requests, finished)]
 
@@ -238,9 +248,9 @@ def score_many(items, params, config, seeds):
     Every item is checked before any decoding, its token ids too.  An item
     is len(seeds) x len(replies) rows; items run in groups of at most
     MAX_ROWS rows whose output buffer holds at most MAX_SCORED floats, and
-    an item over either cap runs alone.  Each group makes one encoder pass
-    and one prior, and one teacher-forced pass in which each (item, seed)
-    is a lane: its replies share the decoder steps of their common prefixes."""
+    an item over either cap runs alone.  Each chunk of MAX_ROWS items makes
+    one encoder pass and one prior, and each group one teacher-forced pass,
+    with a lane per (item, seed) whose replies share their prefixes' steps."""
     if not seeds:
         raise ContractError("no seeds to score with")
     for i, (query, replies, user_index) in enumerate(items):
@@ -250,26 +260,26 @@ def score_many(items, params, config, seeds):
     costs = [(len(seeds) * len(replies),
               len(seeds) * sum(len(r) + 1 for r in replies) * config.vocab_size)  # +1: EOS
              for _, replies, _ in items]
-    return [scores for group in _groups(items, costs, (MAX_ROWS, MAX_SCORED))
-            for scores in _score_group(group, params, config, seeds)]
+    groups = list(_groups(items, costs, (MAX_ROWS, MAX_SCORED)))
+    draws = [("sample", seed) for seed in seeds]
+    with no_grad():
+        return [scores for group, setup in _set_up(groups, lambda it: (it[0], it[2], draws),
+                                                   params, config)
+                for scores in _score_group(group, setup, params, config, seeds)]
 
 
-def _score_group(items, params, config, seeds):
-    """score_many of one group: its rows run item by item, within an item
-    seed by seed, within a seed reply by reply.  Each (item, seed) is one
-    lane of teacher_forced_log_probs, so its replies share their common
-    prefixes' decoder steps."""
+def _score_group(items, setup, params, config, seeds):
+    """score_many of one group, given its _set_up inputs: its rows run item by
+    item, within an item seed by seed, within a seed reply by reply.  Each
+    (item, seed) is one lane of teacher_forced_log_probs, so its replies
+    share their common prefixes' decoder steps."""
     widths = [len(replies) for _, replies, _ in items]
     rows = [len(seeds) * w for w in widths]
-    users = np.array([u for _, _, u in items], dtype=np.int64)
-    with no_grad():
-        enc, z, e_u, lane_users, state = _set_up(
-            [q for q, _, _ in items], users,
-            [(i, "sample", seed) for i in range(len(items)) for seed in seeds], params, config)
-        r_idx, r_len = M.pad_batch([r for _, replies, _ in items for _ in seeds for r in replies])
-        lanes = np.repeat(np.arange(len(items) * len(seeds)), np.repeat(widths, len(seeds)))
-        lp = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc, params, config,
-                                        user_idx=lane_users, lanes=lanes)
+    enc, z, e_u, users, state = setup
+    r_idx, r_len = M.pad_batch([r for _, replies, _ in items for _ in seeds for r in replies])
+    lanes = np.repeat(np.arange(len(users)), np.repeat(widths, len(seeds)))
+    lp = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc, params, config,
+                                    user_idx=users, lanes=lanes)
     scores = lp.data.astype(np.float64)
     return [scores[end - n:end].reshape(len(seeds), w)
             for end, n, w in zip(accumulate(rows), rows, widths)]

@@ -8,6 +8,7 @@ import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -55,17 +56,20 @@ class BigramLM:
         return tok if tok in self.vocab or tok == BOS_TOK else UNK_TOK
 
     def _count(self, sentences):
-        bi, ctx = Counter(), Counter()
-        for s in sentences:
-            toks = [BOS_TOK, *map(self._norm, s), EOS_TOK]
-            bi.update(zip(toks, toks[1:]))
-            ctx.update(toks[:-1])
+        """Bigram and context counts of each sentence as [<s>, *s, </s>],
+        tokens as given: one Counter over them joined [<s>, *s, </s>, <s>,
+        ...], less each join's (</s>, <s>) bigram and </s> context, which
+        leaves 0 at least, since a sentence may itself hold </s> or <s>."""
+        toks = [BOS_TOK, *chain.from_iterable((*s, EOS_TOK, BOS_TOK) for s in sentences)]
+        bi, ctx = Counter(zip(toks, toks[1:])), Counter(toks[:-1])
+        bi[EOS_TOK, BOS_TOK] -= len(sentences)
+        ctx[EOS_TOK] -= len(sentences)
         return bi, ctx
 
     def fit_user(self, sentences):
         """Finetune on one user's utterances; counts interpolate against
         the shared background at query time."""
-        self.user_bi, self.user_ctx = self._count(sentences)
+        self.user_bi, self.user_ctx = self._count([[*map(self._norm, s)] for s in sentences])
 
     def prob(self, prev, word):
         prev, word = self._norm(prev), self._norm(word)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, asdict, replace
+from itertools import chain
 
 import numpy as np
 
@@ -272,12 +273,12 @@ def init_params(config, seed=0, dtype=np.float32):
 # encoder
 
 def pad_batch(token_lists):
-    """Index lists -> (padded (B, T) int array, lengths (B,))."""
-    lengths = np.array([len(t) for t in token_lists], dtype=np.int64)
-    T = int(lengths.max())
-    out = np.full((len(token_lists), T), PAD, dtype=np.int64)
-    for i, toks in enumerate(token_lists):
-        out[i, :len(toks)] = toks
+    """Index lists -> (padded (B, T) int array, lengths (B,)), filled through
+    one boolean mask, which assigns in row-major order: row by row."""
+    sizes = [*map(len, token_lists)]
+    out, lengths = np.full((len(sizes), max(sizes)), PAD, dtype=np.int64), np.array(sizes)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(token_lists), dtype=np.int64, count=sum(sizes))
     return out, lengths
 
 

@@ -238,6 +238,10 @@ def _tokens(hyps):
     return [h.tokens for h in hyps]
 
 
+def _bits(hyps):
+    return [(h.tokens, np.asarray(h.log_prob).tobytes()) for h in hyps]
+
+
 @pytest.mark.parametrize("variant,extra", BATCHED)
 def test_generate_many_matches_single_requests(variant, extra):
     for seed in range(3):
@@ -248,9 +252,7 @@ def test_generate_many_matches_single_requests(variant, extra):
         for req, hyps in zip(reqs, got):
             single = generate(req, params, cfg)
             assert _tokens(hyps) == _tokens(single) == _tokens(_beam_reference(req, params, cfg))
-            # the batched GEMMs may round the last bits differently
-            assert [h.log_prob for h in hyps] == pytest.approx([h.log_prob for h in single],
-                                                               rel=1e-5)
+            assert _bits(hyps) == _bits(single)  # no product has one row
 
 
 @pytest.mark.parametrize("variant,extra", [(v, {}) for v in M.VARIANTS]
@@ -433,8 +435,9 @@ def test_tree_scoring_is_bitwise_the_row_by_row_sum(variant, use_attention, monk
         draws = [(i, "sample", seed) for i in range(len(items)) for seed in seeds]
         replies = [items[i][1] for i, _, _ in draws]
         with ad.no_grad():
-            enc, z, e_u, users, state = G._set_up(
-                [q for q, _, _ in items], np.array([u for _, _, u in items]), draws, params, cfg)
+            [(_, (enc, z, e_u, users, state))] = G._set_up(
+                [items], lambda item: (item[0], item[2], [("sample", s) for s in seeds]), params,
+                cfg)
             lane = np.repeat(np.arange(len(draws)), [len(r) for r in replies])
             r_idx, r_len = M.pad_batch([r for rs in replies for r in rs])
 
@@ -531,6 +534,94 @@ def test_score_many_is_bitwise_per_item_scoring(variant, extra, items, max_rows,
     with mock.patch.object(G, "MAX_ROWS", max_rows):
         grouped = score_many(items, params, cfg, seeds)
     assert [s.tobytes() for s in grouped] == [s.tobytes() for s in alone]
+
+
+_REQUESTS = st.lists(st.builds(GenRequest, query=st.lists(st.integers(4, 29), min_size=1,
+                                                         max_size=12),
+                               user_index=st.integers(0, 3), beam_width=st.integers(1, 6),
+                               max_length=st.integers(0, 30),
+                               z_mode=st.sampled_from(["sample", "mean"]),
+                               seed=st.integers(0, 9)),
+                     min_size=1, max_size=8)
+
+
+@pytest.mark.parametrize("variant,extra", BATCHED)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(requests=_REQUESTS, max_rows=st.integers(1, 64))
+def test_generate_many_is_bitwise_per_request_search(variant, extra, requests, max_rows):
+    """However MAX_ROWS groups and chunks the requests, each group gives
+    the bits of running as a call of its own (its chunk's encoder rows, z,
+    user rows and initial state do not depend on the other groups), and
+    without attention each request's hypotheses have the tokens and
+    log_prob bits of searching it alone.  With attention a request's bits
+    can depend on its group's longest query: numpy sums a grid of 8 or
+    more steps in another order than a shorter one."""
+    params, cfg = _model(variant=variant, seed=13, word_embed_dim=32, encoder_hidden=32,
+                         decoder_hidden=64, **extra)
+    for p in params.values():
+        p.data *= 4.0  # so that a last-bit difference in a state reaches the scores
+    with mock.patch.object(G, "MAX_ROWS", max_rows):
+        grouped = [_bits(hyps) for hyps in generate_many(requests, params, cfg)]
+        groups = G._groups(requests, [(r.beam_width,) for r in requests], (max_rows,))
+        assert grouped == [_bits(hyps) for g in groups for hyps in generate_many(g, params, cfg)]
+    if not cfg.use_attention:
+        assert grouped == [_bits(generate(r, params, cfg)) for r in requests]
+
+
+def test_a_group_attends_over_its_own_longest_query(monkeypatch):
+    """Under MAX_ROWS=4, requests of beam width 2 (items of two rows) run
+    in groups of two, and a chunk holds two groups.  With queries of 1 to
+    13 tokens, each group's attention grid is cut to its own longest
+    query, so each group has the bits of running as a call of its own;
+    over its chunk's longer grid some would not (numpy sums a grid of 8 or
+    more steps in another order than a shorter one)."""
+    monkeypatch.setattr(G, "MAX_ROWS", 4)
+    for seed in range(8):
+        params, cfg = _model(variant="S2SA", seed=seed, use_attention=True, word_embed_dim=32,
+                             encoder_hidden=32, decoder_hidden=64)
+        for p in params.values():
+            p.data *= 4.0
+        rng = np.random.default_rng(seed)
+        queries = [[int(t) for t in rng.integers(4, 30, rng.integers(1, 14))] for _ in range(8)]
+        reqs = [GenRequest(query=q, user_index=i % 4, beam_width=2, max_length=10, seed=i)
+                for i, q in enumerate(queries)]
+        items = [(q, [[5, 6, 7], [8, 9]], i % 4) for i, q in enumerate(queries)]
+        pairs = range(0, 8, 2)
+        assert [_bits(h) for h in generate_many(reqs, params, cfg)] == \
+            [_bits(h) for i in pairs for h in generate_many(reqs[i:i + 2], params, cfg)], seed
+        assert [s.tobytes() for s in score_many(items, params, cfg, [0])] == \
+            [s.tobytes() for i in pairs for s in score_many(items[i:i + 2], params, cfg, [0])], seed
+
+
+@pytest.mark.parametrize("use_attention", [False, True])
+def test_set_up_runs_once_per_chunk_and_the_decoder_once_per_group(use_attention, monkeypatch):
+    """Under MAX_ROWS=4, six requests of beam width 2 (or six items of two
+    rows) make three groups of two, and the groups' queries two chunks of
+    at most four: one generate_many or score_many call encodes and draws z
+    once per chunk, and runs the decoder once per group (max_length=1 is
+    one beam step)."""
+    params, cfg = _model(variant="PAGENERATOR", seed=2, use_attention=use_attention)
+    reqs = [GenRequest(query=[5 + i] * (1 + i % 3), user_index=i % 4, beam_width=2,
+                       max_length=1, seed=i) for i in range(6)]
+    items = [(r.query, [[6, 7], [8 + r.seed]], r.user_index) for r in reqs]
+    alone = ([_bits(generate(r, params, cfg)) for r in reqs],
+             [score_many([item], params, cfg, [3])[0].tobytes() for item in items])
+    calls = []
+
+    def spy(name, fn):
+        return lambda *a: calls.append((name, len(a[0]) if name == "encode" else None)) or fn(*a)
+
+    monkeypatch.setattr(M, "encode_batch", spy("encode", M.encode_batch))
+    monkeypatch.setattr(G, "_draw_z", spy("draw", G._draw_z))
+    monkeypatch.setattr(M, "decoder_lstm", spy("decode", M.decoder_lstm))
+    monkeypatch.setattr(G, "MAX_ROWS", 4)
+    chunks_then_groups = [("encode", 4), ("draw", None), ("decode", None), ("decode", None),
+                          ("encode", 2), ("draw", None), ("decode", None)]
+    assert [_bits(hyps) for hyps in generate_many(reqs, params, cfg)] == alone[0]
+    assert calls == chunks_then_groups
+    calls.clear()
+    assert [s.tobytes() for s in score_many(items, params, cfg, [3])] == alone[1]
+    assert calls == chunks_then_groups
 
 
 def _mixed_items(seed=0, n=9):

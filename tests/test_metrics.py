@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -199,19 +200,33 @@ def test_build_user_lms_keys(tiny_triples):
 
 def test_build_user_lms_is_the_direct_count():
     """Summing the per-user counts gives the background that counting every
-    reply gives, and each user's counts are its own replies'."""
+    reply gives, and each user's counts are its own replies'.  Replies that
+    hold a literal </s> or <s> keep their joins' counts exact."""
     triples = C.generate_synthetic(4, 30, 0.9, seed=2)
     users = sorted({t.user_id for t in triples})[:3] + ["nobody"]
+    triples += [C.DialogueTriple(users[0], ["q"], ["a", MX.EOS_TOK, MX.BOS_TOK, "b"]),
+                C.DialogueTriple(users[0], ["q"], [MX.EOS_TOK]),
+                C.DialogueTriple(users[1], ["q"], [MX.BOS_TOK, "c"])]
     lms = build_user_lms(triples, users)
     direct = BigramLM([t.reply for t in triples])
+
+    def counted(replies):  # sentence by sentence, as [<s>, *reply, </s>]
+        seqs = [[MX.BOS_TOK, *r, MX.EOS_TOK] for r in replies]
+        return (Counter(b for s in seqs for b in zip(s, s[1:])),
+                Counter(t for s in seqs for t in s[:-1]))
+
+    assert (direct.bg_bi, direct.bg_ctx) == counted([t.reply for t in triples])
     for user in users:
         lm = lms[user]
         assert (lm.vocab, lm.v_size, lm.bg_bi, lm.bg_ctx) == \
             (direct.vocab, direct.v_size, direct.bg_bi, direct.bg_ctx)
         direct.fit_user([t.reply for t in triples if t.user_id == user])
-        assert (lm.user_bi, lm.user_ctx) == (direct.user_bi, direct.user_ctx)
-        for t in triples[:20]:
+        assert (lm.user_bi, lm.user_ctx) == (direct.user_bi, direct.user_ctx) == \
+            counted([t.reply for t in triples if t.user_id == user])
+        for t in triples[:20] + triples[-3:]:
             assert lm.perplexity(t.reply + ["unseen"]) == direct.perplexity(t.reply + ["unseen"])
+    assert lms[users[0]].user_bi[MX.EOS_TOK, MX.BOS_TOK] == 1
+    assert lms[users[0]].user_ctx[MX.EOS_TOK] == 2
 
 
 # ---------------------------------------------------------------------------

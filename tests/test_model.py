@@ -15,7 +15,7 @@ from pagen import autodiff as ad
 from pagen import model as M
 from pagen import trainer as T
 from pagen.autodiff import ContractError, Tensor, backward
-from pagen.corpus import BOS, EOS, UNSPECIFIED_USER
+from pagen.corpus import BOS, EOS, PAD, UNSPECIFIED_USER
 from pagen.model import GaussianParams, ModelConfig
 from pagen.objective import total_loss
 
@@ -137,6 +137,22 @@ def test_encode_empty_errors():
         M.encode_batch(*M.pad_batch([[]]), params, cfg)
     with pytest.raises(ContractError):
         M.encode_batch(np.array([[5]]), np.array([0]), params, cfg)
+
+
+def test_pad_batch_is_the_row_by_row_fill():
+    """pad_batch's one masked assignment gives the array and lengths of
+    filling each row in a loop, tuples and empty rows included."""
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        rows = [[int(t) for t in rng.integers(4, 100, rng.integers(0, 9))]
+                for _ in range(rng.integers(1, 12))]
+        rows[0] = tuple(rows[0]) + (5,)
+        want = np.full((len(rows), max(map(len, rows))), PAD, dtype=np.int64)
+        for i, r in enumerate(rows):
+            want[i, :len(r)] = r
+        idx, lengths = M.pad_batch(rows)
+        assert idx.dtype == want.dtype and idx.tolist() == want.tolist()
+        assert lengths.tolist() == [len(r) for r in rows]
 
 
 def test_prior_with_zero_weights_is_standard_normal():
