@@ -67,6 +67,8 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    clip_norm: float = 0.0  # global-norm clipping threshold; 0: no clipping
+    norm: float = None      # the last gradient's norm, before clipping
     step: int = 0
     m: np.ndarray = None    # flat moments, laid out as the arena of `layout`
     v: np.ndarray = None
@@ -74,24 +76,24 @@ class AdamState:
 
 
 def clip_gradients(params, max_norm):
-    """Global-norm gradient clipping over the flat gradient, the norm summed
-    in float64; returns the pre-clip norm."""
+    """(norm, scale): the flat gradient's global norm, summed in float64, and
+    the clip factor, 1.0 within max_norm or with max_norm 0.  Writes nothing."""
     _, G = arena(params)
     norm = float(np.sqrt(np.einsum("i,i->", G, G, dtype=np.float64)))
-    if max_norm and norm > max_norm:
-        G *= max_norm / norm
-    return norm
+    return norm, (max_norm / norm if max_norm and norm > max_norm else 1.0)
 
 
 def adam_step(params, state):
     """Bias-corrected Adam (Kingma & Ba, arXiv:1412.6980) in place over the
-    flat arena, M.CHUNK elements at a time.  The gradient is checked before any
-    weight or moment changes.  A parameter no gradient reached has a zero
-    gradient, which leaves it unchanged while its moments are still zero."""
+    flat arena, M.CHUNK elements at a time, on the gradient clipped to
+    state.clip_norm, whose norm (state.norm) is checked before anything changes.
+    A zero gradient leaves a weight unchanged while its moments are still zero."""
     W, G = arena(params)
-    if G.size and not (np.isfinite(G.min()) and np.isfinite(G.max())):  # NaN propagates
-        bad = next(k for k in sorted(params) if not np.isfinite(params[k].grad).all())
-        raise DivergenceError(f"non-finite gradient for parameter {bad}")
+    state.norm, scale = clip_gradients(params, state.clip_norm)
+    if not np.isfinite(state.norm):  # a float64 sum of float32 squares cannot overflow
+        bad = next((k for k in sorted(params) if not np.isfinite(params[k].grad).all()), None)
+        raise DivergenceError(f"non-finite gradient for parameter {bad}" if bad
+                              else f"the gradient norm overflowed {W.dtype}")
     layout = tuple((k, params[k].data.shape) for k in sorted(params))
     if state.m is None:
         state.m, state.v, state.layout = np.zeros_like(W), np.zeros_like(W), layout
@@ -100,14 +102,15 @@ def adam_step(params, state):
     state.step += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     c1, c2 = 1 - b1 ** state.step, 1 - b2 ** state.step
-    scratch = np.empty((2, min(M.CHUNK, W.size)), dtype=W.dtype)
+    scratch = np.empty((3, min(M.CHUNK, W.size)), dtype=W.dtype)
     # the per-parameter step's operation order, with Python-float scalars,
     # so that every result is bitwise unchanged:
-    #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+    #   g = g*scale;  m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
     #   w -= (lr*(m/c1)) / (sqrt(v/c2) + eps)
     for lo in range(0, W.size, M.CHUNK):
         w, g, m, v = (x[lo:lo + M.CHUNK] for x in (W, G, state.m, state.v))
-        s, u = scratch[:, :g.size]
+        s, u, c = scratch[:, :g.size]
+        g = np.multiply(g, scale, out=c)
         np.multiply(g, 1 - b1, out=s)
         m *= b1
         m += s
@@ -142,10 +145,8 @@ class TrainConfig:
 
 def encode_triples(triples, vocab, users):
     """Pre-index a corpus: list of (user_idx, query ids, reply ids)."""
-    out = []
-    for t in triples:
-        out.append((users.index(t.user_id), vocab.encode(t.query), vocab.encode(t.reply)))
-    return out
+    return [(users.index(t.user_id), vocab.encode(t.query), vocab.encode(t.reply))
+            for t in triples]
 
 
 def make_batches(indexed, batch_size, rng):
@@ -189,7 +190,7 @@ def train(triples, vocab, users, config, train_config, seed, out_dir,
     rng = np.random.default_rng(seed)
     if params is None:
         params = M.init_params(config, seed=seed)
-    state = AdamState(lr=train_config.lr)
+    state = AdamState(lr=train_config.lr, clip_norm=train_config.clip_norm)
     indexed = encode_triples(triples, vocab, users)
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     history, norms = [], []
@@ -217,13 +218,12 @@ def train(triples, vocab, users, config, train_config, seed, out_dir,
                 if p.stale_grad:  # no gradient reached p
                     p.grad.fill(0)
                     p.stale_grad = False
-            norm = clip_gradients(params, train_config.clip_norm)
             adam_step(params, state)
         except (NumericError, DivergenceError) as e:
             save()  # the failed batch changed no parameter
             raise DivergenceError(f"aborted at batch {batch_index}: {e}") from e
         history.append(breakdown)
-        norms.append((norm, bool(train_config.clip_norm) and norm > train_config.clip_norm))
+        norms.append((state.norm, 0 < state.clip_norm < state.norm))
         if log_every and len(history) % log_every == 0:
             print(f"batch {len(history)}: total={breakdown.total:.4f} "
                   f"recon={breakdown.reconstruction:.4f} kl={breakdown.kl_user:.4f}")

@@ -73,6 +73,45 @@ def test_shape_errors_name_the_op():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("spec", ["sbd,bd->bs", "bs,sbd->bd", "sbd,tbd->tbs", "tbs,sbd->tbd"])
+def test_contract_gives_a_row_its_bits_alone(spec, dtype):
+    """Attention's four contractions give each batch row (index b) the
+    same bits, forward and backward, alone (as a copy or as a view) as
+    among other rows at the same grid lengths s and t, across the grid
+    lengths where numpy changes its summation order.  The state width d
+    is 2 * encoder_hidden in the model, so at least 2: with d = 1 numpy
+    sums the s axis of a one-row copy in another order."""
+    ins, out = spec.split("->")
+    terms = ins.split(",") + [out]
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        size = dict(zip("sbtd", rng.integers([1, 2, 1, 2], [14, 9, 5, 70])))
+        a0, b0, w0 = (rng.standard_normal([size[c] for c in term]).astype(dtype)
+                      for term in terms)
+
+        def run(rows, cut):
+            x, y, w = (Tensor(cut(v, term.index("b"), rows), requires_grad=True)
+                       for v, term in zip((a0, b0, w0), terms))
+            z = ad.contract(spec, x, y)
+            backward(ad.reduce_sum(ad.mul(z, w)))
+            return [np.moveaxis(v, term.index("b"), 0)
+                    for v, term in zip((z.data, x.grad, y.grad), (out, *terms[:2]))]
+
+        def view(v, axis, rows):
+            return v[(slice(None),) * axis + (slice(rows[0], rows[-1] + 1),)]
+
+        def copy(v, axis, rows):
+            return np.take(v, rows, axis=axis)
+
+        every = run(list(range(size["b"])), copy)
+        for r in range(size["b"]):
+            for cut in (view, copy):
+                alone = run([r], cut)
+                assert [v.tobytes() for v in alone] == [v[r:r + 1].tobytes() for v in every], \
+                    (size, r, cut.__name__)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_affine_log_softmax_pick_is_bitwise_the_ops_apart(monkeypatch, dtype):
     """On a (T, B, d) grid whose N scored rows have a target and the others
     -1, the fused output node equals matmul, log_softmax and pick applied

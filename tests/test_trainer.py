@@ -50,10 +50,13 @@ def test_adam_skips_params_without_grad():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    p = Tensor(np.array([0.0]), requires_grad=True)
-    p.grad = np.array([np.nan])
-    with pytest.raises(DivergenceError, match="w"):
-        adam_step({"w": p}, AdamState())
+    # a finite float64 gradient can still overflow the float64 norm
+    for grad, match in (([np.nan], "parameter w"), ([1.0, 1e200], "norm overflowed")):
+        p = Tensor(np.zeros(len(grad)), requires_grad=True)
+        p.grad = np.array(grad)
+        with pytest.raises(DivergenceError, match=match):
+            adam_step({"w": p}, AdamState(clip_norm=5.0))
+        assert not p.data.any()
 
 
 def test_adam_checks_every_gradient_before_updating():
@@ -84,14 +87,11 @@ def test_clip_gradients():
     a = Tensor(np.array([3.0]), requires_grad=True)
     b = Tensor(np.array([4.0]), requires_grad=True)
     a.grad, b.grad = np.array([3.0]), np.array([4.0])
-    norm = clip_gradients({"a": a, "b": b}, max_norm=1.0)
-    assert norm == pytest.approx(5.0)
-    assert np.sqrt(a.grad[0] ** 2 + b.grad[0] ** 2) == pytest.approx(1.0)
-    # below the threshold nothing changes
-    a.grad = np.array([0.3])
-    b.grad = np.array([0.4])
-    clip_gradients({"a": a, "b": b}, max_norm=1.0)
-    assert a.grad[0] == pytest.approx(0.3)
+    assert clip_gradients({"a": a, "b": b}, max_norm=1.0) == (5.0, 0.2)
+    assert a.grad[0] == 3.0 and b.grad[0] == 4.0  # the scale is adam_step's to apply
+    # within the threshold, or with no threshold, the scale is one
+    assert clip_gradients({"a": a, "b": b}, max_norm=5.0)[1] == 1.0
+    assert clip_gradients({"a": a, "b": b}, max_norm=0.0)[1] == 1.0
 
 
 def _mixed_params(rng):
@@ -127,18 +127,29 @@ def test_flat_adam_is_bitwise_the_per_parameter_step():
 
 
 def test_flat_clip_matches_the_per_tensor_norm():
-    rng = np.random.default_rng(4)
-    shapes, params = _mixed_params(rng)
-    grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
-    grads["late"] = None
-    for k, p in params.items():
-        p.grad = None if grads[k] is None else grads[k].copy()
-    want = np_oracle.clip_gradients_np(grads, max_norm=5.0)
-    # the float64 sums run in another order: a few float64 roundings apart
-    assert clip_gradients(params, max_norm=5.0) == pytest.approx(want, rel=1e-12)
-    for k, p in params.items():
-        expect = np.zeros(shapes[k], np.float32) if grads[k] is None else grads[k]
-        np.testing.assert_allclose(p.grad, expect, rtol=1e-6)
+    for max_norm in (5.0, 1e4):  # a gradient that clips, and one that does not
+        rng = np.random.default_rng(4)
+        shapes, params = _mixed_params(rng)
+        grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        grads["late"] = None
+        for k, p in params.items():
+            p.grad = None if grads[k] is None else grads[k].copy()
+        data = {k: p.data.copy() for k, p in params.items()}
+        norm, scale = clip_gradients(params, max_norm=max_norm)
+        for k, p in params.items():  # clip_gradients writes nothing
+            expect = np.zeros(shapes[k], np.float32) if grads[k] is None else grads[k]
+            assert p.grad.tobytes() == expect.tobytes(), k
+        # np_oracle scales grads in place; its float64 sums run in another
+        # order, a few float64 roundings apart
+        assert norm == pytest.approx(np_oracle.clip_gradients_np(grads, max_norm), rel=1e-12)
+        assert (scale < 1.0) == (max_norm == 5.0)
+        # the update adam_step applies: the per-tensor clip, then per-tensor Adam
+        state = AdamState(lr=0.01, clip_norm=max_norm)
+        adam_step(params, state)
+        np_oracle.adam_step_np(data, grads, {}, {}, 1, lr=0.01)
+        assert state.norm == norm
+        for k, p in params.items():
+            assert p.data.tobytes() == data[k].tobytes(), (max_norm, k)
 
 
 def test_adam_packs_arrays_it_did_not_make_by_value():
@@ -253,8 +264,9 @@ def test_history_records_grad_norm_and_clip_events(tmp_path, monkeypatch):
     real_clip, norms = T.clip_gradients, []
 
     def clip(params, max_norm):
-        norms.append(real_clip(params, max_norm))
-        return norms[-1]
+        norm, scale = real_clip(params, max_norm)
+        norms.append(norm)
+        return norm, scale
 
     monkeypatch.setattr(T, "clip_gradients", clip)
     _, history = train(triples, vocab, users, cfg, tcfg, seed=1, out_dir=tmp_path / "r")
