@@ -38,6 +38,9 @@ ABLATIONS = {
 # the flag that sets each MetricConfig field, named by its range errors
 METRIC_FLAGS = {"rounds": "--rounds", "n_distractors": "--distractors", "beam_width": "--beam",
                 "max_length": "--max-length"}
+# the flag that sets each generate_synthetic argument, named by its range errors
+CORPUS_FLAGS = {"num_users": "--users", "triples_per_user": "--triples-per-user",
+                "signature_strength": "--strength"}
 
 
 def non_negative_int(text):
@@ -198,8 +201,13 @@ def read_report(path):
 # subcommands
 
 def cmd_gen_corpus(args):
-    triples = C.generate_synthetic(args.users, args.triples_per_user,
-                                   args.strength, args.seed)
+    try:
+        triples = C.generate_synthetic(args.users, args.triples_per_user,
+                                       args.strength, args.seed)
+    except C.CorpusError as e:
+        if e.key not in CORPUS_FLAGS:
+            raise
+        raise ValueError(f"{CORPUS_FLAGS[e.key]}: {e}") from None
     C.write_corpus(args.out, triples)
     print(f"wrote {len(triples)} triples to {args.out}")
     return 0

@@ -27,7 +27,11 @@ UNSPECIFIED_USER_ID = "<unk_user>"
 
 
 class CorpusError(ValueError):
-    pass
+    """Bad corpus input; key names the argument at fault, if one is."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass
@@ -226,11 +230,13 @@ def generate_synthetic(num_users, triples_per_user, signature_strength, seed):
     something to condition on.
     """
     if num_users < 2:
-        raise CorpusError("num_users must be >= 2")
+        raise CorpusError(f"num_users must be >= 2, got {num_users}", "num_users")
     if triples_per_user < 1:
-        raise CorpusError("triples_per_user must be >= 1")
+        raise CorpusError(f"triples_per_user must be >= 1, got {triples_per_user}",
+                          "triples_per_user")
     if not (0.5 < signature_strength < 1.0):
-        raise CorpusError("signature_strength must be in (0.5, 1)")
+        raise CorpusError(f"signature_strength must be in (0.5, 1), got {signature_strength}",
+                          "signature_strength")
     rng = np.random.default_rng(seed)
     signature_size, topic_count, query_fillers, reply_pool = 2, 6, 12, 24
 
@@ -241,21 +247,24 @@ def generate_synthetic(num_users, triples_per_user, signature_strength, seed):
         k: [f"sig{k}_{j}" for j in range(signature_size)]
         for k in range(num_users)
     }
-    # user-specific unigram preference over the shared pool
-    prefs = {}
+    # each user's unigram preference over the shared pool, as the CDF that
+    # Generator.choice(p=...) rebuilds on every call: built once here, it
+    # turns the same uniform draws into the same words
+    cdfs = []
     for k in range(num_users):
-        w = rng.dirichlet(np.full(reply_pool, 0.5))
-        prefs[k] = w
+        cdf = rng.dirichlet(np.full(reply_pool, 0.5)).cumsum()
+        cdf /= cdf[-1]
+        cdfs.append(cdf)
 
     triples = []
-    for k in range(num_users):
+    for k, cdf in enumerate(cdfs):
         uid = f"user{k}"
         for _ in range(triples_per_user):
             topic = topics[rng.integers(topic_count)]
             q_len = int(rng.integers(2, 5))
             query = [topic] + [fillers[rng.integers(query_fillers)] for _ in range(q_len)]
             r_len = int(rng.integers(3, 7))
-            reply = [pool[i] for i in rng.choice(reply_pool, size=r_len, p=prefs[k])]
+            reply = [pool[i] for i in cdf.searchsorted(rng.random(r_len), side="right").tolist()]
             if rng.random() < 0.5:
                 reply[rng.integers(r_len)] = topic
             if rng.random() < signature_strength:

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as M
 from .autodiff import ContractError, no_grad
-from .corpus import BOS, EOS, PAD, UNK, UNSPECIFIED_USER
+from .corpus import BOS, EOS, UNSPECIFIED_USER
 
 # Most decoder rows in one batch: generate_many splits longer request lists
 # into groups whose beam widths sum to at most this, score_many groups items
@@ -55,19 +55,20 @@ class GenRequest:
             raise ContractError(f"unknown z mode {self.z_mode!r}")
 
 
-def _draw_z(enc_final, user_idx, params, config, draws):
+def _draw_z(enc_final, e_u, params, config, draws):
     """z vectors from the prior p(z | q, u), stacked (len(draws), z_dim);
-    None if not latent.  draws holds one (query row, z_mode, seed) per z:
-    "mean" takes the prior mean, "sample" M.sample_z with default_rng(seed)."""
+    None if not latent.  e_u holds each query row's prior user embedding
+    (M.prior_user_index's row).  draws holds one (query row, z_mode, seed)
+    per z: "mean" takes the prior mean, "sample" M.sample_z with
+    default_rng(seed)."""
     if not config.is_latent:
         return None
-    e_u = M.user_embedding(M.prior_user_index(user_idx, config), params, config)
     prior = M.prior_net(enc_final, e_u, params, config)
     rows, modes, seeds = zip(*draws)
     rows = np.array(rows)
     prior = M.GaussianParams(*(ad.constant(t.data[rows]) for t in (prior.mu, prior.log_var)))
     noise = {seed: np.random.default_rng(seed).standard_normal(config.z_dim) for seed in set(seeds)}
-    mean = np.array(modes)[:, None] == "mean"
+    mean = np.array([m == "mean" for m in modes])[:, None]
     return np.where(mean, prior.mu.data, M.sample_z(prior, [noise[s] for s in seeds]).data)
 
 
@@ -85,15 +86,18 @@ def _set_up(groups, inputs, params, config):
         users, src = np.array(users, dtype=np.int64), np.array([row for row, _, _ in draws])
         idx, lengths = M.pad_batch(queries)
         enc = M.encode_batch(idx, lengths, params, config)
-        z = _draw_z(enc.final, users, params, config, draws)
-        e_u = M.user_embedding(users[src], params, config) if config.decoder_uses_user else None
+        # one lookup feeds the prior and the decoder (which reads it only if
+        # config.decoder_uses_user, so never VAE's unspecified row)
+        e_u = M.user_embedding(M.prior_user_index(users, config), params, config)
+        z = _draw_z(enc.final, e_u, params, config, draws)
+        e_u = e_u.data[src] if config.decoder_uses_user else None
         state = M.decoder_init_state(ad.constant(enc.final.data[src]), params, config)
         ends = [len(lanes[0]) * n for n in accumulate(map(len, chunk), initial=0)]
         for group, lo, hi in zip(chunk, ends, ends[1:]):
             rows = src[lo:hi]
             yield group, (_rows(enc, rows, lengths[rows].max()) if config.use_attention else None,
                           None if z is None else ad.constant(z[lo:hi]),
-                          None if e_u is None else ad.constant(e_u.data[lo:hi]),
+                          None if e_u is None else ad.constant(e_u[lo:hi]),
                           users[rows], tuple(ad.constant(t.data[lo:hi]) for t in state))
 
 
@@ -175,9 +179,8 @@ def _beam_search(requests, setup, params, config):
             None if e_users is None else ad.constant(e_users.data[src]),
             None if enc is None else _rows(enc, src), params, config, user_idx=users[src])
         logp = logp.data
-        logp[:, [PAD, UNK, BOS]] = -np.inf
-        if step == 0:
-            logp[:, EOS] = -np.inf  # no empty replies
+        # never PAD, UNK or BOS (ids 0-2), nor EOS (3) at step 0: no empty replies
+        logp[:, :EOS + (step == 0)] = -np.inf
         req, row, tok, scores = _top(scores[:, None] + logp, counts, widths[live])
         # EOS retires a hypothesis, the rest carry on
         eos = tok == EOS

@@ -5,7 +5,8 @@ arrays pulled out of the parameter tensors, so agreement with the library
 is evidence rather than tautology.  The metric oracles recount in plain
 Python.  The exceptions are at the end: the single-request beam search
 and scoring that the batched ones replaced, kept on the model's layers as
-bitwise references.
+bitwise references, and the synthetic corpus drawn by Generator.choice,
+as generate_synthetic did before it built each user's CDF once.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 
 from pagen import autodiff as ad
 from pagen import model as M
+from pagen.corpus import DialogueTriple
 from pagen.generation import Hypothesis
 
 BOS, EOS = 2, 3
@@ -335,3 +337,27 @@ def score_one(query, replies, user_index, params, config, seed=0):
         lp = M.teacher_forced_log_probs(r_idx, r_len, state, z, e_u, enc_n, params,
                                         config, user_idx=u_idx)
         return lp.data.astype(np.float64)
+
+
+def generate_synthetic_np(num_users, triples_per_user, signature_strength, seed):
+    """corpus.generate_synthetic's triples for valid arguments, each reply's
+    words from Generator.choice(p=preference)."""
+    rng = np.random.default_rng(seed)
+    topics = [f"topic{i}" for i in range(6)]
+    fillers = [f"q{i}" for i in range(12)]
+    pool = [f"w{i}" for i in range(24)]
+    prefs = [rng.dirichlet(np.full(24, 0.5)) for _ in range(num_users)]
+    triples = []
+    for k in range(num_users):
+        for _ in range(triples_per_user):
+            topic = topics[rng.integers(6)]
+            q_len = int(rng.integers(2, 5))
+            query = [topic] + [fillers[rng.integers(12)] for _ in range(q_len)]
+            r_len = int(rng.integers(3, 7))
+            reply = [pool[i] for i in rng.choice(24, size=r_len, p=prefs[k])]
+            if rng.random() < 0.5:
+                reply[rng.integers(r_len)] = topic
+            if rng.random() < signature_strength:
+                reply[rng.integers(r_len)] = f"sig{k}_{rng.integers(2)}"
+            triples.append(DialogueTriple(f"user{k}", query, reply))
+    return triples

@@ -73,7 +73,19 @@ def test_gen_corpus(tmp_path, capsys):
 def test_gen_corpus_rejects_no_triples(tmp_path, capsys):
     out = tmp_path / "c.tsv"
     assert cli.main(["gen-corpus", "--out", str(out), "--triples-per-user", "0"]) == 1
-    assert "triples_per_user must be >= 1" in capsys.readouterr().err
+    assert "--triples-per-user: triples_per_user must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, expected", [("--users", "1", ">= 2"),
+                                                   ("--strength", "0.5", "in (0.5, 1)"),
+                                                   ("--strength", "1.0", "in (0.5, 1)"),
+                                                   ("--strength", "nan", "in (0.5, 1)")])
+def test_gen_corpus_names_the_flag_out_of_range(tmp_path, capsys, flag, value, expected):
+    out = tmp_path / "c.tsv"
+    assert cli.main(["gen-corpus", "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"{flag}: " in err and f"must be {expected}, got " in err
     assert not out.exists()
 
 

@@ -4,7 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import np_oracle
 from pagen import corpus as C
 from pagen import metrics as MX
 from pagen.corpus import (BOS, EOS, PAD, RESERVED, UNK, UNSPECIFIED_USER,
@@ -253,6 +256,23 @@ def test_synthetic_deterministic():
     assert a != c
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(num_users=st.integers(2, 12), triples_per_user=st.integers(1, 80),
+       strength=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 10**6))
+def test_synthetic_draws_what_choice_drew(num_users, triples_per_user, strength, seed):
+    """Each user's CDF, built once, picks the words Generator.choice(p=...)
+    picked reply by reply: every triple is the reference's."""
+    assert C.generate_synthetic(num_users, triples_per_user, strength, seed) == \
+        np_oracle.generate_synthetic_np(num_users, triples_per_user, strength, seed)
+
+
+def test_synthetic_quickstart_corpus_draws_what_choice_drew():
+    """The README quickstart's corpus (8 users x 400 triples, seed 0)."""
+    assert C.generate_synthetic(8, 400, 0.9, seed=0) == \
+        np_oracle.generate_synthetic_np(8, 400, 0.9, seed=0)
+
+
 def test_equal_tokens_are_one_str(tmp_path):
     """A generated and a loaded corpus hold one str object per distinct
     token, not one per occurrence."""
@@ -289,8 +309,9 @@ def test_synthetic_argument_validation():
         C.generate_synthetic(1, 10, 0.9, seed=0)
     with pytest.raises(CorpusError):
         C.generate_synthetic(4, 10, 0.4, seed=0)
-    with pytest.raises(CorpusError, match="triples_per_user must be >= 1"):
+    with pytest.raises(CorpusError, match="triples_per_user must be >= 1") as e:
         C.generate_synthetic(4, 0, 0.9, seed=0)
+    assert e.value.key == "triples_per_user"
 
 
 def test_a_failed_write_leaves_the_previous_file(tmp_path, tiny_triples):

@@ -624,6 +624,25 @@ def test_set_up_runs_once_per_chunk_and_the_decoder_once_per_group(use_attention
     assert calls == chunks_then_groups
 
 
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_set_up_looks_each_chunk_of_users_up_once(variant, monkeypatch):
+    """One user-embedding lookup per chunk feeds the prior and the decoder's
+    lanes; a variant without a user embedding makes none."""
+    params, cfg = _model(variant=variant, seed=2)
+    reqs = [GenRequest(query=[5 + i, 6], user_index=i % 4, beam_width=2, max_length=2, seed=i)
+            for i in range(6)]
+    items = [(r.query, [[6, 7], [8 + r.seed]], r.user_index) for r in reqs]
+    table, calls, embedding = params.get("user_emb"), [], ad.embedding
+    monkeypatch.setattr(ad, "embedding", lambda t, idx: calls.append(t is table) or embedding(t, idx))
+    monkeypatch.setattr(G, "MAX_ROWS", 4)
+    chunks = 2 if table is not None else 0
+    generate_many(reqs, params, cfg)
+    assert sum(calls) == chunks
+    calls.clear()
+    score_many(items, params, cfg, [3, 4])
+    assert sum(calls) == chunks
+
+
 def _mixed_items(seed=0, n=9):
     """Score items with mixed query and reply lengths, reply counts and
     users."""

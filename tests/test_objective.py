@@ -326,7 +326,8 @@ def test_draw_z_equals_the_per_draw_oracle(variant):
              (1, "sample", 3), (2, "mean", 0)]
     with ad.no_grad():
         enc = M.encode_batch(q_idx, q_len, params, cfg)
-        got = G._draw_z(enc.final, users, params, cfg, draws)
+        e_u = M.user_embedding(M.prior_user_index(users, cfg), params, cfg)
+        got = G._draw_z(enc.final, e_u, params, cfg, draws)
         for j, (row, mode, seed) in enumerate(draws):
             one = M.encode_batch(q_idx[row:row + 1], q_len[row:row + 1], params, cfg)
             want = np_oracle.draw_z(one.final, users[row], params, cfg, mode, seed)
