@@ -201,13 +201,9 @@ def read_report(path):
 # subcommands
 
 def cmd_gen_corpus(args):
-    try:
-        triples = C.generate_synthetic(args.users, args.triples_per_user,
-                                       args.strength, args.seed)
-    except C.CorpusError as e:
-        if e.key not in CORPUS_FLAGS:
-            raise
-        raise ValueError(f"{CORPUS_FLAGS[e.key]}: {e}") from None
+    triples = M.checked(C.generate_synthetic,
+                        dict(num_users=args.users, triples_per_user=args.triples_per_user,
+                             signature_strength=args.strength, seed=args.seed), CORPUS_FLAGS)
     C.write_corpus(args.out, triples)
     print(f"wrote {len(triples)} triples to {args.out}")
     return 0

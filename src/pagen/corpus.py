@@ -250,11 +250,9 @@ def generate_synthetic(num_users, triples_per_user, signature_strength, seed):
     # each user's unigram preference over the shared pool, as the CDF that
     # Generator.choice(p=...) rebuilds on every call: built once here, it
     # turns the same uniform draws into the same words
-    cdfs = []
-    for k in range(num_users):
-        cdf = rng.dirichlet(np.full(reply_pool, 0.5)).cumsum()
+    cdfs = [rng.dirichlet(np.full(reply_pool, 0.5)).cumsum() for _ in range(num_users)]
+    for cdf in cdfs:
         cdf /= cdf[-1]
-        cdfs.append(cdf)
 
     triples = []
     for k, cdf in enumerate(cdfs):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ContractError
-from .corpus import PAD, BOS, EOS, UNSPECIFIED_USER, atomic_open
+from .corpus import PAD, BOS, EOS, UNSPECIFIED_USER, CorpusError, atomic_open
 
 VARIANTS = ("S2SA", "FACT_BIAS", "SPEAKER", "VAE", "CVAE", "PAGENERATOR")
 LATENT_VARIANTS = ("VAE", "CVAE", "PAGENERATOR")
@@ -84,11 +84,12 @@ def check_range(config, fields, ok, expected):
 
 
 def checked(cls, kwargs, where):
-    """cls(**kwargs) for a config dataclass; a range error names where[key],
-    the place the value at fault came from (e.g. "file:line")."""
+    """cls(**kwargs) for a config dataclass (or corpus.generate_synthetic);
+    a range error names where[key], the place the value at fault came from
+    (e.g. "file:line" or a flag)."""
     try:
         return cls(**kwargs)
-    except ConfigError as e:
+    except (ConfigError, CorpusError) as e:
         if e.key not in where:
             raise
         raise ValueError(f"{where[e.key]}: {e}") from None

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import np_oracle
@@ -260,17 +260,12 @@ def test_synthetic_deterministic():
 @given(num_users=st.integers(2, 12), triples_per_user=st.integers(1, 80),
        strength=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
        seed=st.integers(0, 10**6))
+@example(num_users=8, triples_per_user=400, strength=0.9, seed=0)  # README's quick start
 def test_synthetic_draws_what_choice_drew(num_users, triples_per_user, strength, seed):
     """Each user's CDF, built once, picks the words Generator.choice(p=...)
     picked reply by reply: every triple is the reference's."""
     assert C.generate_synthetic(num_users, triples_per_user, strength, seed) == \
         np_oracle.generate_synthetic_np(num_users, triples_per_user, strength, seed)
-
-
-def test_synthetic_quickstart_corpus_draws_what_choice_drew():
-    """The README quickstart's corpus (8 users x 400 triples, seed 0)."""
-    assert C.generate_synthetic(8, 400, 0.9, seed=0) == \
-        np_oracle.generate_synthetic_np(8, 400, 0.9, seed=0)
 
 
 def test_equal_tokens_are_one_str(tmp_path):

@@ -633,7 +633,8 @@ def test_set_up_looks_each_chunk_of_users_up_once(variant, monkeypatch):
             for i in range(6)]
     items = [(r.query, [[6, 7], [8 + r.seed]], r.user_index) for r in reqs]
     table, calls, embedding = params.get("user_emb"), [], ad.embedding
-    monkeypatch.setattr(ad, "embedding", lambda t, idx: calls.append(t is table) or embedding(t, idx))
+    monkeypatch.setattr(ad, "embedding",
+                        lambda t, idx: calls.append(t is table) or embedding(t, idx))
     monkeypatch.setattr(G, "MAX_ROWS", 4)
     chunks = 2 if table is not None else 0
     generate_many(reqs, params, cfg)
