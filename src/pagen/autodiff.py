@@ -24,6 +24,18 @@ gradient.  An lstm is one node, the (N, H) states of its packed rows;
 for BPTT it keeps its gate activations and the states and cells its rows
 leave, and rebuilds the state each row continues and tanh of each cell.
 
+Products and threads: importing this module pins the OpenBLAS that numpy
+bundles to one thread, since a threaded BLAS sums a product in an order
+that depends on its thread count; ENVIRONMENT names numpy, the BLAS and
+the pinned count for manifest.txt.  Every product of the engine (matmul,
+the output layer's, the lstm's) runs through _product, which splits a
+float32 product whose blocks of output columns each reach SPLIT_FLOOR
+(2^22) multiply-adds over WORKERS blocks, one per CPU the process may run
+on.  The summed axis is never cut, and a block that large has the one-call
+product's bits, so results do not depend on the CPU count.  Smaller and
+float64 products, whose blocks can round differently, run as one call.
+`taskset -c 0` runs pagen on one core.
+
 Graph lifetime: a graph is backpropagated once and freed as it goes.
 After each node's backward has run, backward() drops its closure, its
 parents and its .grad, so saved activations die as soon as they are used;
@@ -34,7 +46,13 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 import functools
+import glob
+import os
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate
 
 import numpy as np
@@ -124,10 +142,10 @@ def _accum(t, g):
 def _accum_product(t, x, y):
     """_accum(t, x @ y), the product computed straight into a stale .grad."""
     if t.requires_grad and t.stale_grad:
-        np.matmul(x, y, out=t.grad)
+        _product(x, y, out=t.grad)
         t.stale_grad = False
     elif t.requires_grad:
-        _accum(t, x @ y)
+        _accum(t, _product(x, y))
 
 
 def _grad_buffer(t):
@@ -241,17 +259,92 @@ def add_const(a, c):
     return _result(a.data + c, (a,), bwd)
 
 
+def _pin_blas():
+    """Sets the OpenBLAS that numpy bundles to one thread and returns the
+    count it then reports, or "unknown" (with a warning) where there is
+    no such library: a threaded BLAS sums a product in an order that
+    depends on its thread count."""
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                         "numpy.libs", "libscipy_openblas64_*.so")))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        lib.scipy_openblas_set_num_threads64_(1)
+        return lib.scipy_openblas_get_num_threads64_()
+    except (IndexError, OSError, AttributeError):
+        warnings.warn("pagen: numpy's bundled OpenBLAS was not found, so its thread count is "
+                      "not pinned and float results may depend on it", RuntimeWarning)
+        return "unknown"
+
+
+BLAS_THREADS = _pin_blas()
+_BLAS = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+# what a run's bits depend on besides its inputs, for manifest.txt
+ENVIRONMENT = {"numpy": np.__version__,
+               "blas": f"{_BLAS.get('name', 'unknown')} {_BLAS.get('version', 'unknown')}",
+               "blas_threads": BLAS_THREADS}
+
+# _product splits a float32 product into WORKERS blocks of b's columns once
+# every block has SPLIT_FLOOR multiply-adds.  On numpy's OpenBLAS such a
+# block gives the one-call product's bits (smaller ones can take a
+# small-matrix kernel that rounds differently; float64 ones block the sum
+# otherwise).  Of the floors 2^22 to 2^26, none gave a faster paper-scale
+# training step than 2^22.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+SPLIT_FLOOR = 1 << 22
+_pool = None  # runs all blocks but the caller's; made on first use
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _product(a, b, out=None):
+    """a @ b for 2-D a and b, into out if it is given.  A float32 product
+    whose WORKERS blocks of b's columns each reach SPLIT_FLOOR runs as those
+    contiguous blocks, each written into its column view of out: the pool
+    runs the others while this thread runs the last.  The summed axis is
+    never cut, so the bits do not depend on WORKERS."""
+    global _pool
+    m, k = a.shape
+    n = b.shape[1]
+    width = max(2, -(-SPLIT_FLOOR // max(m * k, 1)))  # a block's fewest columns
+    blocks = min(WORKERS, n // width)
+    if blocks < 2 or not a.dtype == b.dtype == np.float32:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((m, n), dtype=np.float32)
+    if _pool is None:
+        with _pool_lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="pagen-product")
+    cuts = [n * i // blocks for i in range(blocks + 1)]
+    done = [_pool.submit(np.matmul, a, b[:, lo:hi], out=out[:, lo:hi])
+            for lo, hi in zip(cuts[:-2], cuts[1:-1])]
+    np.matmul(a, b[:, cuts[-2]:], out=out[:, cuts[-2]:])
+    for f in done:
+        f.result()
+    return out
+
+
 def _mm(a, b, two=None):
-    """a @ b for a 2-D a.  A one-row a runs as the first row of a two-row
-    product, in the (2, k) scratch two if it is given and fits: numpy sends
-    one row down the gemv path, which rounds differently from gemm, and a
-    row's result must not depend on how many rows share its product."""
+    """a @ b for a 2-D a, through _product.  A one-row a runs as the first
+    row of a two-row product, in the (2, k) scratch two if it is given and
+    fits: numpy sends one row down the gemv path, which rounds differently
+    from gemm, and a row's result must not depend on how many rows share
+    its product."""
     if a.shape[0] != 1:
-        return a @ b
+        return _product(a, b)
     if two is None or two.dtype != a.dtype:
         two = np.empty((2,) + a.shape[1:], dtype=a.dtype)
     two[...] = a
-    return (two @ b)[:1]
+    return _product(two, b)[:1]
 
 
 def matmul(a, b, bias=None):
@@ -487,11 +580,11 @@ def lstm(x, W, b, h0, c0, sizes, parents=None, static=None):
             dh, dc = to_parents(t, _mm(dz, Wh.T)), to_parents(t, dc_new * f)
             if static is not None:  # a lane's static row sums its rows' dz
                 ds = to_parents(t, dz if ds is None else dz + ds)
-        dW = [x.data.T @ dZ]
+        dW = [_product(x.data.T, dZ)]
         if static is not None:
-            dW.append(static.data.T @ ds)
+            dW.append(_product(static.data.T, ds))
             _accum(static, _mm(ds, Ws.T))
-        dW.append(h_in.T @ dZ)
+        dW.append(_product(h_in.T, dZ))
         _accum(W, np.concatenate(dW))
         _accum(b, dZ.sum(axis=0))
         _accum(x, _mm(dZ, Wx.T))

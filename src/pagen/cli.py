@@ -24,7 +24,7 @@ from . import generation as G
 from . import metrics as MX
 from . import model as M
 from . import selfcheck
-from .autodiff import ContractError, ShapeError
+from .autodiff import ENVIRONMENT, ContractError, ShapeError
 from .model import ModelConfig
 from .trainer import TrainConfig, encode_triples, train
 
@@ -121,6 +121,7 @@ def run_training(data_path, config_path, out_dir, seed, variant=None, log_every=
         "seed": seed,
         "checkpoint_hash": file_hash(ckpt),
         "version": __version__,
+        **ENVIRONMENT,
     })
     return ckpt, history
 
@@ -277,6 +278,7 @@ def cmd_evaluate(args):
         "corpus_hash": file_hash(args.data),
         "seed": args.seed,
         "version": __version__,
+        **ENVIRONMENT,
     }
     write_report(args.out, results, rows, manifest)
     print(format_table([(os.path.basename(args.model), results)]))
@@ -350,6 +352,7 @@ def cmd_compare(args):
             "corpus_hash": file_hash(args.data),
             "seed": args.seed,
             "version": __version__,
+            **ENVIRONMENT,
         })
         rows.append((variant, results))
 

@@ -1,11 +1,15 @@
+import contextlib
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from pagen import autodiff as ad
 from pagen import corpus as C
 from pagen import model as M
 
@@ -44,3 +48,29 @@ def tiny_triples():
         ("carol", "see you later", "bye for now"),
     ]
     return [C.DialogueTriple(u, q.split(), r.split()) for u, q, r in rows]
+
+
+class CountingPool:
+    """A thread pool that counts the product blocks it is given."""
+
+    def __init__(self, threads):
+        self.pool = ThreadPoolExecutor(threads)
+        self.blocks = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.blocks += 1
+        return self.pool.submit(fn, *args, **kwargs)
+
+
+@contextlib.contextmanager
+def split_over(workers):
+    """The engine's products split into up to `workers` blocks, on a pool
+    that counts the blocks it runs (the caller runs one more per product).
+    Tests set the worker count, never SPLIT_FLOOR: below the floor a block
+    can round differently from the one-call product."""
+    pool = CountingPool(max(workers - 1, 1))
+    try:
+        with mock.patch.object(ad, "WORKERS", workers), mock.patch.object(ad, "_pool", pool):
+            yield pool
+    finally:
+        pool.pool.shutdown()

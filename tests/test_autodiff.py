@@ -1,12 +1,16 @@
 """Unit tests for the reverse-mode autodiff engine."""
 
 import inspect
+import multiprocessing
 import re
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import split_over
 from pagen import autodiff as ad
 from pagen import generation, model, objective
 from pagen.autodiff import ContractError, ShapeError, Tensor, backward, grad_check
@@ -259,6 +263,73 @@ def test_no_grad_is_per_thread():
     finally:
         release.set()
         thread.join()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(workers=st.sampled_from([2, 3, 4]), m=st.integers(2, 512), k=st.integers(8, 4096),
+       extra=st.integers(0, 64), transposed=st.tuples(st.booleans(), st.booleans()),
+       stale=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_a_split_product_has_the_one_call_bits(workers, m, k, extra, transposed, stale, seed):
+    """A float32 product whose every block of b's columns reaches
+    SPLIT_FLOOR runs as `workers` blocks and has a @ b's bits, with plain
+    or transposed operands, written into a fresh array or a stale .grad."""
+    assume(m * k >= 1 << 12)  # keeps n, at least workers * SPLIT_FLOOR / (m * k), small
+    n = workers * max(2, -(-ad.SPLIT_FLOOR // (m * k))) + extra
+    rng = np.random.default_rng(seed)
+    a, b = (rng.standard_normal(shape[::-1] if t else shape).astype(np.float32)
+            for shape, t in (((m, k), transposed[0]), ((k, n), transposed[1])))
+    a, b = (x.T if t else x for x, t in zip((a, b), transposed))
+    expect = a @ b
+    t = Tensor(np.empty((m, n), dtype=np.float32), requires_grad=True)
+    if stale:
+        t.grad, t.stale_grad = np.full((m, n), np.nan, dtype=np.float32), True
+    with split_over(workers) as pool:
+        ad._accum_product(t, a, b)
+    assert pool.blocks == workers - 1
+    assert t.grad.tobytes() == expect.tobytes()
+
+
+def test_float64_and_small_products_never_reach_the_pool():
+    """Only float32 products with SPLIT_FLOOR multiply-adds in every block
+    split: at 32 x 256 rows and sums, 1024 columns make two blocks of 2^22,
+    1022 columns one, and float64 never splits."""
+    assert ad.SPLIT_FLOOR == 32 * 256 * 512
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((32, 256)).astype(np.float32)
+    b = rng.standard_normal((256, 1024)).astype(np.float32)
+    big_a, big_b = rng.standard_normal((64, 512)), rng.standard_normal((512, 4096))
+    with split_over(2) as pool:
+        assert ad._mm(a, b[:, :1022]).tobytes() == (a @ b[:, :1022]).tobytes()
+        assert ad._mm(big_a, big_b).tobytes() == (big_a @ big_b).tobytes()
+        assert pool.blocks == 0
+        assert ad._mm(a, b).tobytes() == (a @ b).tobytes()
+        assert pool.blocks == 1
+        x, W = Tensor(big_a, requires_grad=True), Tensor(big_b, requires_grad=True)
+        backward(ad.reduce_sum(ad.matmul(x, W)))  # float64 forward and both gradients
+        assert pool.blocks == 1
+
+
+def _split_product_agrees():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((64, 512)).astype(np.float32)
+    b = rng.standard_normal((512, 1024)).astype(np.float32)
+    return ad._product(a, b).tobytes() == (a @ b).tobytes()
+
+
+def test_a_forked_child_gets_a_fresh_pool(monkeypatch):
+    """A child forked after the parent's pool has run a block makes a pool
+    of its own: the parent's threads do not exist in it, and the inherited
+    pool would take the child's first block and never run it."""
+    monkeypatch.setattr(ad, "WORKERS", 2)
+    monkeypatch.setattr(ad, "_pool", None)
+    assert _split_product_agrees()
+    pool = ad._pool
+    try:
+        assert pool is not None
+        with multiprocessing.get_context("fork").Pool(1) as child:
+            assert child.apply_async(_split_product_agrees).get(timeout=30)
+    finally:
+        pool.shutdown()
 
 
 def test_lstm_under_no_grad_keeps_no_backward():

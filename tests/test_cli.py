@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -635,3 +637,56 @@ def test_selfcheck_fails_on_a_wrong_primitive_gradient(monkeypatch, capsys):
     assert "FAIL primitive double: max_rel_err=3.333e-01\n" in out
     assert "ok   end-to-end loss gradients" in out
     assert out.endswith("selfcheck: FAIL\n")
+
+
+def test_manifests_name_the_numeric_environment(workdir):
+    """train, evaluate and compare record numpy's version, the BLAS and its
+    thread count, which pagen pins to 1, and a rerun writes the same bytes."""
+    tmp_path, data, config = workdir
+
+    def manifests(tag):
+        run = tmp_path / tag
+        assert cli.main(["compare", "--config", str(config), "--data", str(data),
+                         "--variants", "S2SA,CVAE", "--rounds", "1", "--seed", "1",
+                         "--out", str(run)]) == 0
+        assert cli.main(["evaluate", "--model", str(run / "CVAE" / "model.ckpt"),
+                         "--ref-model", str(run / "S2SA" / "model.ckpt"),
+                         "--data", str(run / "CVAE" / "test.tsv"),
+                         "--train-data", str(run / "CVAE" / "train.tsv"),
+                         "--metrics", "bleu1,uppl", "--out", str(run / "eval")]) == 0
+        return {str(p.relative_to(run)): p.read_bytes() for p in run.rglob("manifest.txt")}
+
+    first = manifests("a")
+    assert sorted(first) == ["CVAE/eval/manifest.txt", "CVAE/manifest.txt",
+                             "S2SA/eval/manifest.txt", "S2SA/manifest.txt", "eval/manifest.txt"]
+    for text in first.values():
+        entries = dict(line.split("=", 1) for line in text.decode().splitlines())
+        assert entries["numpy"] == np.__version__
+        assert entries["blas"] == ad.ENVIRONMENT["blas"] != ""
+        assert entries["blas_threads"] in ("1", "unknown")
+    assert manifests("b") == first
+
+
+FIXED_RUN = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "fixed_run.py")
+FIXED_RUN_LINES = os.path.join(os.path.dirname(__file__), "fixed_run.txt")
+
+
+def test_the_fixed_run_prints_its_checked_in_lines(tmp_path):
+    """tools/fixed_run.py prints tests/fixed_run.txt's lines: a golden of
+    every bit of 12 trainings and 12 evaluations.  The file's `#` lines name
+    the environment it was made in; in another one the bits, and the
+    manifests that name it, may differ, and the failure says so."""
+    with open(FIXED_RUN_LINES, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    made_in = [line[2:] for line in lines if line.startswith("# ")]
+    expected = [line for line in lines if not line.startswith("#")]
+    printed = subprocess.run([sys.executable, FIXED_RUN, str(tmp_path / "run")], check=True,
+                             capture_output=True, text=True).stdout.splitlines()
+    if printed != expected:
+        i = next((i for i, pair in enumerate(zip(printed, expected)) if pair[0] != pair[1]),
+                 min(len(printed), len(expected)))
+        here = [f"{k}={v}" for k, v in ad.ENVIRONMENT.items()]
+        pytest.fail(f"fixed run line {i + 1}: printed {printed[i:i + 1]}, expected "
+                    f"{expected[i:i + 1]} ({len(printed)} lines against {len(expected)}); "
+                    f"the lines were made with {', '.join(made_in)}; this run has "
+                    f"{', '.join(here)}")

@@ -1,14 +1,16 @@
 """Unit tests for the optimizer, batching, and the training loop."""
 
 import csv
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import np_oracle
-from conftest import toy_config
+from conftest import split_over, toy_config
 from pagen import corpus as C
+from pagen import generation as G
 from pagen import model as M
 from pagen import trainer as T
 from pagen.autodiff import ContractError, Tensor
@@ -362,3 +364,82 @@ def test_a_failed_save_leaves_the_previous_artifacts(tmp_path):
         T.write_history_csv(run / "history.csv", history + [None], [(1.0, False)] * 3)
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
     assert M.load_checkpoint(ckpt)[1] == cfg
+
+
+def _mid_corpus(words=4000, triples=32, seed=0):
+    """32 triples of 12 words drawn from 4000, a vocabulary of all 4000:
+    a model whose output-layer products cross SPLIT_FLOOR."""
+    rng = np.random.default_rng(seed)
+    names = [f"w{i}" for i in range(words)]
+    data = [C.DialogueTriple(f"user{i % 4}", [names[j] for j in rng.integers(0, words, 12)],
+                             [names[j] for j in rng.integers(0, words, 12)])
+            for i in range(triples)]
+    vocab = C.Vocabulary.build(data + [C.DialogueTriple("all", names, names[:1])])
+    return data, vocab, C.UserTable.build(t.user_id for t in data)
+
+
+def _mid_config(variant, vocab, users, attention):
+    return M.ModelConfig(variant=variant, vocab_size=len(vocab), num_users=len(users),
+                         word_embed_dim=64, user_embed_dim=32, encoder_hidden=64,
+                         decoder_hidden=256, z_dim=32, bow_hidden=64, fact_rank=8,
+                         use_attention=attention, anneal_batches=10)
+
+
+def _trained_bytes(corpus, cfg, out_dir, batches=1):
+    """The model.ckpt and history.csv bytes of a training of `batches` steps."""
+    train(*corpus, cfg, TrainConfig(batch_size=32, epochs=1, max_batches=batches),
+          seed=3, out_dir=out_dir)
+    return [(out_dir / name).read_bytes() for name in ("model.ckpt", "history.csv")]
+
+
+@pytest.mark.parametrize("attention", [False, True])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_split_products_keep_the_bits_at_any_worker_count(tmp_path, variant, attention):
+    """At V=4004 and decoder_hidden=256 the output layer's products split
+    over the workers.  A training step, beam search and scoring give the
+    same bits at 1, 2 and 3 workers."""
+    corpus = _mid_corpus()
+    users, cfg = corpus[2], _mid_config(variant, corpus[1], corpus[2], attention)
+    params = M.init_params(cfg, seed=4)
+    requests = [G.GenRequest(query=list(range(4 + i, 16 + 2 * i)), user_index=i % len(users),
+                             beam_width=10, max_length=6, seed=i) for i in range(4)]
+    items = [(list(range(5, 12)), [list(range(20 + j, 30 + 2 * j)) for j in range(6)], 1),
+             (list(range(40, 44)), [list(range(60, 72)), [7, 8, 9]], 2)]
+    runs = []
+    for workers in (1, 2, 3):
+        with split_over(workers) as pool:
+            step = _trained_bytes(corpus, cfg, tmp_path / str(workers))
+            blocks = [pool.blocks]
+            hyps = [[(h.tokens, np.float64(h.log_prob).tobytes()) for h in hs]
+                    for hs in G.generate_many(requests, params, cfg)]
+            blocks.append(pool.blocks)
+            scores = [s.tobytes() for s in G.score_many(items, params, cfg, seeds=[0, 1])]
+            blocks.append(pool.blocks)
+        runs.append((step, hyps, scores))
+        if workers > 1:  # each of the three reached the pool
+            assert 0 < blocks[0] < blocks[1] < blocks[2]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_two_threads_training_at_once_keep_their_sequential_bits(tmp_path):
+    """Two threads train two models at once, their products sharing the
+    pool, and each writes the bits of training alone at one worker."""
+    corpus = _mid_corpus()
+    configs = [_mid_config("PAGENERATOR", corpus[1], corpus[2], False),
+               _mid_config("S2SA", corpus[1], corpus[2], True)]
+    with split_over(1):
+        alone = [_trained_bytes(corpus, cfg, tmp_path / f"alone{i}", batches=2)
+                 for i, cfg in enumerate(configs)]
+    together = [None, None]
+
+    def run(i):
+        together[i] = _trained_bytes(corpus, configs[i], tmp_path / f"together{i}", batches=2)
+
+    with split_over(2) as pool:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert pool.blocks > 0
+    assert together == alone
