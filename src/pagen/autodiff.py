@@ -14,7 +14,7 @@ an upstream gradient after its backward, so a first gradient becomes
 t.grad uncopied.  add of equal shapes gives b a copy when a has kept g.
 A tensor whose .grad is a buffer to reuse (in training, its arena view)
 is marked stale_grad: the first gradient to reach it is written into the
-buffer (matmul computes its weight gradient straight into it), and only
+buffer (every weight gradient is computed straight into it), and only
 later ones are added.
 
 The output layer: affine_log_softmax_pick keeps one (N, V) buffer for
@@ -27,8 +27,9 @@ leave, and rebuilds the state each row continues and tanh of each cell.
 Products and threads: importing this module pins the OpenBLAS that numpy
 bundles to one thread, since a threaded BLAS sums a product in an order
 that depends on its thread count; ENVIRONMENT names numpy, the BLAS and
-the pinned count for manifest.txt.  Every product of the engine (matmul,
-the output layer's, the lstm's) runs through _product, which splits a
+the pinned count for manifest.txt.  Every product of the engine runs
+through _product, which runs a one-row product as the first row of a
+two-row one (numpy's one-row gemv path rounds differently), and splits a
 float32 product whose blocks of output columns each reach SPLIT_FLOOR
 (2^22) multiply-adds over WORKERS blocks, one per CPU the process may run
 on.  The summed axis is never cut, and a block that large has the one-call
@@ -50,7 +51,6 @@ import ctypes
 import functools
 import glob
 import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate
@@ -133,7 +133,8 @@ def _accum(t, g):
     if t.grad is None:
         t.grad = g
     elif t.stale_grad:
-        t.grad[...] = g
+        if g is not t.grad:  # else g was written into it
+            t.grad[...] = g
         t.stale_grad = False
     else:
         t.grad += g
@@ -141,11 +142,8 @@ def _accum(t, g):
 
 def _accum_product(t, x, y):
     """_accum(t, x @ y), the product computed straight into a stale .grad."""
-    if t.requires_grad and t.stale_grad:
-        _product(x, y, out=t.grad)
-        t.stale_grad = False
-    elif t.requires_grad:
-        _accum(t, _product(x, y))
+    if t.requires_grad:
+        _accum(t, _product(x, y, out=t.grad if t.stale_grad else None))
 
 
 def _grad_buffer(t):
@@ -291,28 +289,37 @@ ENVIRONMENT = {"numpy": np.__version__,
 # training step than 2^22.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 SPLIT_FLOOR = 1 << 22
-_pool = None  # runs all blocks but the caller's; made on first use
-_pool_lock = threading.Lock()
 
 
-def _forget_pool():
-    """In a forked child: the parent's pool threads do not exist there."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _new_pool():
+    """At import, and in a forked child, which has none of the parent's
+    threads: the pool that runs all blocks but the caller's."""
+    global _pool
+    _pool = ThreadPoolExecutor(max(WORKERS - 1, 1), thread_name_prefix="pagen-product")
 
 
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _product(a, b, out=None):
-    """a @ b for 2-D a and b, into out if it is given.  A float32 product
+    """a @ b for 2-D a and b, into out if it is given.  A one-row a runs as
+    the first row of a two-row product (not gemv), so a row's bits do not
+    depend on how many rows share its product.  Then a float32 product
     whose WORKERS blocks of b's columns each reach SPLIT_FLOOR runs as those
     contiguous blocks, each written into its column view of out: the pool
     runs the others while this thread runs the last.  The summed axis is
     never cut, so the bits do not depend on WORKERS."""
-    global _pool
     m, k = a.shape
+    if m == 1:
+        two = np.empty((2, k), dtype=a.dtype)
+        two[...] = a
+        row = _product(two, b)[:1]
+        if out is None:
+            return row
+        out[...] = row
+        return out
     n = b.shape[1]
     width = max(2, -(-SPLIT_FLOOR // max(m * k, 1)))  # a block's fewest columns
     blocks = min(WORKERS, n // width)
@@ -320,10 +327,6 @@ def _product(a, b, out=None):
         return np.matmul(a, b, out=out)
     if out is None:
         out = np.empty((m, n), dtype=np.float32)
-    if _pool is None:
-        with _pool_lock:
-            if _pool is None:
-                _pool = ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="pagen-product")
     cuts = [n * i // blocks for i in range(blocks + 1)]
     done = [_pool.submit(np.matmul, a, b[:, lo:hi], out=out[:, lo:hi])
             for lo, hi in zip(cuts[:-2], cuts[1:-1])]
@@ -331,20 +334,6 @@ def _product(a, b, out=None):
     for f in done:
         f.result()
     return out
-
-
-def _mm(a, b, two=None):
-    """a @ b for a 2-D a, through _product.  A one-row a runs as the first
-    row of a two-row product, in the (2, k) scratch two if it is given and
-    fits: numpy sends one row down the gemv path, which rounds differently
-    from gemm, and a row's result must not depend on how many rows share
-    its product."""
-    if a.shape[0] != 1:
-        return _product(a, b)
-    if two is None or two.dtype != a.dtype:
-        two = np.empty((2,) + a.shape[1:], dtype=a.dtype)
-    two[...] = a
-    return _product(two, b)[:1]
 
 
 def matmul(a, b, bias=None):
@@ -356,13 +345,13 @@ def matmul(a, b, bias=None):
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}"
                          + ("" if bias is None else f" + {bias.data.shape}"))
     rows = a.data.reshape(-1, b.data.shape[0])
-    out = _mm(rows, b.data)
+    out = _product(rows, b.data)
     if bias is not None:
         out += bias.data
 
     def bwd(g):
         g = g.reshape(-1, b.data.shape[1])
-        _accum(a, _mm(g, b.data.T).reshape(a.data.shape))
+        _accum(a, _product(g, b.data.T).reshape(a.data.shape))
         _accum_product(b, rows.T, g)
         if bias is not None:
             _accum(bias, g.sum(axis=0))
@@ -476,7 +465,8 @@ def lstm(x, W, b, h0, c0, sizes, parents=None, static=None):
 
     x @ W_x + b runs once for all N rows and static @ W_s once per lane;
     only h @ W_h runs per step, and the backward forms dW, db and dx as
-    matmuls over all rows at once.  No product has one row (_mm).  Returns
+    matmuls over all rows at once, dW's blocks straight into the rows of a
+    stale W.grad.  No product has one row (_product).  Returns
     (hs, c): the (N, H) states, the one graph node, and the cells of the
     last step's rows as a plain array (no gradient).
     """
@@ -516,13 +506,12 @@ def lstm(x, W, b, h0, c0, sizes, parents=None, static=None):
     # its sigmoid columns (exactly, a power of two) after adding h @ W_h:
     # sigmoid(z) = 0.5 * tanh(z / 2) + 0.5, so one tanh serves all four gates.
     half, shift = _gate_scales(H, Wh.dtype)
-    pre = _mm(x.data, Wx)
+    pre = _product(x.data, Wx)
     pre += b.data
-    s = None if static is None else _mm(static.data, Ws)  # each lane's static @ W_s
+    s = None if static is None else _product(static.data, Ws)  # each lane's static @ W_s
     hs = np.empty((N, H), dtype=pre.dtype)
     cs = np.empty_like(hs) if record else None  # the cell each row leaves
     h, c = h0.data, c0.data
-    two = np.empty((2, H), dtype=pre.dtype)  # _mm's scratch for a one-row step
     for t, p in enumerate(take):
         lo, hi = off[t], off[t + 1]
         h, c = (h[:hi - lo], c[:hi - lo]) if p is None else (h[p], c[p])
@@ -530,7 +519,7 @@ def lstm(x, W, b, h0, c0, sizes, parents=None, static=None):
         if s is not None:  # each row's lane term, carried like its state
             s = s[:hi - lo] if p is None else s[p]
             z += s
-        z += _mm(h, Wh, two)
+        z += _product(h, Wh)
         z *= half
         np.tanh(z, out=z)
         z *= half
@@ -577,17 +566,18 @@ def lstm(x, W, b, h0, c0, sizes, parents=None, static=None):
             dact = a * (1.0 - a)  # sigmoid' on i, f, o
             dact[:, 3 * H:] = 1.0 - g * g  # tanh' on g
             dz *= dact
-            dh, dc = to_parents(t, _mm(dz, Wh.T)), to_parents(t, dc_new * f)
+            dh, dc = to_parents(t, _product(dz, Wh.T)), to_parents(t, dc_new * f)
             if static is not None:  # a lane's static row sums its rows' dz
                 ds = to_parents(t, dz if ds is None else dz + ds)
-        dW = [_product(x.data.T, dZ)]
+        dW = W.grad if W.stale_grad else np.empty_like(W.data)  # [x; static; h] row blocks
+        _product(x.data.T, dZ, out=dW[:n_in])
         if static is not None:
-            dW.append(_product(static.data.T, ds))
-            _accum(static, _mm(ds, Ws.T))
-        dW.append(_product(h_in.T, dZ))
-        _accum(W, np.concatenate(dW))
+            _product(static.data.T, ds, out=dW[n_in:n_in + n_s])
+            _accum(static, _product(ds, Ws.T))
+        _product(h_in.T, dZ, out=dW[n_in + n_s:])
+        _accum(W, dW)
         _accum(b, dZ.sum(axis=0))
-        _accum(x, _mm(dZ, Wx.T))
+        _accum(x, _product(dZ, Wx.T))
         _accum(h0, dh)
         _accum(c0, dc)
 
@@ -691,7 +681,7 @@ def affine_log_softmax_pick(x, W, b, targets):
                          f"{b.data.shape}, targets {idx.shape}")
     scored = np.flatnonzero(idx >= 0)  # the rows with a target, in row-major order
     rows = x.data.reshape(-1, W.data.shape[0])[scored]
-    logp = _mm(rows, W.data)
+    logp = _product(rows, W.data)
     logp += b.data
     n, V = logp.shape
     logp -= logp.max(axis=-1, keepdims=True)
@@ -711,7 +701,7 @@ def affine_log_softmax_pick(x, W, b, targets):
         np.subtract(0.0, grad, out=grad)
         grad[at] += g
         dx = np.zeros((idx.size, W.data.shape[0]), dtype=grad.dtype)
-        dx[scored] = _mm(grad, W.data.T)
+        dx[scored] = _product(grad, W.data.T)
         _accum(x, dx.reshape(x.data.shape))
         _accum_product(W, rows.T, grad)
         _accum(b, grad.sum(axis=0))

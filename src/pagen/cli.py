@@ -445,6 +445,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "output", None) is not None and args.input is None:
+        parser.error("argument --output: names the file of --input's replies; "
+                     "a --query reply goes to stdout")
     try:
         return args.fn(args)
     except OSError as e:  # a path that is missing, a directory or unreadable

@@ -61,12 +61,13 @@ def arena(params):
     return W, G
 
 
+# Adam's moment decays and denominator floor, Kingma & Ba's defaults
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 0.0  # global-norm clipping threshold; 0: no clipping
     norm: float = None      # the last gradient's norm, before clipping
     step: int = 0
@@ -100,7 +101,7 @@ def adam_step(params, state):
     elif state.layout != layout:
         raise ContractError("AdamState holds the moments of another parameter set")
     state.step += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    b1, b2, lr, eps = BETA1, BETA2, state.lr, EPS
     c1, c2 = 1 - b1 ** state.step, 1 - b2 ** state.step
     scratch = np.empty((3, min(M.CHUNK, W.size)), dtype=W.dtype)
     # the per-parameter step's operation order, with Python-float scalars,

@@ -299,37 +299,56 @@ def test_float64_and_small_products_never_reach_the_pool():
     b = rng.standard_normal((256, 1024)).astype(np.float32)
     big_a, big_b = rng.standard_normal((64, 512)), rng.standard_normal((512, 4096))
     with split_over(2) as pool:
-        assert ad._mm(a, b[:, :1022]).tobytes() == (a @ b[:, :1022]).tobytes()
-        assert ad._mm(big_a, big_b).tobytes() == (big_a @ big_b).tobytes()
+        assert ad._product(a, b[:, :1022]).tobytes() == (a @ b[:, :1022]).tobytes()
+        assert ad._product(big_a, big_b).tobytes() == (big_a @ big_b).tobytes()
         assert pool.blocks == 0
-        assert ad._mm(a, b).tobytes() == (a @ b).tobytes()
+        assert ad._product(a, b).tobytes() == (a @ b).tobytes()
         assert pool.blocks == 1
         x, W = Tensor(big_a, requires_grad=True), Tensor(big_b, requires_grad=True)
         backward(ad.reduce_sum(ad.matmul(x, W)))  # float64 forward and both gradients
         assert pool.blocks == 1
 
 
+def test_a_one_row_product_splits_as_two_rows():
+    """A float32 (1, 512) @ (512, 20004), a paper-scale beam step of one
+    row, runs as the first row of a two-row product, and that splits over
+    2 workers into two blocks of 2 x 512 x 10002 multiply-adds: the row has
+    the two-row product's bits, fresh or written into out, and each
+    product reaches the pool once.  Split before the row is doubled, its
+    blocks would be one-row (gemv) products."""
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((1, 512)).astype(np.float32)
+    b = rng.standard_normal((512, 20004)).astype(np.float32)
+    expect = (np.vstack([a, a]) @ b)[:1].tobytes()
+    out = np.full((1, 20004), np.nan, dtype=np.float32)
+    with split_over(2) as pool:
+        assert ad._product(a, b).tobytes() == expect
+        assert pool.blocks == 1
+        assert ad._product(a, b, out=out) is out
+        assert pool.blocks == 2
+    assert out.tobytes() == expect
+
+
 def _split_product_agrees():
+    """Whether a split product has the one-call bits here, and the id of
+    the pool that ran its block."""
     rng = np.random.default_rng(1)
     a = rng.standard_normal((64, 512)).astype(np.float32)
     b = rng.standard_normal((512, 1024)).astype(np.float32)
-    return ad._product(a, b).tobytes() == (a @ b).tobytes()
+    return ad._product(a, b).tobytes() == (a @ b).tobytes(), id(ad._pool)
 
 
 def test_a_forked_child_gets_a_fresh_pool(monkeypatch):
     """A child forked after the parent's pool has run a block makes a pool
-    of its own: the parent's threads do not exist in it, and the inherited
-    pool would take the child's first block and never run it."""
+    of its own, which runs the child's blocks to the right bits: the
+    parent's threads do not exist in it, and the inherited pool would take
+    the child's first block and never run it."""
     monkeypatch.setattr(ad, "WORKERS", 2)
-    monkeypatch.setattr(ad, "_pool", None)
-    assert _split_product_agrees()
-    pool = ad._pool
-    try:
-        assert pool is not None
-        with multiprocessing.get_context("fork").Pool(1) as child:
-            assert child.apply_async(_split_product_agrees).get(timeout=30)
-    finally:
-        pool.shutdown()
+    agrees, pool = _split_product_agrees()
+    assert agrees
+    with multiprocessing.get_context("fork").Pool(1) as child:
+        agrees, child_pool = child.apply_async(_split_product_agrees).get(timeout=30)
+    assert agrees and child_pool != pool
 
 
 def test_lstm_under_no_grad_keeps_no_backward():

@@ -361,6 +361,19 @@ def test_generate_checks_its_flags_before_opening_a_file(tmp_path, capsys, flags
     assert flag in err and "missing.ckpt" not in err
 
 
+def test_generate_output_without_input_exits_2(tmp_path, capsys):
+    """--output is the file of --input's replies: with --query it is
+    refused, before any file is opened, not ignored."""
+    out = tmp_path / "replies.txt"
+    with pytest.raises(SystemExit) as e:
+        cli.main(["generate", "--model", str(tmp_path / "missing.ckpt"), "--query", "q",
+                  "--output", str(out)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --output" in err and "missing.ckpt" not in err
+    assert not out.exists()
+
+
 def test_generate_without_query_exits_2(workdir, capsys):
     out = _trained(workdir)
     with pytest.raises(SystemExit) as e:

@@ -418,16 +418,23 @@ def test_teacher_forcing_is_padding_invariant(variant, use_attention):
                          ids=["PAGENERATOR", "FACT_BIAS", "S2SA+attention"])
 def test_backward_allocates_no_table_and_copies_no_logits(monkeypatch, variant, attention,
                                                           v_wide_copies):
-    """In one backward of a toy batch with packed parameters, the embedding
-    gradients go straight into the arena (no table-sized buffer), every
+    """In one backward of a toy batch with packed parameters marked
+    stale_grad, as the trainer leaves them, the embedding gradients go
+    straight into the arena (no table-sized buffer), and so does the first
+    gradient of every other weight matrix: the one _accum gets is the
+    weight's own .grad, never a product or concatenation made apart and
+    copied in (prior_W, read twice, has its second gradient added).  Every
     first gradient becomes .grad uncopied, and no backward hands on a copy
     of a V-wide upstream gradient."""
     cfg = toy_config(variant, use_attention=attention)
     params = M.init_params(cfg, seed=20)
     T.arena(params)
+    for p in params.values():
+        p.stale_grad = True
+    weights = {id(p) for p in params.values() if p.data.ndim == 2}
     noise = np.random.default_rng(21).standard_normal((3, cfg.z_dim)).astype(np.float32) \
         if cfg.is_latent else None
-    made, kept, copies, upstream = [], [], [], []
+    made, kept, copies, upstream, apart = [], [], [], [], []
     real_zeros_like, real_zeros, real_accum, real_result = (np.zeros_like, np.zeros,
                                                             ad._accum, ad._result)
 
@@ -448,6 +455,8 @@ def test_backward_allocates_no_table_and_copies_no_logits(monkeypatch, variant, 
 
     def accum(t, g):
         first = t.requires_grad and t.grad is None
+        if id(t) in weights and t.stale_grad and g is not t.grad:
+            apart.append(t.shape)
         up = upstream[-1]
         if (t.requires_grad and g.shape == up.shape and not np.shares_memory(g, up)
                 and np.array_equal(g, up)):
@@ -466,6 +475,7 @@ def test_backward_allocates_no_table_and_copies_no_logits(monkeypatch, variant, 
     tables = {params[k].shape for k in ("word_emb", "user_emb") if k in params}
     assert made and kept  # the wrappers saw the backward
     assert not tables & set(made), made
+    assert not apart, apart
     assert all(kept)
     assert len([s for s in copies if s[-1] == cfg.vocab_size]) <= v_wide_copies, copies
     assert params["word_emb"].grad.base is T.arena(params)[1] and np.abs(params["word_emb"].grad).max() > 0

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import np_oracle
-from conftest import split_over, toy_config
+from conftest import split_over, toy_batch, toy_config
 from pagen import corpus as C
 from pagen import generation as G
 from pagen import model as M
 from pagen import trainer as T
-from pagen.autodiff import ContractError, Tensor
-from pagen.objective import LossBreakdown
+from pagen.autodiff import ContractError, Tensor, backward
+from pagen.objective import LossBreakdown, total_loss
 from pagen.trainer import (AdamState, DivergenceError, TrainConfig, adam_step,
                            batch_arrays, clip_gradients, encode_triples,
                            make_batches, train)
@@ -419,6 +419,36 @@ def test_split_products_keep_the_bits_at_any_worker_count(tmp_path, variant, att
         if workers > 1:  # each of the three reached the pool
             assert 0 < blocks[0] < blocks[1] < blocks[2]
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("attention", [False, True])
+@pytest.mark.parametrize("variant", M.VARIANTS)
+def test_no_product_takes_the_one_row_path(monkeypatch, variant, attention):
+    """No product of a toy training step (forward and backward), of beam
+    search or of scoring has a one-row first operand, which numpy would run
+    down its gemv path, rounding otherwise than gemm: not with one-row
+    batches, beams, queries and replies either."""
+    cfg = toy_config(variant, use_attention=attention)
+    params = M.init_params(cfg, seed=6)
+    firsts, real = [], np.matmul
+
+    def matmul(a, *args, **kwargs):
+        firsts.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    for batch in (1, 3):
+        noise = np.random.default_rng(batch).standard_normal((batch, cfg.z_dim)) \
+            .astype(np.float32) if cfg.is_latent else None
+        backward(total_loss(toy_batch(seed=batch, batch=batch), params, cfg, noise=noise,
+                            batch_index=5)[0])
+    G.generate_many([G.GenRequest(query=[7], user_index=1, beam_width=1, max_length=4),
+                     G.GenRequest(query=[5, 6, 9], user_index=2, beam_width=3, max_length=4)],
+                    params, cfg)
+    G.score_many([([8], [[9, 10]], 1), ([5, 6], [[11], [12, 13, 14]], 2)], params, cfg, seeds=[0])
+    monkeypatch.undo()
+    assert len(firsts) > 20
+    assert not [s for s in firsts if len(s) < 2 or s[-2] == 1], firsts
 
 
 def test_two_threads_training_at_once_keep_their_sequential_bits(tmp_path):
